@@ -7,9 +7,10 @@ sha256 of the effective config plus the seed.  The output root is resolved
 as: --out-dir flag, then the config's "out_dir", then $SIDLAB_OUT, then
 ./sidlab_out.
 
-Exit codes: 0 success; 2 bijection failure (the audit is still written);
-3 equivalence tolerance exceeded; 4 config or artifact-parse error;
-5 missing input artifact.
+Exit codes: 0 success; 1 training divergence (the mean epoch loss went
+non-finite); 2 bijection failure (the audit is still written); 3 equivalence
+tolerance exceeded; 4 config or artifact-parse error; 5 missing input
+artifact.
 """
 
 from __future__ import annotations
@@ -26,14 +27,7 @@ import numpy as np
 from . import __version__
 from .bench import count_softmax_ops, ops_sweep, time_losses, write_ops_csv, write_timing_csv
 from .decoder import beam_search, exact_topk, mtp_decode
-from .logits import (
-    CascadedLogitModel,
-    FormError,
-    ParallelLogitModel,
-    model_from_json_dict,
-    model_to_json_dict,
-    table_entry_count,
-)
+from .logits import FORMS, FormError, model_from_json_dict, model_to_json_dict, table_entry_count
 from .losses import check_equivalence, summarize_reports, write_reports_csv
 from .tokenizer import (
     FSQModel,
@@ -73,8 +67,6 @@ EXIT_CONFIG = 4
 EXIT_MISSING = 5
 
 OUT_ENV_VAR = "SIDLAB_OUT"
-
-_FORMS = {"cascaded": CascadedLogitModel, "parallel": ParallelLogitModel}
 
 
 class ConfigError(Exception):
@@ -241,7 +233,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"trials must be >= 0, got {trials}")
     forms = cfg.get("forms", ["cascaded", "parallel"])
     for form in forms:
-        if form not in _FORMS:
+        if form not in FORMS:
             raise ConfigError(f"unknown model form {form!r}")
     k_values = [int(v) for v in cfg.get("k_values", [1, 2, 3])]
     X_values = [int(v) for v in cfg.get("X_values", [2, 3, 4])]
@@ -260,7 +252,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         spec = CodebookSpec(k=int(rng.choice(k_values)), X=int(rng.choice(X_values)))
         C = int(rng.choice(C_values))
         form = forms[t % len(forms)] if forms else "cascaded"
-        model = _FORMS[form].random(spec, C, sigma, int(rng.integers(2**31)))
+        model = FORMS[form].random(spec, C, sigma, int(rng.integers(2**31)))
         if map_mode == "strict":
             tmap = identity_token_map(spec)
         else:
@@ -312,7 +304,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     if N != spec.sequence_space_size:
         raise ConfigError(f"world N={N} must equal X**k={spec.sequence_space_size}")
     form = cfg.get("form", "cascaded")
-    if form not in _FORMS:
+    if form not in FORMS:
         raise ConfigError(f"unknown model form {form!r}")
     cap = int(cfg.get("max_table_entries", 10**7))
     entries = table_entry_count(spec, C, form)
@@ -342,9 +334,9 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 
     init_cfg = cfg.get("init", "zeros")
     if init_cfg == "zeros":
-        model = _FORMS[form].zeros(spec, C)
+        model = FORMS[form].zeros(spec, C)
     elif isinstance(init_cfg, dict) and "sigma" in init_cfg:
-        model = _FORMS[form].random(spec, C, float(init_cfg["sigma"]), init_seed)
+        model = FORMS[form].random(spec, C, float(init_cfg["sigma"]), init_seed)
     else:
         raise ConfigError("init must be 'zeros' or an object with a 'sigma' key")
 
@@ -389,13 +381,13 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 
 def cmd_decode(cfg: dict, out_dir: Path) -> int:
     seed = int(cfg.get("seed", 0))
-    model = model_from_json_dict(_load_artifact_json(_req(cfg, "checkpoint", str)))
+    checkpoint = _load_artifact_json(_req(cfg, "checkpoint", str))
+    token_map = _load_artifact_json(_req(cfg, "token_map", str))
     try:
-        tmap = TokenMap.from_json_dict(_load_artifact_json(_req(cfg, "token_map", str)))
-    except FileNotFoundError:
-        raise
+        model = model_from_json_dict(checkpoint)
+        tmap = TokenMap.from_json_dict(token_map)
     except Exception as exc:
-        raise ConfigError(f"bad token map artifact: {exc}") from exc
+        raise ConfigError(f"bad checkpoint or token map artifact: {exc!r}") from exc
     if tmap.spec != model.spec:
         raise ConfigError(
             f"token map spec {tmap.spec} does not match checkpoint spec {model.spec}"

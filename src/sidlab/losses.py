@@ -45,13 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logits import (
-    FormError,
-    LogitModel,
-    item_logit,
-    item_logits_all,
-    prefix_index_arrays,
-)
+from .logits import FormError, LogitModel, item_logit, item_logits_all
 from .vocab import TokenMap
 
 
@@ -114,17 +108,15 @@ def sequence_log_partition(model: LogitModel, h: int) -> float:
     token map.
     """
     spec = model.spec
+    rows = [model.rows(m)[h] for m in range(spec.k)]
+    # span[m] consecutive sequences share position m's node row, so sequence
+    # idx reads row idx // span[m] (its prefix index, or 0 for a shared row)
+    span = [spec.sequence_space_size // r.shape[0] for r in rows]
     scores = np.empty(spec.sequence_space_size)
     for idx, seq in enumerate(spec.iter_sequences()):
         total = 0.0
-        if model.form == "cascaded":
-            pidx = 0
-            for m in range(spec.k):
-                total += float(model.tables[m][h, pidx, seq[m]])
-                pidx = pidx * spec.X + seq[m]
-        else:
-            for m in range(spec.k):
-                total += float(model.tables[m][h, seq[m]])
+        for m in range(spec.k):
+            total += float(rows[m][idx // span[m], seq[m]])
         scores[idx] = total
     return log_sum_exp(scores)
 
@@ -137,14 +129,10 @@ def sequence_log_partition_levelwise(model: LogitModel, h: int) -> float:
     Agreement with the flat route is a check that the expansion order does
     not matter beyond float rounding.
     """
-    spec = model.spec
     scores = np.zeros(1)
-    for m in range(spec.k):
-        if model.form == "cascaded":
-            rows = model.tables[m][h]  # (X**m, X), row per prefix in base-X order
-            scores = (scores[:, None] + rows).ravel()
-        else:
-            scores = (scores[:, None] + model.tables[m][h][None, :]).ravel()
+    for m in range(model.spec.k):
+        # (nodes, X) rows in base-X prefix order; one shared row broadcasts
+        scores = (scores[:, None] + model.rows(m)[h]).ravel()
     return log_sum_exp(scores)
 
 
@@ -167,18 +155,12 @@ def ntp_grad(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> list[np.
     softmax(node logits) minus the one-hot of the visited token.
     """
     seq = tmap.forward(i_plus)
-    spec = model.spec
     grads = model.zero_like_tables()
-    for m in range(spec.k):
-        node = model.node_logits(h, seq[:m])
-        p = softmax(node)
-        if model.form == "cascaded":
-            pidx = spec.prefix_index(seq[:m])
-            grads[m][h, pidx, :] += p
-            grads[m][h, pidx, seq[m]] -= 1.0
-        else:
-            grads[m][h, :] += p
-            grads[m][h, seq[m]] -= 1.0
+    for m in range(model.spec.k):
+        p = softmax(model.node_logits(h, seq[:m]))
+        row = model.rows(m, grads)[h, model.node_index(model.spec.prefix_index(seq[:m]))]
+        row += p
+        row[seq[m]] -= 1.0
     return grads
 
 
@@ -191,18 +173,14 @@ def fv_mle_grad(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> list[
     """
     spec = model.spec
     mat = tmap.token_matrix
+    prefixes = tmap.prefix_indices
     p = softmax(item_logits_all(model, h, tmap))
     grads = model.zero_like_tables()
     seq = tmap.forward(i_plus)
-    if model.form == "cascaded":
-        prefixes = prefix_index_arrays(spec, mat)
-        for m in range(spec.k):
-            np.add.at(grads[m][h], (prefixes[m], mat[:, m]), p)
-            grads[m][h, spec.prefix_index(seq[:m]), seq[m]] -= 1.0
-    else:
-        for m in range(spec.k):
-            np.add.at(grads[m][h], mat[:, m], p)
-            grads[m][h, seq[m]] -= 1.0
+    for m in range(spec.k):
+        rows = model.rows(m, grads)[h]
+        np.add.at(rows, (model.node_index(prefixes[m]), mat[:, m]), p)
+        rows[model.node_index(spec.prefix_index(seq[:m])), seq[m]] -= 1.0
     return grads
 
 
@@ -256,14 +234,10 @@ def check_equivalence(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) ->
     g_ntp = ntp_grad(model, h, tmap, i_plus)
     g_fv = fv_mle_grad(model, h, tmap, i_plus)
     seq = tmap.forward(i_plus)
-    spec = model.spec
     grad_gap = 0.0
-    for m in range(spec.k):
-        if model.form == "cascaded":
-            sl = (h, spec.prefix_index(seq[:m]))
-        else:
-            sl = (h,)
-        delta = np.abs(g_ntp[m][sl] - g_fv[m][sl]).max()
+    for m in range(model.spec.k):
+        node = model.node_index(model.spec.prefix_index(seq[:m]))
+        delta = np.abs(model.rows(m, g_ntp)[h, node] - model.rows(m, g_fv)[h, node]).max()
         grad_gap = max(grad_gap, float(delta))
 
     return EquivalenceReport(

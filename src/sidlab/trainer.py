@@ -21,7 +21,7 @@ from math import exp
 
 import numpy as np
 
-from .logits import LogitModel, item_logits_all, prefix_index_arrays
+from .logits import LogitModel, item_logits_all
 from .losses import log_sum_exp
 from .vocab import TokenMap
 
@@ -136,19 +136,17 @@ def _model_log_probs_flat(model: LogitModel, tmap: TokenMap, h: int) -> np.ndarr
 
 
 def _model_log_probs_chain(model: LogitModel, tmap: TokenMap, h: int) -> np.ndarray:
-    spec = model.spec
+    """Chained-softmax log probability of every item: the sum over positions of
+    the visited token's logit minus its node's log-partition."""
     mat = tmap.token_matrix
+    prefixes = tmap.prefix_indices
     out = np.zeros(mat.shape[0])
-    if model.form == "cascaded":
-        prefixes = prefix_index_arrays(spec, mat)
-        for m in range(spec.k):
-            rows = model.tables[m][h]
-            log_z = np.array([log_sum_exp(rows[p]) for p in range(rows.shape[0])])
-            out += rows[prefixes[m], mat[:, m]] - log_z[prefixes[m]]
-    else:
-        for m in range(spec.k):
-            row = model.tables[m][h]
-            out += row[mat[:, m]] - log_sum_exp(row)
+    for m in range(model.spec.k):
+        rows = model.rows(m)[h]
+        mx = rows.max(axis=-1)
+        log_z = mx + np.log(np.exp(rows - mx[:, None]).sum(axis=-1))
+        node = model.node_index(prefixes[m])
+        out += rows[node, mat[:, m]] - log_z[node]
     return out
 
 
@@ -188,25 +186,11 @@ def _epoch_metrics(
     Means are exact: per-(h, i) losses are computed once and weighted by the
     dataset's (h, i) counts.
     """
-    spec = model.spec
-    mat = tmap.token_matrix
     mean_ntp = 0.0
     mean_fv = 0.0
     for h in range(model.C):
-        if model.form == "cascaded":
-            prefixes = prefix_index_arrays(spec, mat)
-            ntp_tab = np.zeros(mat.shape[0])
-            for m in range(spec.k):
-                rows = model.tables[m][h]
-                log_z = np.array([log_sum_exp(rows[p]) for p in range(rows.shape[0])])
-                ntp_tab -= rows[prefixes[m], mat[:, m]] - log_z[prefixes[m]]
-        else:
-            ntp_tab = np.zeros(mat.shape[0])
-            for m in range(spec.k):
-                row = model.tables[m][h]
-                ntp_tab -= row[mat[:, m]] - log_sum_exp(row)
-        scores = item_logits_all(model, h, tmap)
-        fv_tab = -(scores - log_sum_exp(scores))
+        ntp_tab = -_model_log_probs_chain(model, tmap, h)
+        fv_tab = -_model_log_probs_flat(model, tmap, h)
         w = counts[h]
         mean_ntp += float((w * ntp_tab).sum())
         mean_fv += float((w * fv_tab).sum())
@@ -252,10 +236,15 @@ def train_sgd(
     rng = np.random.default_rng(seed)
 
     mat = tmap.token_matrix
-    prefixes = prefix_index_arrays(spec, mat)
+    positions = list(range(spec.k))
     # hot loop runs on plain python floats; ndarray round trips happen per epoch
-    pfx_py = [prefixes[m].tolist() for m in range(spec.k)]
-    tok_py = [mat[:, m].tolist() for m in range(spec.k)]
+    rows = [model.rows(m) for m in positions]
+    tables_py = [r.tolist() for r in rows]
+    node_py = [
+        np.broadcast_to(model.node_index(tmap.prefix_indices[m]), tmap.n_items).tolist()
+        for m in positions
+    ]
+    tok_py = [mat[:, m].tolist() for m in positions]
     ctx_list = data.contexts.tolist()
     item_list = data.items.tolist()
 
@@ -263,9 +252,6 @@ def train_sgd(
     np.add.at(counts, (data.contexts, data.items), 1.0)
 
     records = []
-    cascaded = model.form == "cascaded"
-    tables_py = [t.tolist() for t in model.tables]
-    positions = list(range(spec.k))
     token_range = list(range(X))
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n).tolist()
@@ -273,10 +259,7 @@ def train_sgd(
             h = ctx_list[s]
             i = item_list[s]
             for m in positions:
-                if cascaded:
-                    row = tables_py[m][h][pfx_py[m][i]]
-                else:
-                    row = tables_py[m][h]
+                row = tables_py[m][h][node_py[m][i]]
                 mx = max(row)
                 es = [exp(v - mx) for v in row]
                 scale = lr / sum(es)
@@ -284,7 +267,7 @@ def train_sgd(
                     row[j] -= es[j] * scale
                 row[tok_py[m][i]] += lr
         for m in positions:
-            model.tables[m][...] = np.asarray(tables_py[m])
+            rows[m][...] = np.asarray(tables_py[m])
         mean_ntp, mean_fv, kl = _epoch_metrics(model, tmap, counts, n, world)
         if not np.isfinite(mean_ntp):
             raise DivergenceError(f"mean epoch loss became non-finite at epoch {epoch}")

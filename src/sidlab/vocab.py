@@ -116,6 +116,19 @@ class CodebookSpec:
             yield self.index_to_sequence(idx)
 
 
+def prefix_index_arrays(spec: CodebookSpec, token_matrix: np.ndarray) -> np.ndarray:
+    """Base-X prefix integer of every item at every position, shape (k, n_items).
+
+    Row m holds the encoded prefix (t_1 .. t_m-1) of each item, row 0 is all
+    zeros (empty prefix).
+    """
+    n = token_matrix.shape[0]
+    out = np.zeros((spec.k, n), dtype=np.int64)
+    for m in range(1, spec.k):
+        out[m] = out[m - 1] * spec.X + token_matrix[:, m - 1]
+    return out
+
+
 class TokenMap:
     """Item-to-sequence assignment with a declared bijection contract.
 
@@ -139,6 +152,7 @@ class TokenMap:
         self.mode = mode
         self._forward = [spec.validate_sequence(s) for s in forward]
         self._matrix: np.ndarray | None = None
+        self._prefixes: np.ndarray | None = None
         self._inverse: dict[TokenSeq, int] = {}
         for item, seq in enumerate(self._forward):
             prior = self._inverse.setdefault(seq, item)
@@ -183,6 +197,17 @@ class TokenMap:
             )
             self._matrix.flags.writeable = False
         return self._matrix
+
+    @property
+    def prefix_indices(self) -> np.ndarray:
+        """:func:`prefix_index_arrays` of the token matrix, shape (k, n_items).
+
+        Cached; treat as read-only.
+        """
+        if self._prefixes is None:
+            self._prefixes = prefix_index_arrays(self.spec, self.token_matrix)
+            self._prefixes.flags.writeable = False
+        return self._prefixes
 
     def to_json_dict(self) -> dict:
         return {

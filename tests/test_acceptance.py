@@ -407,6 +407,14 @@ class TestCriterion7DeskScaleConsistency:
         )
         assert record_criterion("criterion 7c (per-epoch loss agreement)", ok, detail), detail
 
+    def test_7_desk_run_is_pinned_bit_for_bit(self, desk_scale_run):
+        # exact values, so any drift in the training or evaluation arithmetic
+        # shows here rather than only in the benchmark's output oracle
+        r = desk_scale_run
+        assert r["initial_kl"] == 0.9669657177122299
+        assert r["final_kl"] == 0.4494582405128461
+        assert r["chain_kl"] == 0.04061639985945633
+
 
 class TestCriterion8Complexity:
     def test_8_counted_ratio_and_instrumented_counters(self):

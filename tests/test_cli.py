@@ -379,6 +379,31 @@ class TestDecodeCommand:
         payload = self.decode_payload(trained, checkpoint=str(bad))
         assert run(tmp_path, "decode", payload, "bad_ckpt")[0] == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "breakage",
+        [
+            lambda ckpt: ckpt["params"][0].pop(),  # params do not fit the shape
+            lambda ckpt: ckpt.update(form="mystery"),
+            lambda ckpt: ckpt.pop("C"),
+        ],
+        ids=["params_length", "unknown_form", "missing_C"],
+    )
+    def test_checkpoint_that_parses_but_does_not_fit_exits_4(
+        self, tmp_path, trained, breakage, capsys
+    ):
+        ckpt = read_json(trained / "checkpoint_final.json")
+        breakage(ckpt)
+        bad = tmp_path / "bad_fit.json"
+        bad.write_text(json.dumps(ckpt))
+        payload = self.decode_payload(trained, checkpoint=str(bad))
+        assert run(tmp_path, "decode", payload, "bad_fit")[0] == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        # a missing token map still takes precedence over the bad checkpoint
+        payload = self.decode_payload(
+            trained, checkpoint=str(bad), token_map=str(trained / "ghost.json")
+        )
+        assert run(tmp_path, "decode", payload, "bad_fit_no_map")[0] == EXIT_MISSING
+
     def test_context_out_of_range(self, tmp_path, trained):
         payload = self.decode_payload(trained, context=99)
         assert run(tmp_path, "decode", payload, "bad_ctx")[0] == EXIT_CONFIG

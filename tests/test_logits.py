@@ -1,5 +1,8 @@
 """Tabular logit models: shapes, lookups, counters, and serialization."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from sidlab import (
     CascadedLogitModel,
     CodebookSpec,
     FormError,
+    LogitModel,
     LookupCounter,
     ParallelLogitModel,
     embed_parallel_as_cascaded,
@@ -65,6 +69,72 @@ class TestConstruction:
         zeros = model.zero_like_tables()
         assert all(np.all(z == 0.0) and z.shape == t.shape
                    for z, t in zip(zeros, model.tables))
+
+
+class TestRowView:
+    def test_every_position_reads_as_context_node_token(self):
+        casc = CascadedLogitModel.zeros(SPEC, C=2)
+        par = ParallelLogitModel.zeros(SPEC, C=2)
+        assert [casc.rows(m).shape for m in range(3)] == [(2, 1, 3), (2, 3, 3), (2, 9, 3)]
+        assert [par.rows(m).shape for m in range(3)] == [(2, 1, 3)] * 3
+        assert isinstance(casc, LogitModel) and isinstance(par, LogitModel)
+
+    def test_parallel_view_writes_reach_the_tables(self):
+        model = ParallelLogitModel.zeros(SPEC, C=2)
+        model.rows(1)[1, 0, 2] = 5.0
+        assert model.tables[1][1, 2] == 5.0
+        grads = model.zero_like_tables()
+        model.rows(2, grads)[0, 0] += 1.0
+        assert np.all(grads[2][0] == 1.0) and np.all(grads[2][1] == 0.0)
+
+    def test_node_index(self):
+        prefixes = np.array([0, 4, 8])
+        assert CascadedLogitModel.zeros(SPEC, 1).node_index(7) == 7
+        assert CascadedLogitModel.zeros(SPEC, 1).node_index(prefixes) is prefixes
+        assert ParallelLogitModel.zeros(SPEC, 1).node_index(7) == 0
+
+
+class _FormCompares(ast.NodeVisitor):
+    """(line, enclosing function) of every comparison that reads ``x.form``."""
+
+    def __init__(self):
+        self.func = "<module>"
+        self.found = []
+
+    def visit_FunctionDef(self, node):
+        outer, self.func = self.func, node.name
+        self.generic_visit(node)
+        self.func = outer
+
+    def visit_Compare(self, node):
+        operands = [node.left, *node.comparators]
+        if any(isinstance(o, ast.Attribute) and o.attr == "form" for o in operands):
+            self.found.append((node.lineno, self.func))
+        self.generic_visit(node)
+
+
+class TestOneFormSwitch:
+    """New per-form forks fail here: outside ``logits.py`` a model's ``.form``
+    may be compared only by the two routines that exist for parallel models
+    alone."""
+
+    ALLOWED = {("decoder.py", "mtp_decode"), ("losses.py", "sequence_log_partition_factored")}
+
+    def test_form_is_compared_only_where_allowed(self):
+        src = Path(__file__).resolve().parents[1] / "src" / "sidlab"
+        offenders, allowed_seen = [], set()
+        for path in sorted(src.glob("*.py")):
+            if path.name == "logits.py":
+                continue
+            visitor = _FormCompares()
+            visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+            for line, func in visitor.found:
+                if (path.name, func) in self.ALLOWED:
+                    allowed_seen.add((path.name, func))
+                else:
+                    offenders.append(f"{path.name}:{line} in {func}")
+        assert not offenders, f".form compared outside logits.py: {offenders}"
+        assert allowed_seen == self.ALLOWED  # the scan does see real comparisons
 
 
 class TestLookups:

@@ -213,6 +213,18 @@ class TestTrainSgd:
         for rec in trace.records:
             assert rec.mean_ntp_loss == pytest.approx(rec.mean_fv_mle_loss, abs=1e-10)
 
+    def test_parallel_training_is_pinned_bit_for_bit(self):
+        spec = CodebookSpec(k=3, X=3)
+        tmap = identity_token_map(spec)
+        world = synth_world(2, 27, 0.6, seed=6)
+        data = sample_dataset(world, 800, seed=7)
+        model = ParallelLogitModel.random(spec, 2, 0.5, seed=3)
+        _, trace = train_sgd(model, tmap, data, lr=0.1, epochs=4, seed=2, world=world)
+        last = trace.records[-1]
+        assert last.mean_ntp_loss == 3.0419141272121353
+        assert last.mean_fv_mle_loss == 3.0419141272121353
+        assert last.kl == 0.4650074007004259
+
     def test_near_deterministic_world_recovers_top_items(self):
         spec = CodebookSpec(k=2, X=2)
         tmap = identity_token_map(spec)

@@ -17,6 +17,7 @@ from sidlab import (
     audit_bijection,
     build_token_map,
     identity_token_map,
+    prefix_index_arrays,
 )
 
 
@@ -160,6 +161,15 @@ class TestTokenMap:
             assert tuple(mat[item]) == tmap.forward(item)
         with pytest.raises(ValueError):
             mat[0, 0] = 1  # cached matrix is read-only
+
+    def test_prefix_indices_are_cached_and_read_only(self):
+        spec = CodebookSpec(k=3, X=2)
+        tmap = identity_token_map(spec)
+        arr = tmap.prefix_indices
+        assert arr is tmap.prefix_indices
+        assert np.array_equal(arr, prefix_index_arrays(spec, tmap.token_matrix))
+        with pytest.raises(ValueError):
+            arr[1, 0] = 1
 
     def test_json_roundtrip(self):
         spec = CodebookSpec(k=2, X=3)
