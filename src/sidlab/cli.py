@@ -112,9 +112,30 @@ def _req(cfg: dict, key: str, kind=None):
     return value
 
 
+_REQUIRED = object()
+
+
+def _value(cfg: dict, key: str, kind, default=_REQUIRED, many: bool = False):
+    """``kind(cfg[key])``, or of ``default`` when the key is absent and one is given.
+
+    ``many`` casts each element of a list value.  ``kind`` is ``int``,
+    ``float`` or another cast; a value it rejects is a ConfigError.
+    """
+    value = _req(cfg, key) if default is _REQUIRED else cfg.get(key, default)
+    try:
+        return [kind(v) for v in value] if many else kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
+
+
+def _float_pair(pair) -> tuple[float, float]:
+    lo, hi = pair
+    return float(lo), float(hi)
+
+
 def _spec_from(cfg: dict) -> CodebookSpec:
     try:
-        return CodebookSpec(k=int(_req(cfg, "k")), X=int(_req(cfg, "X")))
+        return CodebookSpec(k=_value(cfg, "k", int), X=_value(cfg, "X", int))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -132,7 +153,7 @@ def _load_artifact_json(path: str) -> dict:
 def _load_embeddings(cfg: dict, seed: int) -> ItemEmbeddings:
     kind = _req(cfg, "kind", str)
     if kind == "synth":
-        return synth_embeddings(int(_req(cfg, "n_items")), int(_req(cfg, "dim")), seed)
+        return synth_embeddings(_value(cfg, "n_items", int), _value(cfg, "dim", int), seed)
     path = _req(cfg, "path", str)
     if not Path(path).is_file():
         raise FileNotFoundError(f"embeddings file not found: {path}")
@@ -148,18 +169,19 @@ def _load_embeddings(cfg: dict, seed: int) -> ItemEmbeddings:
 
 
 def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = _value(cfg, "seed", int, 0)
     scheme = _req(cfg, "scheme", str)
     spec = _spec_from(cfg)
     mode = cfg.get("mode", "strict")
     if mode not in ("strict", "probe"):
         raise ConfigError(f"mode must be 'strict' or 'probe', got {mode!r}")
-    threshold = float(cfg.get("collapse_threshold", 0.75))
-    max_iters = int(cfg.get("kmeans", {}).get("max_iters", 50))
+    threshold = _value(cfg, "collapse_threshold", float, 0.75)
+    kmeans_cfg = _req(cfg, "kmeans", dict) if "kmeans" in cfg else {}
+    max_iters = _value(kmeans_cfg, "max_iters", int, 50)
 
     fitted = None
     if scheme == "identity":
-        sequences = [spec.index_to_sequence(i) for i in range(spec.sequence_space_size)]
+        sequences = list(spec.iter_sequences())
     elif scheme in ("rq_kmeans", "pq"):
         emb = _load_embeddings(_req(cfg, "embeddings", dict), seed)
         if scheme == "rq_kmeans":
@@ -171,13 +193,13 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
     elif scheme == "fsq":
         emb = _load_embeddings(_req(cfg, "embeddings", dict), seed)
         fsq_cfg = _req(cfg, "fsq", dict)
-        levels = [int(v) for v in _req(fsq_cfg, "levels", list)]
+        _req(fsq_cfg, "levels", list)
+        levels = _value(fsq_cfg, "levels", int, many=True)
         if len(levels) != spec.k:
             raise ConfigError(f"fsq levels must list k={spec.k} entries")
         if max(levels) > spec.X:
             raise ConfigError(f"fsq levels {levels} exceed X={spec.X}")
-        bounds_cfg = fsq_cfg.get("bounds", [[-1.0, 1.0]] * spec.k)
-        bounds = [(float(lo), float(hi)) for lo, hi in bounds_cfg]
+        bounds = _value(fsq_cfg, "bounds", _float_pair, [[-1.0, 1.0]] * spec.k, many=True)
         fitted = FSQModel(levels=levels, per_dim_bounds=bounds)
         sequences = encode_fsq(fitted, emb)
     else:
@@ -221,29 +243,29 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
 
 def _probe_map_with_duplicate(spec: CodebookSpec, dup_item: int) -> TokenMap:
     """Identity map plus one extra item repeating ``dup_item``'s sequence."""
-    forward = [spec.index_to_sequence(i) for i in range(spec.sequence_space_size)]
+    forward = list(spec.iter_sequences())
     forward.append(spec.index_to_sequence(dup_item))
     return TokenMap(spec, forward, "probe")
 
 
 def cmd_verify(cfg: dict, out_dir: Path) -> int:
-    seed = int(cfg.get("seed", 0))
-    trials = int(cfg.get("trials", 100))
+    seed = _value(cfg, "seed", int, 0)
+    trials = _value(cfg, "trials", int, 100)
     if trials < 0:
         raise ConfigError(f"trials must be >= 0, got {trials}")
     forms = cfg.get("forms", ["cascaded", "parallel"])
     for form in forms:
         if form not in FORMS:
             raise ConfigError(f"unknown model form {form!r}")
-    k_values = [int(v) for v in cfg.get("k_values", [1, 2, 3])]
-    X_values = [int(v) for v in cfg.get("X_values", [2, 3, 4])]
-    C_values = [int(v) for v in cfg.get("C_values", [1, 2, 4])]
-    sigma = float(cfg.get("sigma", 0.5))
-    tolerance = float(cfg.get("tolerance", 1e-10))
+    k_values = _value(cfg, "k_values", int, [1, 2, 3], many=True)
+    X_values = _value(cfg, "X_values", int, [2, 3, 4], many=True)
+    C_values = _value(cfg, "C_values", int, [1, 2, 4], many=True)
+    sigma = _value(cfg, "sigma", float, 0.5)
+    tolerance = _value(cfg, "tolerance", float, 1e-10)
     map_mode = cfg.get("map_mode", "strict")
     if map_mode not in ("strict", "probe_collision"):
         raise ConfigError(f"map_mode must be 'strict' or 'probe_collision', got {map_mode!r}")
-    items_per_context = int(cfg.get("items_per_context", 2))
+    items_per_context = _value(cfg, "items_per_context", int, 2)
 
     rng = np.random.default_rng(seed)
     reports = []
@@ -295,24 +317,24 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_train(cfg: dict, out_dir: Path) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = _value(cfg, "seed", int, 0)
     world_cfg = _req(cfg, "world", dict)
     spec_cfg = _req(cfg, "spec", dict)
     spec = _spec_from(spec_cfg)
-    C = int(_req(world_cfg, "C"))
-    N = int(_req(world_cfg, "N"))
+    C = _value(world_cfg, "C", int)
+    N = _value(world_cfg, "N", int)
     if N != spec.sequence_space_size:
         raise ConfigError(f"world N={N} must equal X**k={spec.sequence_space_size}")
     form = cfg.get("form", "cascaded")
     if form not in FORMS:
         raise ConfigError(f"unknown model form {form!r}")
-    cap = int(cfg.get("max_table_entries", 10**7))
+    cap = _value(cfg, "max_table_entries", int, 10**7)
     entries = table_entry_count(spec, C, form)
     if entries > cap:
         raise ConfigError(f"model would hold {entries} table entries, cap is {cap}")
-    lr = float(_req(cfg, "lr"))
-    epochs = int(_req(cfg, "epochs"))
-    n_samples = int(_req(cfg, "n_samples"))
+    lr = _value(cfg, "lr", float)
+    epochs = _value(cfg, "epochs", int)
+    n_samples = _value(cfg, "n_samples", int)
 
     rng = np.random.default_rng(seed)
     world_seed, data_seed, shuffle_seed, init_seed = (
@@ -322,7 +344,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         world = synth_world(
             C,
             N,
-            float(world_cfg.get("alpha", 1.0)),
+            _value(world_cfg, "alpha", float, 1.0),
             world_seed,
             uniform=bool(world_cfg.get("uniform", False)),
         )
@@ -336,7 +358,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     if init_cfg == "zeros":
         model = FORMS[form].zeros(spec, C)
     elif isinstance(init_cfg, dict) and "sigma" in init_cfg:
-        model = FORMS[form].random(spec, C, float(init_cfg["sigma"]), init_seed)
+        model = FORMS[form].random(spec, C, _value(init_cfg, "sigma", float), init_seed)
     else:
         raise ConfigError("init must be 'zeros' or an object with a 'sigma' key")
 
@@ -380,7 +402,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_decode(cfg: dict, out_dir: Path) -> int:
-    seed = int(cfg.get("seed", 0))
+    seed = _value(cfg, "seed", int, 0)
     checkpoint = _load_artifact_json(_req(cfg, "checkpoint", str))
     token_map = _load_artifact_json(_req(cfg, "token_map", str))
     try:
@@ -392,15 +414,15 @@ def cmd_decode(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(
             f"token map spec {tmap.spec} does not match checkpoint spec {model.spec}"
         )
-    h = int(_req(cfg, "context"))
+    h = _value(cfg, "context", int)
     if not 0 <= h < model.C:
         raise ConfigError(f"context {h} outside [0, {model.C})")
     method = _req(cfg, "method", str)
-    top_k = int(cfg.get("top_k", 1))
+    top_k = _value(cfg, "top_k", int, 1)
 
     try:
         if method == "beam":
-            beam_width = int(cfg.get("beam_width", top_k))
+            beam_width = _value(cfg, "beam_width", int, top_k)
             hits = beam_search(model, h, beam_width, top_k)
             results = [
                 {"rank": r, "tokens": list(s.sequence), "score": s.score,
@@ -441,11 +463,11 @@ def cmd_decode(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_bench(cfg: dict, out_dir: Path) -> int:
-    seed = int(cfg.get("seed", 0))
-    k_values = [int(v) for v in cfg.get("k_values", [1, 2, 3, 4])]
-    X_values = [int(v) for v in cfg.get("X_values", [4, 8, 16])]
-    C = int(cfg.get("C", 1))
-    cap = int(cfg.get("max_instrumented_entries", 10**7))
+    seed = _value(cfg, "seed", int, 0)
+    k_values = _value(cfg, "k_values", int, [1, 2, 3, 4], many=True)
+    X_values = _value(cfg, "X_values", int, [4, 8, 16], many=True)
+    C = _value(cfg, "C", int, 1)
+    cap = _value(cfg, "max_instrumented_entries", int, 10**7)
     rows = ops_sweep(k_values, X_values, C=C, max_instrumented_entries=cap)
     write_ops_csv(rows, out_dir / "bench_ops.csv")
     headline = count_softmax_ops(CodebookSpec(k=3, X=256))
@@ -470,8 +492,8 @@ def cmd_bench(cfg: dict, out_dir: Path) -> int:
             k_values,
             X_values,
             C=C,
-            repeats=int(cfg.get("repeats", 5)),
-            sigma=float(cfg.get("sigma", 0.5)),
+            repeats=_value(cfg, "repeats", int, 5),
+            sigma=_value(cfg, "sigma", float, 0.5),
             seed=seed,
         )
         write_timing_csv(timing, out_dir / "bench_times.csv")

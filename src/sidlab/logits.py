@@ -223,6 +223,8 @@ def model_from_json_dict(payload: dict) -> LogitModel:
         np.asarray(params[m], dtype=np.float64).reshape(_table_shape(form, spec, C, m))
         for m in range(spec.k)
     ]
+    if not all(np.isfinite(t).all() for t in tables):
+        raise ValueError("checkpoint params must all be finite")
     return FORMS[form](spec, C, tables)
 
 

@@ -10,6 +10,7 @@ merely measured (``probe`` mode).
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -112,8 +113,7 @@ class CodebookSpec:
 
     def iter_sequences(self) -> Iterator[TokenSeq]:
         """All X**k sequences in lexicographic (base-X counting) order."""
-        for idx in range(self.sequence_space_size):
-            yield self.index_to_sequence(idx)
+        return itertools.product(range(self.X), repeat=self.k)
 
 
 def prefix_index_arrays(spec: CodebookSpec, token_matrix: np.ndarray) -> np.ndarray:
@@ -263,8 +263,7 @@ def build_token_map(
 
 def identity_token_map(spec: CodebookSpec) -> TokenMap:
     """Strict map sending item i to the base-X digits of i (first digit most significant)."""
-    forward = [spec.index_to_sequence(i) for i in range(spec.sequence_space_size)]
-    return TokenMap(spec, forward, "strict")
+    return TokenMap(spec, list(spec.iter_sequences()), "strict")
 
 
 @dataclass

@@ -404,6 +404,19 @@ class TestDecodeCommand:
         )
         assert run(tmp_path, "decode", payload, "bad_fit_no_map")[0] == EXIT_MISSING
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("method", ["beam", "exact"])
+    def test_non_finite_checkpoint_param_exits_4(self, tmp_path, trained, bad, method, capsys):
+        ckpt = read_json(trained / "checkpoint_final.json")
+        ckpt["params"][1][2] = bad
+        path = tmp_path / "non_finite.json"
+        path.write_text(json.dumps(ckpt))
+        payload = self.decode_payload(trained, checkpoint=str(path), method=method)
+        code, out = run(tmp_path, "decode", payload, "non_finite")
+        assert code == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "decode.json").exists()
+
     def test_context_out_of_range(self, tmp_path, trained):
         payload = self.decode_payload(trained, context=99)
         assert run(tmp_path, "decode", payload, "bad_ctx")[0] == EXIT_CONFIG
@@ -447,6 +460,75 @@ class TestBenchCommand:
         code, out = run(tmp_path, "bench", payload, "times")
         assert code == EXIT_OK
         assert (out / "bench_times.csv").is_file()
+
+
+class TestBadConfigValues:
+    """A config value its cast rejects exits 4 with a config error, never a traceback."""
+
+    def assert_config_error(self, tmp_path, capsys, command, payload):
+        code, _ = run(tmp_path, command, payload, "bad_value")
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "over",
+        [{"collapse_threshold": "high"}, {"seed": [1]}, {"k": None}, {"kmeans": 3},
+         {"scheme": "fsq", "embeddings": {"kind": "synth", "n_items": 4, "dim": 2},
+          "fsq": {"levels": [2, 2], "bounds": [[0.0], [0.0, 1.0]]}}],
+        ids=["threshold", "seed", "k", "kmeans", "fsq_bounds"],
+    )
+    def test_tokenize(self, tmp_path, capsys, over):
+        payload = dict({"scheme": "identity", "k": 2, "X": 2}, **over)
+        self.assert_config_error(tmp_path, capsys, "tokenize", payload)
+
+    @pytest.mark.parametrize(
+        "over",
+        [{"trials": "x"}, {"k_values": ["a"]}, {"C_values": 4}, {"sigma": None},
+         {"trials": float("inf")}],
+        ids=["trials", "k_values", "C_values", "sigma", "trials_inf"],
+    )
+    def test_verify(self, tmp_path, capsys, over):
+        self.assert_config_error(tmp_path, capsys, "verify", dict({"trials": 1}, **over))
+
+    @pytest.mark.parametrize(
+        "over",
+        [{"lr": "fast"}, {"epochs": None}, {"world": {"C": "two", "N": 4}},
+         {"init": {"sigma": "wide"}}, {"max_table_entries": [10]}],
+        ids=["lr", "epochs", "world_C", "init_sigma", "cap"],
+    )
+    def test_train(self, tmp_path, capsys, over):
+        self.assert_config_error(tmp_path, capsys, "train", dict(TRAIN_CFG, **over))
+
+    @pytest.mark.parametrize(
+        "over", [{"context": "first"}, {"top_k": [1]}, {"beam_width": {}}],
+        ids=["context", "top_k", "beam_width"],
+    )
+    def test_decode(self, tmp_path, capsys, over):
+        code, trained = run(tmp_path, "train", dict(TRAIN_CFG, form="parallel"), "for_decode")
+        assert code == EXIT_OK
+        payload = {
+            "checkpoint": str(trained / "checkpoint_final.json"),
+            "token_map": str(trained / "token_map.json"),
+            "context": 0,
+            "method": "beam",
+            **over,
+        }
+        self.assert_config_error(tmp_path, capsys, "decode", payload)
+
+    @pytest.mark.parametrize(
+        "over", [{"C": "one"}, {"k_values": 5}, {"include_timing": True, "repeats": "x"}],
+        ids=["C", "k_values", "repeats"],
+    )
+    def test_bench(self, tmp_path, capsys, over):
+        payload = dict({"k_values": [1], "X_values": [2]}, **over)
+        self.assert_config_error(tmp_path, capsys, "bench", payload)
+
+    def test_values_that_cast_are_accepted_as_before(self, tmp_path):
+        payload = {"trials": "2", "sigma": "0.5", "k_values": [1, 2.0], "C_values": [True],
+                   "forms": ["parallel"]}
+        code, out = run(tmp_path, "verify", payload, "castable")
+        assert code == EXIT_OK
+        assert read_json(out / "summary.json")["trials"] == 2
 
 
 class TestDeterminism:

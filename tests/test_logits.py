@@ -270,3 +270,10 @@ class TestSerialization:
         payload["form"] = "mystery"
         with pytest.raises(FormError):
             model_from_json_dict(payload)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_params_rejected(self, bad):
+        payload = model_to_json_dict(CascadedLogitModel.random(SPEC, 2, 0.5, seed=14))
+        payload["params"][-1][5] = bad
+        with pytest.raises(ValueError, match="finite"):
+            model_from_json_dict(payload)

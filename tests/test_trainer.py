@@ -2,6 +2,8 @@
 
 import csv
 import math
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from sidlab import (
     synth_world,
     train_sgd,
 )
+from sidlab import trainer
 
 
 class TestSyntheticWorld:
@@ -249,6 +252,13 @@ class TestTrainSgd:
         with pytest.raises(DivergenceError):
             train_sgd(model, tmap, data, lr=float("inf"), epochs=1, seed=0)
 
+    def test_out_of_range_samples_rejected(self):
+        spec, tmap, world, data = self.small_setup()
+        model = CascadedLogitModel.zeros(spec, 2)
+        for contexts, items in [([0, 2], [0, 1]), ([0, -1], [0, 1]), ([0, 1], [0, 4]), ([0, 1], [-1, 0])]:
+            with pytest.raises(ValueError):
+                train_sgd(model, tmap, Dataset(contexts, items), lr=0.1, epochs=1, seed=0)
+
     def test_kl_is_nan_without_a_world(self):
         spec, tmap, world, data = self.small_setup()
         model = CascadedLogitModel.zeros(spec, 2)
@@ -267,3 +277,161 @@ class TestTrainSgd:
         assert len(rows) == 4
         assert [int(r[0]) for r in rows[1:]] == [1, 2, 3]
         assert float(rows[3][3]) == pytest.approx(trace.records[-1].kl, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """The compiled epoch kernel; skipped only where there is no C compiler."""
+    loaded = trainer._load_kernel()
+    if loaded is None and shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert loaded is not None, "cc is on PATH but the SGD kernel did not load"
+    return loaded
+
+
+def train_both(monkeypatch, kernel, *args, **kwargs):
+    """train_sgd through the kernel, then through the Python loop.
+
+    Each result is (model, trace), or the DivergenceError message.
+    """
+    results = []
+    for loaded in (kernel, None):
+        monkeypatch.setattr(trainer, "_load_kernel", lambda loaded=loaded: loaded)
+        try:
+            results.append(train_sgd(*args, **kwargs))
+        except DivergenceError as exc:
+            results.append(str(exc))
+    return results
+
+
+def assert_same_training(a, b):
+    model_a, trace_a = a
+    model_b, trace_b = b
+    assert all(np.array_equal(x, y) for x, y in zip(model_a.tables, model_b.tables))
+    assert trace_a == trace_b
+
+
+class TestCompiledEpoch:
+    """The compiled epoch must reproduce the Python loop bit for bit."""
+
+    def test_kernel_loads_where_cc_exists(self, kernel):
+        assert trainer._load_kernel() is kernel
+
+    def test_desk_config_two_epochs(self, monkeypatch, kernel):
+        spec = CodebookSpec(k=3, X=4)
+        tmap = identity_token_map(spec)
+        rng = np.random.default_rng(0)
+        world_seed, data_seed, shuffle_seed, _ = (int(v) for v in rng.integers(0, 2**31, size=4))
+        world = synth_world(4, 64, 0.3, world_seed)
+        data = sample_dataset(world, 100_000, data_seed)
+        model = CascadedLogitModel.zeros(spec, 4)
+        a, b = train_both(
+            monkeypatch, kernel, model, tmap, data, lr=0.1, epochs=2, seed=shuffle_seed, world=world
+        )
+        assert_same_training(a, b)
+
+    @pytest.mark.parametrize("form", ["cascaded", "parallel"])
+    @pytest.mark.parametrize("lr", [0.0, 0.1, 3.0])
+    def test_random_specs(self, monkeypatch, kernel, form, lr):
+        cls = {"cascaded": CascadedLogitModel, "parallel": ParallelLogitModel}[form]
+        rng = np.random.default_rng(int(lr * 10) + len(form))
+        for case in range(6):
+            spec = CodebookSpec(k=int(rng.integers(1, 4)), X=int(rng.integers(2, 6)))
+            C = int(rng.integers(1, 4))
+            tmap = identity_token_map(spec)
+            world = synth_world(C, spec.sequence_space_size, 0.5, seed=case)
+            data = sample_dataset(world, 200, seed=case)
+            if case % 2:
+                model = cls.random(spec, C, 1.0, seed=case)
+            else:
+                model = cls.zeros(spec, C)
+            a, b = train_both(monkeypatch, kernel, model, tmap, data, lr, 2, seed=case, world=world)
+            assert_same_training(a, b)
+
+    @pytest.mark.parametrize("form", ["cascaded", "parallel"])
+    def test_infinite_lr_diverges_at_the_same_epoch(self, monkeypatch, kernel, form):
+        cls = {"cascaded": CascadedLogitModel, "parallel": ParallelLogitModel}[form]
+        spec = CodebookSpec(k=2, X=3)
+        tmap = identity_token_map(spec)
+        world = synth_world(2, 9, 0.5, seed=1)
+        data = sample_dataset(world, 100, seed=2)
+        a, b = train_both(
+            monkeypatch, kernel, cls.zeros(spec, 2), tmap, data, float("inf"), 3, seed=0, world=world
+        )
+        assert a == b == "mean epoch loss became non-finite at epoch 1"
+
+    def test_python_fallback_gives_the_pinned_parallel_run(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_load_kernel", lambda: None)
+        spec = CodebookSpec(k=3, X=3)
+        tmap = identity_token_map(spec)
+        world = synth_world(2, 27, 0.6, seed=6)
+        data = sample_dataset(world, 800, seed=7)
+        model = ParallelLogitModel.random(spec, 2, 0.5, seed=3)
+        _, trace = train_sgd(model, tmap, data, lr=0.1, epochs=4, seed=2, world=world)
+        last = trace.records[-1]
+        assert last.mean_ntp_loss == last.mean_fv_mle_loss == 3.0419141272121353
+        assert last.kl == 0.4650074007004259
+
+    def test_kernel_refuses_non_contiguous_tables(self, kernel):
+        spec = CodebookSpec(k=1, X=2)
+        strided = np.zeros((2, 4))[:, ::2]
+        model = ParallelLogitModel(spec, 2, [strided])
+        data = Dataset(contexts=[0, 1], items=[1, 0])
+        with pytest.raises(ValueError, match="contiguous"):
+            trainer._kernel_epoch(kernel, model, identity_token_map(spec), data, 0.1)
+
+    def test_wrong_kernel_fails_the_self_check_and_is_not_used(self, monkeypatch, kernel):
+        def doubled_lr(tabs, off, tok, order, n, k, X, lr, es):
+            kernel(tabs, off, tok, order, n, k, X, 2 * lr, es)
+
+        monkeypatch.setattr(trainer, "_build_kernel", lambda: doubled_lr)
+        with pytest.warns(RuntimeWarning, match="self-check"):
+            assert trainer._load_kernel.__wrapped__() is None
+
+        def broken():
+            raise OSError("cc: not found")
+
+        monkeypatch.setattr(trainer, "_build_kernel", broken)
+        with pytest.warns(RuntimeWarning, match="cc: not found"):
+            assert trainer._load_kernel.__wrapped__() is None
+        monkeypatch.setattr(trainer, "_build_kernel", lambda: kernel)
+        assert trainer._load_kernel.__wrapped__() is kernel
+
+
+class TestKernelBuild:
+    """Where the kernel library is built and which one is loaded."""
+
+    @pytest.fixture()
+    def source(self, tmp_path, monkeypatch, kernel):
+        src = tmp_path / "pkg" / "_sgd.c"
+        src.parent.mkdir()
+        shutil.copy(trainer._KERNEL_SOURCE, src)
+        monkeypatch.setattr(trainer, "_KERNEL_SOURCE", src)
+        return src
+
+    def test_built_once_under_the_hash_of_source_and_flags(self, source):
+        assert trainer._kernel_matches_python(trainer._build_kernel())
+        (lib,) = (source.parent / "__pycache__").iterdir()
+        assert lib.name.startswith("_sgd-") and lib.suffix == ".so"
+        assert len(lib.stem) == len("_sgd-") + 16
+        built = lib.stat().st_mtime_ns
+        trainer._build_kernel()
+        assert [p.name for p in lib.parent.iterdir()] == [lib.name]
+        assert lib.stat().st_mtime_ns == built
+        # an edited source never loads the old library
+        source.write_text(source.read_text() + "/* edited */\n")
+        trainer._build_kernel()
+        names = sorted(p.name for p in lib.parent.iterdir())
+        assert len(names) == 2 and lib.name in names
+
+    def test_unwritable_cache_builds_in_a_temporary_directory(self, source, monkeypatch):
+        monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
+        assert trainer._kernel_matches_python(trainer._build_kernel())
+        cache = source.parent / "__pycache__"
+        assert not cache.exists() or not any(cache.iterdir())
+
+    def test_build_failure_raises(self, source):
+        source.write_text("this is not C\n")
+        with pytest.raises(Exception):
+            trainer._build_kernel()
+        assert not any((source.parent / "__pycache__").iterdir())

@@ -62,6 +62,12 @@ class TestCodebookSpec:
         assert seqs[-1] == (2, 2)
         assert len(seqs) == 9
 
+    @pytest.mark.parametrize("k,X", [(1, 2), (1, 5), (2, 3), (3, 4), (4, 2)])
+    def test_iter_sequences_matches_index_to_sequence(self, k, X):
+        spec = CodebookSpec(k=k, X=X)
+        want = [spec.index_to_sequence(i) for i in range(spec.sequence_space_size)]
+        assert list(spec.iter_sequences()) == want
+
     def test_index_to_sequence_range_check(self):
         spec = CodebookSpec(k=2, X=3)
         with pytest.raises(ValueError):
