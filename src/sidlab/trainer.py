@@ -409,6 +409,8 @@ def train_sgd(
         raise ValueError("dataset is empty")
     if tmap.mode != "strict":
         raise ValueError("training needs a strict token map")
+    if tmap.spec != model.spec:
+        raise ValueError(f"token map spec {tmap.spec} does not match model spec {model.spec}")
     if not (0 <= data.contexts.min() and data.contexts.max() < model.C):
         raise ValueError(f"dataset contexts must lie in [0, {model.C})")
     if not (0 <= data.items.min() and data.items.max() < tmap.n_items):

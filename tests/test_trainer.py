@@ -258,6 +258,9 @@ class TestTrainSgd:
         for contexts, items in [([0, 2], [0, 1]), ([0, -1], [0, 1]), ([0, 1], [0, 4]), ([0, 1], [-1, 0])]:
             with pytest.raises(ValueError):
                 train_sgd(model, tmap, Dataset(contexts, items), lr=0.1, epochs=1, seed=0)
+        for other in [CodebookSpec(k=2, X=3), CodebookSpec(k=3, X=2)]:
+            with pytest.raises(ValueError, match="does not match model spec"):
+                train_sgd(model, identity_token_map(other), Dataset([0, 1], [0, 3]), lr=0.1, epochs=1, seed=0)
 
     def test_kl_is_nan_without_a_world(self):
         spec, tmap, world, data = self.small_setup()
