@@ -13,28 +13,26 @@ what next-token training actually fits; for parallel models the two coincide,
 for cascaded models they generally do not (see the losses module docstring).
 
 The per-sample SGD epoch runs in a C kernel, ``_sgd.c``, when one can be
-used.  It is compiled with ``cc`` on the first ``train_sgd`` call of a
-process (never at import), cached as ``__pycache__/_sgd-<hash>.so`` keyed by
-source and flags, loaded with ctypes, and checked once against the Python
-loop on a small case.  That Python loop is the reference: the kernel repeats
-its arithmetic operation for operation and so gives the same bits, and it
-takes over whenever the kernel cannot be built, loaded or trusted.
+used.  The ``_sgd`` module compiles it with ``cc`` on the first
+``train_sgd`` call of a process (never at import), caches it as
+``__pycache__/_sgd-<hash>.so`` keyed by source and flags, loads it with
+ctypes, and checks it once against the Python loop on a small case.  That
+Python loop is the reference: the kernel repeats its arithmetic operation
+for operation and so gives the same bits, and it takes over whenever the
+kernel cannot be built, loaded or trusted.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
-import warnings
 from dataclasses import dataclass
 from math import exp
-from pathlib import Path
 
 import numpy as np
 
-from .logits import FORMS, LogitModel, item_logits_all
+from .logits import LogitModel, item_logits_all
 from .losses import log_sum_exp
-from .vocab import CodebookSpec, TokenMap, identity_token_map
+from .vocab import TokenMap
 
 
 class DivergenceError(RuntimeError):
@@ -253,133 +251,6 @@ def _python_epoch(model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
     return run
 
 
-def _kernel_epoch(kernel, model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
-    """The same epoch through the compiled kernel, updating ``model.tables`` in place.
-
-    Sample s visits, at position m, the row at flat offset
-    ``off[s, m] = (h * nodes + node) * X`` of that position's (C, nodes, X)
-    row view, so both forms share one offset scheme.  The tables must be
-    C-contiguous (``LogitModel.copy`` makes them so).
-    """
-    import ctypes
-
-    if not all(t.flags.c_contiguous and t.dtype == np.float64 for t in model.tables):
-        raise ValueError("the SGD kernel needs C-contiguous float64 tables")
-    k, X = model.spec.k, model.spec.X
-    off = np.empty((len(data), k), dtype=np.int64)
-    tok = np.empty_like(off)
-    for m in range(k):
-        nodes = model.rows(m).shape[1]
-        node = np.broadcast_to(model.node_index(tmap.prefix_indices[m]), tmap.n_items)
-        off[:, m] = (data.contexts * nodes + node[data.items]) * X
-        tok[:, m] = tmap.token_matrix[data.items, m]
-    es = np.empty(X)
-
-    def run(order: np.ndarray) -> None:
-        order = np.ascontiguousarray(order, dtype=np.int64)
-        tabs = (ctypes.c_void_p * k)(*(t.ctypes.data for t in model.tables))
-        kernel(tabs, off.ctypes.data, tok.ctypes.data, order.ctypes.data,
-               len(order), k, X, float(lr), es.ctypes.data)
-
-    return run
-
-
-_KERNEL_SOURCE = Path(__file__).with_name("_sgd.c")
-_KERNEL_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
-
-
-def _build_kernel():
-    """Compile ``_sgd.c`` with ``cc`` and return its ``sgd_epoch`` through ctypes.
-
-    The library is cached as ``__pycache__/_sgd-<hash>.so`` next to the
-    source, the hash taken over source and flags, so only a build of the
-    current source is ever loaded.  It is written under a temporary name and
-    renamed into place, so concurrent builds stay correct.  Without a writable
-    ``__pycache__`` it is built in a temporary directory, removed after
-    loading.  Raises on any failure.
-    """
-    import ctypes
-    import hashlib
-    import os
-    import shutil
-    import subprocess
-    import tempfile
-
-    code = _KERNEL_SOURCE.read_bytes()
-    tag = hashlib.sha256(code + " ".join(_KERNEL_CFLAGS).encode()).hexdigest()[:16]
-    cache = _KERNEL_SOURCE.parent / "__pycache__"
-    try:
-        cache.mkdir(exist_ok=True)
-    except OSError:
-        pass
-    scratch = None
-    if not os.access(cache, os.W_OK):
-        cache = scratch = Path(tempfile.mkdtemp(prefix="sidlab-sgd-"))
-    lib_path = cache / f"_sgd-{tag}.so"
-    try:
-        if not lib_path.is_file():
-            fd, tmp = tempfile.mkstemp(prefix=".sgd-", suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run(
-                    ["cc", *_KERNEL_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
-                    check=True, capture_output=True, timeout=120,
-                )
-                os.chmod(tmp, 0o755)
-                os.replace(tmp, lib_path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib_path)).sgd_epoch
-    finally:
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
-    fn.restype = None
-    fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)] + [ctypes.c_void_p] * 3 + [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p,
-    ]
-    return fn
-
-
-def _kernel_matches_python(kernel) -> bool:
-    """One epoch on a small fixed case, both forms, kernel vs Python loop."""
-    spec = CodebookSpec(k=2, X=3)
-    tmap = identity_token_map(spec)
-    rng = np.random.default_rng(0)
-    data = Dataset(contexts=rng.integers(0, 2, 50), items=rng.integers(0, tmap.n_items, 50))
-    order = rng.permutation(len(data))
-    for cls in FORMS.values():
-        start = cls.random(spec, 2, 1.0, seed=1)
-        py, kern = start.copy(), start.copy()
-        _python_epoch(py, tmap, data, 0.3)(order)
-        _kernel_epoch(kernel, kern, tmap, data, 0.3)(order)
-        if not all(np.array_equal(a, b) for a, b in zip(py.tables, kern.tables)):
-            return False
-    return True
-
-
-@functools.cache
-def _load_kernel():
-    """The compiled epoch kernel, or None to use the Python loop.
-
-    Built, loaded and checked against the Python loop on the first call of
-    the process; None, with a warning, when any step fails or the check
-    finds a difference.
-    """
-    try:
-        kernel = _build_kernel()
-        if _kernel_matches_python(kernel):
-            return kernel
-        reason = "its self-check differs from the Python loop"
-    except Exception as exc:  # no compiler, build or load error: fall back
-        reason = repr(exc)
-    warnings.warn(
-        f"SGD kernel unavailable, {reason}; training runs the Python loop",
-        RuntimeWarning, stacklevel=2,
-    )
-    return None
-
-
 def train_sgd(
     model: LogitModel,
     tmap: TokenMap,
@@ -419,9 +290,11 @@ def train_sgd(
     model = model.copy()
     n = len(data)
     rng = np.random.default_rng(seed)
-    kernel = _load_kernel()
+    from . import _sgd  # built and loaded on first use, never at import
+
+    kernel = _sgd.load()
     if kernel is not None:
-        run_epoch = _kernel_epoch(kernel, model, tmap, data, lr)
+        run_epoch = _sgd.epoch(kernel, model, tmap, data, lr)
     else:
         run_epoch = _python_epoch(model, tmap, data, lr)
 

@@ -4,6 +4,8 @@ import csv
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from sidlab import (
     synth_world,
     train_sgd,
 )
-from sidlab import trainer
+from sidlab import _sgd
 
 
 class TestSyntheticWorld:
@@ -285,7 +287,7 @@ class TestTrainSgd:
 @pytest.fixture(scope="module")
 def kernel():
     """The compiled epoch kernel; skipped only where there is no C compiler."""
-    loaded = trainer._load_kernel()
+    loaded = _sgd.load()
     if loaded is None and shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert loaded is not None, "cc is on PATH but the SGD kernel did not load"
@@ -299,7 +301,7 @@ def train_both(monkeypatch, kernel, *args, **kwargs):
     """
     results = []
     for loaded in (kernel, None):
-        monkeypatch.setattr(trainer, "_load_kernel", lambda loaded=loaded: loaded)
+        monkeypatch.setattr(_sgd, "load", lambda loaded=loaded: loaded)
         try:
             results.append(train_sgd(*args, **kwargs))
         except DivergenceError as exc:
@@ -318,7 +320,12 @@ class TestCompiledEpoch:
     """The compiled epoch must reproduce the Python loop bit for bit."""
 
     def test_kernel_loads_where_cc_exists(self, kernel):
-        assert trainer._load_kernel() is kernel
+        assert _sgd.load() is kernel
+
+    def test_importing_sidlab_leaves_the_kernel_module_unloaded(self):
+        code = "import sys, sidlab.cli; print('sidlab._sgd' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert result.stdout.strip() == "False"
 
     def test_desk_config_two_epochs(self, monkeypatch, kernel):
         spec = CodebookSpec(k=3, X=4)
@@ -364,7 +371,7 @@ class TestCompiledEpoch:
         assert a == b == "mean epoch loss became non-finite at epoch 1"
 
     def test_python_fallback_gives_the_pinned_parallel_run(self, monkeypatch):
-        monkeypatch.setattr(trainer, "_load_kernel", lambda: None)
+        monkeypatch.setattr(_sgd, "load", lambda: None)
         spec = CodebookSpec(k=3, X=3)
         tmap = identity_token_map(spec)
         world = synth_world(2, 27, 0.6, seed=6)
@@ -381,24 +388,24 @@ class TestCompiledEpoch:
         model = ParallelLogitModel(spec, 2, [strided])
         data = Dataset(contexts=[0, 1], items=[1, 0])
         with pytest.raises(ValueError, match="contiguous"):
-            trainer._kernel_epoch(kernel, model, identity_token_map(spec), data, 0.1)
+            _sgd.epoch(kernel, model, identity_token_map(spec), data, 0.1)
 
     def test_wrong_kernel_fails_the_self_check_and_is_not_used(self, monkeypatch, kernel):
         def doubled_lr(tabs, off, tok, order, n, k, X, lr, es):
             kernel(tabs, off, tok, order, n, k, X, 2 * lr, es)
 
-        monkeypatch.setattr(trainer, "_build_kernel", lambda: doubled_lr)
+        monkeypatch.setattr(_sgd, "build", lambda: doubled_lr)
         with pytest.warns(RuntimeWarning, match="self-check"):
-            assert trainer._load_kernel.__wrapped__() is None
+            assert _sgd.load.__wrapped__() is None
 
         def broken():
             raise OSError("cc: not found")
 
-        monkeypatch.setattr(trainer, "_build_kernel", broken)
+        monkeypatch.setattr(_sgd, "build", broken)
         with pytest.warns(RuntimeWarning, match="cc: not found"):
-            assert trainer._load_kernel.__wrapped__() is None
-        monkeypatch.setattr(trainer, "_build_kernel", lambda: kernel)
-        assert trainer._load_kernel.__wrapped__() is kernel
+            assert _sgd.load.__wrapped__() is None
+        monkeypatch.setattr(_sgd, "build", lambda: kernel)
+        assert _sgd.load.__wrapped__() is kernel
 
 
 class TestKernelBuild:
@@ -408,33 +415,33 @@ class TestKernelBuild:
     def source(self, tmp_path, monkeypatch, kernel):
         src = tmp_path / "pkg" / "_sgd.c"
         src.parent.mkdir()
-        shutil.copy(trainer._KERNEL_SOURCE, src)
-        monkeypatch.setattr(trainer, "_KERNEL_SOURCE", src)
+        shutil.copy(_sgd.SOURCE, src)
+        monkeypatch.setattr(_sgd, "SOURCE", src)
         return src
 
     def test_built_once_under_the_hash_of_source_and_flags(self, source):
-        assert trainer._kernel_matches_python(trainer._build_kernel())
+        assert _sgd.matches_python(_sgd.build())
         (lib,) = (source.parent / "__pycache__").iterdir()
         assert lib.name.startswith("_sgd-") and lib.suffix == ".so"
         assert len(lib.stem) == len("_sgd-") + 16
         built = lib.stat().st_mtime_ns
-        trainer._build_kernel()
+        _sgd.build()
         assert [p.name for p in lib.parent.iterdir()] == [lib.name]
         assert lib.stat().st_mtime_ns == built
         # an edited source never loads the old library
         source.write_text(source.read_text() + "/* edited */\n")
-        trainer._build_kernel()
+        _sgd.build()
         names = sorted(p.name for p in lib.parent.iterdir())
         assert len(names) == 2 and lib.name in names
 
     def test_unwritable_cache_builds_in_a_temporary_directory(self, source, monkeypatch):
         monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
-        assert trainer._kernel_matches_python(trainer._build_kernel())
+        assert _sgd.matches_python(_sgd.build())
         cache = source.parent / "__pycache__"
         assert not cache.exists() or not any(cache.iterdir())
 
     def test_build_failure_raises(self, source):
         source.write_text("this is not C\n")
         with pytest.raises(Exception):
-            trainer._build_kernel()
+            _sgd.build()
         assert not any((source.parent / "__pycache__").iterdir())
