@@ -115,17 +115,21 @@ def _req(cfg: dict, key: str, kind=None):
 _REQUIRED = object()
 
 
-def _value(cfg: dict, key: str, kind, default=_REQUIRED, many: bool = False):
+def _value(cfg: dict, key: str, kind, default=_REQUIRED, many: bool = False, low=None):
     """``kind(cfg[key])``, or of ``default`` when the key is absent and one is given.
 
     ``many`` casts each element of a list value.  ``kind`` is ``int``,
-    ``float`` or another cast; a value it rejects is a ConfigError.
+    ``float`` or another cast; a value it rejects, or a cast value below
+    ``low``, is a ConfigError.
     """
     value = _req(cfg, key) if default is _REQUIRED else cfg.get(key, default)
     try:
-        return [kind(v) for v in value] if many else kind(value)
+        out = [kind(v) for v in value] if many else kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
+    if low is not None and any(v < low for v in (out if many else [out])):
+        raise ConfigError(f"config key {key!r} must be >= {low}, got {value!r}")
+    return out
 
 
 def _float_pair(pair) -> tuple[float, float]:
@@ -153,7 +157,9 @@ def _load_artifact_json(path: str) -> dict:
 def _load_embeddings(cfg: dict, seed: int) -> ItemEmbeddings:
     kind = _req(cfg, "kind", str)
     if kind == "synth":
-        return synth_embeddings(_value(cfg, "n_items", int), _value(cfg, "dim", int), seed)
+        return synth_embeddings(
+            _value(cfg, "n_items", int, low=1), _value(cfg, "dim", int, low=1), seed
+        )
     path = _req(cfg, "path", str)
     if not Path(path).is_file():
         raise FileNotFoundError(f"embeddings file not found: {path}")
@@ -177,11 +183,11 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"mode must be 'strict' or 'probe', got {mode!r}")
     threshold = _value(cfg, "collapse_threshold", float, 0.75)
     kmeans_cfg = _req(cfg, "kmeans", dict) if "kmeans" in cfg else {}
-    max_iters = _value(kmeans_cfg, "max_iters", int, 50)
+    max_iters = _value(kmeans_cfg, "max_iters", int, 50, low=1)
 
     fitted = None
     if scheme == "identity":
-        sequences = list(spec.iter_sequences())
+        sequences = identity_token_map(spec).token_matrix
     elif scheme in ("rq_kmeans", "pq"):
         emb = _load_embeddings(_req(cfg, "embeddings", dict), seed)
         if scheme == "rq_kmeans":
@@ -243,29 +249,28 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
 
 def _probe_map_with_duplicate(spec: CodebookSpec, dup_item: int) -> TokenMap:
     """Identity map plus one extra item repeating ``dup_item``'s sequence."""
-    forward = list(spec.iter_sequences())
-    forward.append(spec.index_to_sequence(dup_item))
-    return TokenMap(spec, forward, "probe")
+    identity = identity_token_map(spec).token_matrix
+    return TokenMap(spec, np.vstack([identity, identity[dup_item]]), "probe")
 
 
 def cmd_verify(cfg: dict, out_dir: Path) -> int:
     seed = _value(cfg, "seed", int, 0)
-    trials = _value(cfg, "trials", int, 100)
-    if trials < 0:
-        raise ConfigError(f"trials must be >= 0, got {trials}")
+    trials = _value(cfg, "trials", int, 100, low=0)
     forms = cfg.get("forms", ["cascaded", "parallel"])
     for form in forms:
         if form not in FORMS:
             raise ConfigError(f"unknown model form {form!r}")
-    k_values = _value(cfg, "k_values", int, [1, 2, 3], many=True)
-    X_values = _value(cfg, "X_values", int, [2, 3, 4], many=True)
-    C_values = _value(cfg, "C_values", int, [1, 2, 4], many=True)
-    sigma = _value(cfg, "sigma", float, 0.5)
+    k_values = _value(cfg, "k_values", int, [1, 2, 3], many=True, low=1)
+    X_values = _value(cfg, "X_values", int, [2, 3, 4], many=True, low=2)
+    C_values = _value(cfg, "C_values", int, [1, 2, 4], many=True, low=1)
+    if not (forms and k_values and X_values and C_values):
+        raise ConfigError("forms, k_values, X_values and C_values must each be non-empty")
+    sigma = _value(cfg, "sigma", float, 0.5, low=0.0)
     tolerance = _value(cfg, "tolerance", float, 1e-10)
     map_mode = cfg.get("map_mode", "strict")
     if map_mode not in ("strict", "probe_collision"):
         raise ConfigError(f"map_mode must be 'strict' or 'probe_collision', got {map_mode!r}")
-    items_per_context = _value(cfg, "items_per_context", int, 2)
+    items_per_context = _value(cfg, "items_per_context", int, 2, low=0)
 
     rng = np.random.default_rng(seed)
     reports = []
@@ -273,7 +278,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     for t in range(trials):
         spec = CodebookSpec(k=int(rng.choice(k_values)), X=int(rng.choice(X_values)))
         C = int(rng.choice(C_values))
-        form = forms[t % len(forms)] if forms else "cascaded"
+        form = forms[t % len(forms)]
         model = FORMS[form].random(spec, C, sigma, int(rng.integers(2**31)))
         if map_mode == "strict":
             tmap = identity_token_map(spec)
@@ -332,9 +337,9 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     entries = table_entry_count(spec, C, form)
     if entries > cap:
         raise ConfigError(f"model would hold {entries} table entries, cap is {cap}")
-    lr = _value(cfg, "lr", float)
-    epochs = _value(cfg, "epochs", int)
-    n_samples = _value(cfg, "n_samples", int)
+    lr = _value(cfg, "lr", float, low=0.0)
+    epochs = _value(cfg, "epochs", int, low=1)
+    n_samples = _value(cfg, "n_samples", int, low=1)
 
     rng = np.random.default_rng(seed)
     world_seed, data_seed, shuffle_seed, init_seed = (
@@ -358,7 +363,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     if init_cfg == "zeros":
         model = FORMS[form].zeros(spec, C)
     elif isinstance(init_cfg, dict) and "sigma" in init_cfg:
-        model = FORMS[form].random(spec, C, _value(init_cfg, "sigma", float), init_seed)
+        model = FORMS[form].random(spec, C, _value(init_cfg, "sigma", float, low=0.0), init_seed)
     else:
         raise ConfigError("init must be 'zeros' or an object with a 'sigma' key")
 
@@ -464,9 +469,9 @@ def cmd_decode(cfg: dict, out_dir: Path) -> int:
 
 def cmd_bench(cfg: dict, out_dir: Path) -> int:
     seed = _value(cfg, "seed", int, 0)
-    k_values = _value(cfg, "k_values", int, [1, 2, 3, 4], many=True)
-    X_values = _value(cfg, "X_values", int, [4, 8, 16], many=True)
-    C = _value(cfg, "C", int, 1)
+    k_values = _value(cfg, "k_values", int, [1, 2, 3, 4], many=True, low=1)
+    X_values = _value(cfg, "X_values", int, [4, 8, 16], many=True, low=2)
+    C = _value(cfg, "C", int, 1, low=1)
     cap = _value(cfg, "max_instrumented_entries", int, 10**7)
     rows = ops_sweep(k_values, X_values, C=C, max_instrumented_entries=cap)
     write_ops_csv(rows, out_dir / "bench_ops.csv")
@@ -492,8 +497,8 @@ def cmd_bench(cfg: dict, out_dir: Path) -> int:
             k_values,
             X_values,
             C=C,
-            repeats=_value(cfg, "repeats", int, 5),
-            sigma=_value(cfg, "sigma", float, 0.5),
+            repeats=_value(cfg, "repeats", int, 5, low=1),
+            sigma=_value(cfg, "sigma", float, 0.5, low=0.0),
             seed=seed,
         )
         write_timing_csv(timing, out_dir / "bench_times.csv")

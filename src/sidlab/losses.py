@@ -16,16 +16,17 @@ training losses for a positive item i+ with Phi(i+) = (t_1 .. t_k) are:
       L_fv = -[ l(h, i+) - log Z_full ],   l(h, i) = sum_m l(t_m | h, ...)
   with Z_full summing exp(item logit) over every item in the map.
 
-Three routes to a sequence-space partition value are implemented so the
-identity between them is checked across genuinely different computations:
+Three routes to a sequence-space partition value are implemented.  Over an
+identity map all three add each sequence's k logits left to right from 0.0,
+in one order, then call the same ``log_sum_exp``: they agree bit for bit.
 
 * ``full_log_partition``: enumerate items through the map (Z_full above).
 * ``sequence_log_partition``: enumerate all X**k token sequences directly,
   scoring each by its summed conditional logits.
-* ``sequence_log_partition_levelwise``: expand the sequence sum one position
-  at a time, sharing prefix partial sums (same value, different float
-  grouping); for parallel models ``sequence_log_partition_factored`` adds the
-  closed form sum_m log Z_m(h).
+* ``sequence_log_partition_levelwise``: extend every prefix's running score
+  one position at a time (the same additions as the flat route); for
+  parallel models ``sequence_log_partition_factored`` adds the closed form
+  sum_m log Z_m(h), which does group the float operations differently.
 
 Under a strict bijection the sequence-enumeration routes equal Z_full
 exactly: both sum exp(summed logits) over the same set.  The loss identity
@@ -126,8 +127,8 @@ def sequence_log_partition_levelwise(model: LogitModel, h: int) -> float:
 
     Maintains the accumulated score of every prefix and extends all prefixes
     by one position per step, so partial sums are shared across sequences.
-    Agreement with the flat route is a check that the expansion order does
-    not matter beyond float rounding.
+    Each sequence's score is still 0.0 plus its k logits in position order,
+    so the result is bit-identical to the flat route, not merely close.
     """
     scores = np.zeros(1)
     for m in range(model.spec.k):

@@ -111,8 +111,9 @@ def load_embeddings_bin(path) -> ItemEmbeddings:
 
 def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n, X) squared euclidean distances, computed directly so that points
-    exactly equidistant from two centers get exactly equal entries."""
-    return ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    exactly equidistant from two centers get exactly equal entries.  One
+    column per center: no (n, X, d) temporary, the same length-d sums."""
+    return np.stack([((points - center) ** 2).sum(axis=1) for center in centers], axis=1)
 
 
 def nearest_centroid(centers: np.ndarray, x: np.ndarray) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -89,10 +89,7 @@ class CodebookSpec:
 
     def sequence_to_index(self, seq: TokenSeq) -> int:
         """Encode a full sequence as a base-X integer, first token most significant."""
-        idx = 0
-        for t in seq:
-            idx = idx * self.X + t
-        return idx
+        return self.prefix_index(seq)
 
     def index_to_sequence(self, idx: int) -> TokenSeq:
         """Inverse of :meth:`sequence_to_index`."""
@@ -132,9 +129,11 @@ def prefix_index_arrays(spec: CodebookSpec, token_matrix: np.ndarray) -> np.ndar
 class TokenMap:
     """Item-to-sequence assignment with a declared bijection contract.
 
-    In ``strict`` mode the constructor guarantees the assignment is a bijection
-    onto the full sequence space (collisions raise :class:`CollisionError`,
-    a wrong item count raises :class:`CoverageError`).  In ``probe`` mode any
+    The map is one read-only (n_items, k) int64 table, ``token_matrix``, row
+    i = item i's sequence; ``prefix_indices`` is :func:`prefix_index_arrays`
+    of it.  In ``strict`` mode the constructor guarantees a bijection onto
+    the full sequence space (collisions raise :class:`CollisionError`, a wrong
+    item count raises :class:`CoverageError`).  In ``probe`` mode any
     assignment is accepted and collisions are left in place so downstream
     checks can measure their effect; the inverse of a colliding sequence is
     the lowest colliding item id.
@@ -143,85 +142,79 @@ class TokenMap:
     calling the constructor with raw data.
     """
 
-    def __init__(self, spec: CodebookSpec, forward: list[TokenSeq], mode: str):
+    def __init__(self, spec: CodebookSpec, forward: list[TokenSeq] | np.ndarray, mode: str):
         if mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-        if not forward:
+        try:
+            table = np.array(forward)
+        except (ValueError, OverflowError) as exc:
+            raise MalformedSequenceError(f"token sequences do not form a table: {exc}") from exc
+        if table.shape[:1] == (0,):
             raise ValueError("token map needs at least one item")
+        if table.ndim != 2 or table.shape[1] != spec.k or table.dtype.kind not in "iu":
+            raise MalformedSequenceError(
+                f"tokens form a {table.dtype} table of shape {table.shape}, "
+                f"expected integers of shape (n_items, k={spec.k})"
+            )
+        if table.min() < 0 or table.max() >= spec.X:
+            raise MalformedSequenceError(f"a token lies outside [0, {spec.X})")
         self.spec = spec
         self.mode = mode
-        self._forward = [spec.validate_sequence(s) for s in forward]
-        self._matrix: np.ndarray | None = None
-        self._prefixes: np.ndarray | None = None
-        self._inverse: dict[TokenSeq, int] = {}
-        for item, seq in enumerate(self._forward):
-            prior = self._inverse.setdefault(seq, item)
-            if prior != item and mode == "strict":
-                raise CollisionError(prior, item, seq)
-        if mode == "strict" and len(self._forward) != spec.sequence_space_size:
+        self.token_matrix = table.astype(np.int64, copy=False)
+        self.token_matrix.flags.writeable = False
+        self.prefix_indices = prefix_index_arrays(spec, self.token_matrix)
+        self.prefix_indices.flags.writeable = False
+        # inverse: sequence indices sorted stably, so equal indices keep id order
+        codes = self.prefix_indices[-1] * spec.X + self.token_matrix[:, -1]
+        self._order = np.argsort(codes, kind="stable")
+        self._sorted_codes = codes[self._order]
+        repeats = self._order[1:][self._sorted_codes[1:] == self._sorted_codes[:-1]]
+        if mode == "strict" and repeats.size:
+            item = int(repeats.min())  # the first item whose sequence an earlier item holds
+            raise CollisionError(self.inverse(self.forward(item)), item, self.forward(item))
+        if mode == "strict" and self.n_items != spec.sequence_space_size:
             raise CoverageError(
                 f"strict map needs exactly X**k = {spec.sequence_space_size} items, "
-                f"got {len(self._forward)}"
+                f"got {self.n_items}"
             )
 
     @property
     def n_items(self) -> int:
-        return len(self._forward)
+        return len(self.token_matrix)
 
     def forward(self, item: int) -> TokenSeq:
         """Token sequence assigned to ``item``."""
-        if not 0 <= item < len(self._forward):
-            raise ValueError(f"item {item} outside [0, {len(self._forward)})")
-        return self._forward[item]
+        if not 0 <= item < self.n_items:
+            raise ValueError(f"item {item} outside [0, {self.n_items})")
+        return tuple(self.token_matrix[item].tolist())
 
     def inverse(self, seq: Iterable[int]) -> int | None:
         """Item owning ``seq``, or None if no item was assigned it.
 
         On probe-mode collisions this is the lowest colliding item id.
         """
-        return self._inverse.get(self.spec.validate_sequence(seq))
+        code = self.spec.sequence_to_index(self.spec.validate_sequence(seq))
+        pos = int(np.searchsorted(self._sorted_codes, code))
+        if pos < self.n_items and self._sorted_codes[pos] == code:
+            return int(self._order[pos])
+        return None
 
     def items(self) -> Iterator[tuple[int, TokenSeq]]:
         """(item, sequence) pairs in item-id order."""
-        return enumerate(self._forward)
-
-    @property
-    def token_matrix(self) -> np.ndarray:
-        """All assigned sequences as an (n_items, k) int array, row i = forward(i).
-
-        Cached; treat as read-only.
-        """
-        if self._matrix is None:
-            self._matrix = np.asarray(self._forward, dtype=np.int64).reshape(
-                len(self._forward), self.spec.k
-            )
-            self._matrix.flags.writeable = False
-        return self._matrix
-
-    @property
-    def prefix_indices(self) -> np.ndarray:
-        """:func:`prefix_index_arrays` of the token matrix, shape (k, n_items).
-
-        Cached; treat as read-only.
-        """
-        if self._prefixes is None:
-            self._prefixes = prefix_index_arrays(self.spec, self.token_matrix)
-            self._prefixes.flags.writeable = False
-        return self._prefixes
+        return enumerate(map(tuple, self.token_matrix.tolist()))
 
     def to_json_dict(self) -> dict:
         return {
             "k": self.spec.k,
             "X": self.spec.X,
             "mode": self.mode,
-            "forward": [list(s) for s in self._forward],
+            "forward": self.token_matrix.tolist(),
         }
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TokenMap":
         spec = CodebookSpec(k=int(payload["k"]), X=int(payload["X"]))
-        forward = [tuple(int(t) for t in row) for row in payload["forward"]]
-        return cls(spec, forward, str(payload["mode"]))
+        return cls(spec, payload["forward"], str(payload["mode"]))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -250,20 +243,22 @@ def build_token_map(
         CoverageError: strict mode and N != X**k.
     """
     n = len(assignments)
-    forward: list[TokenSeq | None] = [None] * n
+    forward: list[list[int] | None] = [None] * n
     for item, seq in assignments:
         item = int(item)
         if not 0 <= item < n:
             raise ValueError(f"item id {item} outside [0, {n})")
         if forward[item] is not None:
             raise ValueError(f"duplicate assignment for item {item}")
-        forward[item] = spec.validate_sequence(seq)
-    return TokenMap(spec, forward, mode)  # type: ignore[arg-type]
+        forward[item] = list(seq)
+    return TokenMap(spec, forward, mode)
 
 
 def identity_token_map(spec: CodebookSpec) -> TokenMap:
     """Strict map sending item i to the base-X digits of i (first digit most significant)."""
-    return TokenMap(spec, list(spec.iter_sequences()), "strict")
+    items = np.arange(spec.sequence_space_size)
+    place = spec.X ** np.arange(spec.k - 1, -1, -1)
+    return TokenMap(spec, items[:, None] // place % spec.X, "strict")
 
 
 @dataclass
@@ -281,38 +276,25 @@ class BijectionReport:
     per_position_utilization: list[float]
     collapse_flags: list[bool]
     is_bijective_onto_product: bool
-    collapse_threshold: float = field(default=0.75)
+    collapse_threshold: float = 0.75
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_items": self.n_items,
-            "n_distinct_sequences": self.n_distinct_sequences,
-            "collision_count": self.collision_count,
-            "per_position_utilization": self.per_position_utilization,
-            "collapse_flags": self.collapse_flags,
-            "is_bijective_onto_product": self.is_bijective_onto_product,
-            "collapse_threshold": self.collapse_threshold,
-        }
+        return asdict(self)
 
 
 def audit_bijection(tmap: TokenMap, collapse_threshold: float = 0.75) -> BijectionReport:
     """Deterministically audit a map for collisions, coverage, and codebook collapse."""
     if not 0.0 < collapse_threshold <= 1.0:
         raise ValueError(f"collapse threshold must be in (0, 1], got {collapse_threshold}")
-    sequences = [seq for _, seq in tmap.items()]
-    distinct = len(set(sequences))
-    utilization = []
-    for m in range(tmap.spec.k):
-        used = len({seq[m] for seq in sequences})
-        utilization.append(used / tmap.spec.X)
+    mat = tmap.token_matrix
+    n, distinct = len(mat), len(np.unique(mat, axis=0))
+    utilization = [len(np.unique(column)) / tmap.spec.X for column in mat.T]
     return BijectionReport(
-        n_items=len(sequences),
+        n_items=n,
         n_distinct_sequences=distinct,
-        collision_count=len(sequences) - distinct,
+        collision_count=n - distinct,
         per_position_utilization=utilization,
         collapse_flags=[u < collapse_threshold for u in utilization],
-        is_bijective_onto_product=(
-            len(sequences) == distinct == tmap.spec.sequence_space_size
-        ),
+        is_bijective_onto_product=n == distinct == tmap.spec.sequence_space_size,
         collapse_threshold=collapse_threshold,
     )

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, artifact layout, determinism, overrides."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -417,6 +418,20 @@ class TestDecodeCommand:
         assert "finite" in capsys.readouterr().err
         assert not (out / "decode.json").exists()
 
+    @pytest.mark.parametrize(
+        "breakage",
+        [lambda tm: tm["forward"][1].__setitem__(1, 1.5), lambda tm: tm["forward"][1].pop()],
+        ids=["float_token", "ragged_row"],
+    )
+    def test_malformed_token_map_exits_4(self, tmp_path, trained, breakage, capsys):
+        token_map = read_json(trained / "token_map.json")
+        breakage(token_map)
+        bad = tmp_path / "bad_map.json"
+        bad.write_text(json.dumps(token_map))
+        payload = self.decode_payload(trained, token_map=str(bad))
+        assert run(tmp_path, "decode", payload, "bad_map")[0] == EXIT_CONFIG
+        assert "MalformedSequenceError" in capsys.readouterr().err
+
     def test_context_out_of_range(self, tmp_path, trained):
         payload = self.decode_payload(trained, context=99)
         assert run(tmp_path, "decode", payload, "bad_ctx")[0] == EXIT_CONFIG
@@ -474,8 +489,13 @@ class TestBadConfigValues:
         "over",
         [{"collapse_threshold": "high"}, {"seed": [1]}, {"k": None}, {"kmeans": 3},
          {"scheme": "fsq", "embeddings": {"kind": "synth", "n_items": 4, "dim": 2},
-          "fsq": {"levels": [2, 2], "bounds": [[0.0], [0.0, 1.0]]}}],
-        ids=["threshold", "seed", "k", "kmeans", "fsq_bounds"],
+          "fsq": {"levels": [2, 2], "bounds": [[0.0], [0.0, 1.0]]}},
+         {"scheme": "rq_kmeans", "embeddings": {"kind": "synth", "n_items": 0, "dim": 2}},
+         {"scheme": "rq_kmeans", "embeddings": {"kind": "synth", "n_items": 4, "dim": 0}},
+         {"scheme": "rq_kmeans", "embeddings": {"kind": "synth", "n_items": 4, "dim": 2},
+          "kmeans": {"max_iters": 0}}],
+        ids=["threshold", "seed", "k", "kmeans", "fsq_bounds", "n_items_0", "dim_0",
+             "max_iters_0"],
     )
     def test_tokenize(self, tmp_path, capsys, over):
         payload = dict({"scheme": "identity", "k": 2, "X": 2}, **over)
@@ -484,8 +504,12 @@ class TestBadConfigValues:
     @pytest.mark.parametrize(
         "over",
         [{"trials": "x"}, {"k_values": ["a"]}, {"C_values": 4}, {"sigma": None},
-         {"trials": float("inf")}],
-        ids=["trials", "k_values", "C_values", "sigma", "trials_inf"],
+         {"trials": float("inf")}, {"k_values": [0]}, {"k_values": []}, {"C_values": [0]},
+         {"C_values": []}, {"X_values": [1]}, {"X_values": []}, {"forms": []},
+         {"sigma": -1}, {"items_per_context": -1}],
+        ids=["trials", "k_values", "C_values", "sigma", "trials_inf", "k_values_0",
+             "k_values_empty", "C_values_0", "C_values_empty", "X_values_1", "X_values_empty",
+             "forms_empty", "sigma_negative", "items_per_context_negative"],
     )
     def test_verify(self, tmp_path, capsys, over):
         self.assert_config_error(tmp_path, capsys, "verify", dict({"trials": 1}, **over))
@@ -493,8 +517,10 @@ class TestBadConfigValues:
     @pytest.mark.parametrize(
         "over",
         [{"lr": "fast"}, {"epochs": None}, {"world": {"C": "two", "N": 4}},
-         {"init": {"sigma": "wide"}}, {"max_table_entries": [10]}],
-        ids=["lr", "epochs", "world_C", "init_sigma", "cap"],
+         {"init": {"sigma": "wide"}}, {"max_table_entries": [10]}, {"n_samples": 0},
+         {"lr": -1}, {"epochs": 0}, {"init": {"sigma": -1}}],
+        ids=["lr", "epochs", "world_C", "init_sigma", "cap", "n_samples_0", "lr_negative",
+             "epochs_0", "init_sigma_negative"],
     )
     def test_train(self, tmp_path, capsys, over):
         self.assert_config_error(tmp_path, capsys, "train", dict(TRAIN_CFG, **over))
@@ -516,8 +542,10 @@ class TestBadConfigValues:
         self.assert_config_error(tmp_path, capsys, "decode", payload)
 
     @pytest.mark.parametrize(
-        "over", [{"C": "one"}, {"k_values": 5}, {"include_timing": True, "repeats": "x"}],
-        ids=["C", "k_values", "repeats"],
+        "over",
+        [{"C": "one"}, {"k_values": 5}, {"include_timing": True, "repeats": "x"},
+         {"k_values": [0]}, {"X_values": [1]}, {"C": 0}, {"include_timing": True, "repeats": 0}],
+        ids=["C", "k_values", "repeats", "k_values_0", "X_values_1", "C_0", "repeats_0"],
     )
     def test_bench(self, tmp_path, capsys, over):
         payload = dict({"k_values": [1], "X_values": [2]}, **over)
@@ -529,6 +557,42 @@ class TestBadConfigValues:
         code, out = run(tmp_path, "verify", payload, "castable")
         assert code == EXIT_OK
         assert read_json(out / "summary.json")["trials"] == 2
+
+
+class TestArtifactBytes:
+    """Pinned sha256 of artifacts whose JSON layout must not drift between versions.
+
+    The hashes were recorded with the list-of-tuples TokenMap that the int64
+    table replaced.
+    """
+
+    def sha256(self, path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_tokenize_rq_kmeans_probe(self, tmp_path):
+        payload = {
+            "seed": 3,
+            "scheme": "rq_kmeans",
+            "k": 2,
+            "X": 4,
+            "mode": "probe",
+            "embeddings": {"kind": "synth", "n_items": 16, "dim": 6},
+        }
+        code, out = run(tmp_path, "tokenize", payload, "pinned")
+        assert code == EXIT_OK
+        assert self.sha256(out / "token_map.json") == (
+            "51d9f2ed68f13e7a4be194f8da5288c2d871777dd8c8d221e210a5e20a35f107"
+        )
+        assert self.sha256(out / "audit.json") == (
+            "10cd5c7f195e79d5442adc7ed73628f6130764e3410b9bc780a622d68765d754"
+        )
+
+    def test_train_token_map(self, tmp_path):
+        code, out = run(tmp_path, "train", TRAIN_CFG, "pinned")
+        assert code == EXIT_OK
+        assert self.sha256(out / "token_map.json") == (
+            "0da820f6a48bb70a07b5aa8448767cf41b71530550f7a3761ceec224e72a0a16"
+        )
 
 
 class TestDeterminism:

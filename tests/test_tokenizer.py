@@ -99,6 +99,21 @@ class TestKmeansCore:
         d2 = squared_distances(pts, ctr)
         assert np.array_equal(d2, np.array([[0.0, 16.0], [25.0, 9.0]]))
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 9, 31, 32, 33, 127, 128, 129, 200, 257])
+    def test_squared_distances_match_the_broadcast_form_bitwise(self, d):
+        # the column-per-center fill must give the bits of the (n, X, d) broadcast
+        rng = np.random.default_rng(d)
+        for trial in range(4):
+            pts = rng.standard_normal((int(rng.integers(1, 200)), d)) * 10.0 ** (trial - 1)
+            ctr = rng.standard_normal((int(rng.integers(1, 17)), d)) * 10.0 ** (trial - 1)
+            ctr[0] = pts[-1]  # an exact zero distance
+            if trial == 2:
+                pts, ctr = np.round(pts, 1), np.round(ctr, 1)  # many exact ties
+            if trial == 3:
+                pts = np.hstack([pts, pts])[:, ::2]  # strided rows, as PQ subspaces are
+            want = ((pts[:, None, :] - ctr[None, :, :]) ** 2).sum(axis=2)
+            assert np.array_equal(squared_distances(pts, ctr), want)
+
     def test_nearest_centroid_tie_goes_to_lowest_index(self):
         centers = np.array([[1.0], [1.0], [3.0]])
         assert nearest_centroid(centers, np.array([2.0])) == 0

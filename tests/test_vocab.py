@@ -207,6 +207,96 @@ class TestTokenMap:
         with pytest.raises(ValueError):
             build_token_map(spec, [(0, (0,)), (5, (1,))], "probe")
 
+    @pytest.mark.parametrize(
+        "forward",
+        [[[0, 1], [1, 1.5]], [[0, 1], [1, 1.0]], [[0, 1], [1]], [[0, 1], [1, 0, 1]], [[0, "1"]],
+         [[True, False]], [[0, 2]], [[-1, 0]], [[0, 2**70]]],
+        ids=["float", "integral_float", "short_row", "long_row", "string", "bool", "high",
+             "negative", "huge"],
+    )
+    def test_malformed_tables_rejected(self, forward):
+        payload = {"k": 2, "X": 2, "mode": "probe", "forward": forward}
+        with pytest.raises(MalformedSequenceError):
+            TokenMap.from_json_dict(payload)
+
+    def test_items_and_forward_yield_python_ints(self):
+        table = np.array([[2, 1], [0, 2]], dtype=np.uint8)
+        tmap = TokenMap(CodebookSpec(k=2, X=3), table, "probe")
+        assert list(tmap.items()) == [(0, (2, 1)), (1, (0, 2))]
+        assert all(type(t) is int for _, seq in tmap.items() for t in seq + tmap.forward(1))
+        assert tmap.token_matrix.dtype == np.int64
+
+    def test_inverse_of_a_sparse_map_over_a_huge_space(self):
+        # the inverse is sorted over the items, never dense over X**k = 2**31 sequences
+        top = 2**31 - 1
+        tmap = TokenMap(CodebookSpec(k=1, X=2**31), [(top,), (0,), (top,)], "probe")
+        assert tmap.inverse((top,)) == 0
+        assert tmap.inverse((0,)) == 1
+        assert tmap.inverse((5,)) is None
+
+
+def reference_map(spec, forward, mode):
+    """Dict-and-tuple model of a TokenMap: (error fields or None, inverse dict)."""
+    inverse = {}
+    for item, seq in enumerate(forward):
+        prior = inverse.setdefault(seq, item)
+        if prior != item and mode == "strict":
+            return ("collision", prior, item, seq), None
+    if mode == "strict" and len(forward) != spec.sequence_space_size:
+        return ("coverage", spec.sequence_space_size, len(forward)), None
+    return None, inverse
+
+
+@st.composite
+def token_maps(draw):
+    """(spec, forward, mode) with k <= 3, X <= 4 and up to 2 X**k items."""
+    spec = CodebookSpec(k=draw(st.integers(1, 3)), X=draw(st.integers(2, 4)))
+    space = list(spec.iter_sequences())
+    if draw(st.booleans()):
+        # a bijection with a few rows overwritten: zero, one or several collision groups
+        forward = draw(st.permutations(space))
+        for _ in range(draw(st.integers(0, 4))):
+            forward[draw(st.integers(0, len(space) - 1))] = draw(st.sampled_from(space))
+    else:
+        forward = draw(st.lists(st.sampled_from(space), min_size=1, max_size=2 * len(space)))
+    return spec, forward, draw(st.sampled_from(["strict", "probe"]))
+
+
+class TestTokenMapParity:
+    @settings(max_examples=300, deadline=None)
+    @given(case=token_maps())
+    def test_matches_the_dict_and_tuple_reference(self, case):
+        spec, forward, mode = case
+        error, inverse = reference_map(spec, forward, mode)
+        if error and error[0] == "collision":
+            with pytest.raises(CollisionError) as exc:
+                TokenMap(spec, forward, mode)
+            assert (exc.value.item_a, exc.value.item_b, exc.value.sequence) == error[1:]
+            assert str(exc.value) == "items {} and {} collide on sequence {}".format(*error[1:])
+            return
+        if error:
+            with pytest.raises(CoverageError) as exc:
+                TokenMap(spec, forward, mode)
+            assert str(exc.value).endswith("exactly X**k = {} items, got {}".format(*error[1:]))
+            return
+        tmap = TokenMap(spec, forward, mode)
+        assert list(tmap.items()) == list(enumerate(forward))
+        for seq in spec.iter_sequences():
+            assert tmap.inverse(seq) == inverse.get(seq)
+        distinct = len(set(forward))
+        utilization = [len({seq[m] for seq in forward}) / spec.X for m in range(spec.k)]
+        assert audit_bijection(tmap).to_json_dict() == {
+            "n_items": len(forward),
+            "n_distinct_sequences": distinct,
+            "collision_count": len(forward) - distinct,
+            "per_position_utilization": utilization,
+            "collapse_flags": [u < 0.75 for u in utilization],
+            "is_bijective_onto_product": len(forward) == distinct == spec.sequence_space_size,
+            "collapse_threshold": 0.75,
+        }
+        payload = {"k": spec.k, "X": spec.X, "mode": mode, "forward": [list(s) for s in forward]}
+        assert json.dumps(tmap.to_json_dict()) == json.dumps(payload)
+
 
 class TestAuditBijection:
     def test_identity_map_audits_clean(self):
