@@ -30,8 +30,10 @@ from .decoder import beam_search, exact_topk, mtp_decode
 from .logits import FORMS, FormError, model_from_json_dict, model_to_json_dict, table_entry_count
 from .losses import check_equivalence, summarize_reports, write_reports_csv
 from .tokenizer import (
+    DegenerateInputError,
     FSQModel,
     ItemEmbeddings,
+    SubspaceSplitError,
     encode_fsq,
     encode_pq,
     encode_rq,
@@ -137,11 +139,20 @@ def _float_pair(pair) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _spec_from(cfg: dict) -> CodebookSpec:
+def _spec(k: int, X: int) -> CodebookSpec:
     try:
-        return CodebookSpec(k=_value(cfg, "k", int), X=_value(cfg, "X", int))
+        return CodebookSpec(k=k, X=X)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _spec_from(cfg: dict) -> CodebookSpec:
+    return _spec(_value(cfg, "k", int), _value(cfg, "X", int))
+
+
+def _sweep_specs(k_values: list[int], X_values: list[int]) -> dict:
+    """Every (k, X) spec of a sweep, built up front: a bad one fails before any work."""
+    return {(k, X): _spec(k, X) for k in k_values for X in X_values}
 
 
 def _load_artifact_json(path: str) -> dict:
@@ -163,11 +174,13 @@ def _load_embeddings(cfg: dict, seed: int) -> ItemEmbeddings:
     path = _req(cfg, "path", str)
     if not Path(path).is_file():
         raise FileNotFoundError(f"embeddings file not found: {path}")
-    if kind == "csv":
-        return load_embeddings_csv(path)
-    if kind == "bin":
-        return load_embeddings_bin(path)
-    raise ConfigError(f"unknown embeddings kind {kind!r}")
+    loaders = {"csv": load_embeddings_csv, "bin": load_embeddings_bin}
+    if kind not in loaders:
+        raise ConfigError(f"unknown embeddings kind {kind!r}")
+    try:
+        return loaders[kind](path)
+    except ValueError as exc:
+        raise ConfigError(f"bad embeddings file: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +195,8 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
     if mode not in ("strict", "probe"):
         raise ConfigError(f"mode must be 'strict' or 'probe', got {mode!r}")
     threshold = _value(cfg, "collapse_threshold", float, 0.75)
+    if not 0.0 < threshold <= 1.0:
+        raise ConfigError(f"collapse_threshold must be in (0, 1], got {threshold!r}")
     kmeans_cfg = _req(cfg, "kmeans", dict) if "kmeans" in cfg else {}
     max_iters = _value(kmeans_cfg, "max_iters", int, 50, low=1)
 
@@ -190,12 +205,12 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
         sequences = identity_token_map(spec).token_matrix
     elif scheme in ("rq_kmeans", "pq"):
         emb = _load_embeddings(_req(cfg, "embeddings", dict), seed)
-        if scheme == "rq_kmeans":
-            fitted = fit_rq_kmeans(emb, spec, max_iters=max_iters, seed=seed)
-            sequences = encode_rq(fitted, emb)
-        else:
-            fitted = fit_pq(emb, spec, max_iters=max_iters, seed=seed)
-            sequences = encode_pq(fitted, emb)
+        fit, encode = (fit_rq_kmeans, encode_rq) if scheme == "rq_kmeans" else (fit_pq, encode_pq)
+        try:
+            fitted = fit(emb, spec, max_iters=max_iters, seed=seed)
+        except (DegenerateInputError, SubspaceSplitError) as exc:
+            raise ConfigError(f"cannot fit {scheme} to these embeddings: {exc}") from exc
+        sequences = encode(fitted, emb)
     elif scheme == "fsq":
         emb = _load_embeddings(_req(cfg, "embeddings", dict), seed)
         fsq_cfg = _req(cfg, "fsq", dict)
@@ -205,8 +220,13 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
             raise ConfigError(f"fsq levels must list k={spec.k} entries")
         if max(levels) > spec.X:
             raise ConfigError(f"fsq levels {levels} exceed X={spec.X}")
+        if emb.dim < len(levels):
+            raise ConfigError(f"embeddings have {emb.dim} dims, fsq levels need {len(levels)}")
         bounds = _value(fsq_cfg, "bounds", _float_pair, [[-1.0, 1.0]] * spec.k, many=True)
-        fitted = FSQModel(levels=levels, per_dim_bounds=bounds)
+        try:
+            fitted = FSQModel(levels=levels, per_dim_bounds=bounds)
+        except ValueError as exc:
+            raise ConfigError(f"bad fsq config: {exc}") from exc
         sequences = encode_fsq(fitted, emb)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
@@ -271,12 +291,13 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     if map_mode not in ("strict", "probe_collision"):
         raise ConfigError(f"map_mode must be 'strict' or 'probe_collision', got {map_mode!r}")
     items_per_context = _value(cfg, "items_per_context", int, 2, low=0)
+    specs = _sweep_specs(k_values, X_values)
 
     rng = np.random.default_rng(seed)
     reports = []
     per_form: dict[str, list] = {form: [] for form in forms}
     for t in range(trials):
-        spec = CodebookSpec(k=int(rng.choice(k_values)), X=int(rng.choice(X_values)))
+        spec = specs[int(rng.choice(k_values)), int(rng.choice(X_values))]
         C = int(rng.choice(C_values))
         form = forms[t % len(forms)]
         model = FORMS[form].random(spec, C, sigma, int(rng.integers(2**31)))
@@ -473,6 +494,7 @@ def cmd_bench(cfg: dict, out_dir: Path) -> int:
     X_values = _value(cfg, "X_values", int, [4, 8, 16], many=True, low=2)
     C = _value(cfg, "C", int, 1, low=1)
     cap = _value(cfg, "max_instrumented_entries", int, 10**7)
+    _sweep_specs(k_values, X_values)
     rows = ops_sweep(k_values, X_values, C=C, max_instrumented_entries=cap)
     write_ops_csv(rows, out_dir / "bench_ops.csv")
     headline = count_softmax_ops(CodebookSpec(k=3, X=256))

@@ -89,7 +89,9 @@ def mtp_decode(model: LogitModel, h: int, top_k: int) -> list[ScoredSequence]:
         values.append(row[order])
 
     def entry(ranks: tuple[int, ...]) -> tuple[float, TokenSeq, tuple[int, ...]]:
-        score = sum(float(values[m][r]) for m, r in enumerate(ranks))
+        score = 0.0  # left to right from 0.0, as the beam adds a path
+        for m, r in enumerate(ranks):
+            score += float(values[m][r])
         tokens = tuple(int(orders[m][r]) for m, r in enumerate(ranks))
         return (-score, tokens, ranks)
 

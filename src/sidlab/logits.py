@@ -162,9 +162,13 @@ FORMS: dict[str, type[LogitModel]] = {
 
 
 def item_logit(model: LogitModel, h: int, tmap: TokenMap, item: int) -> float:
-    """Item logit: the sum of token logits along the item's sequence path."""
+    """Item logit: the sum of token logits along the item's sequence path,
+    added left to right from 0.0 like :func:`item_logits_all`."""
     seq = tmap.forward(item)
-    return sum(model.token_logit(h, seq[:m], seq[m]) for m in range(len(seq)))
+    total = 0.0
+    for m in range(len(seq)):
+        total += model.token_logit(h, seq[:m], seq[m])
+    return total
 
 
 def item_logits_all(model: LogitModel, h: int, tmap: TokenMap) -> np.ndarray:

@@ -16,27 +16,27 @@ training losses for a positive item i+ with Phi(i+) = (t_1 .. t_k) are:
       L_fv = -[ l(h, i+) - log Z_full ],   l(h, i) = sum_m l(t_m | h, ...)
   with Z_full summing exp(item logit) over every item in the map.
 
-Three routes to a sequence-space partition value are implemented.  Over an
-identity map all three add each sequence's k logits left to right from 0.0,
-in one order, then call the same ``log_sum_exp``: they agree bit for bit.
+Three routes to a sequence-space partition value are implemented.
 
 * ``full_log_partition``: enumerate items through the map (Z_full above).
-* ``sequence_log_partition``: enumerate all X**k token sequences directly,
-  scoring each by its summed conditional logits.
-* ``sequence_log_partition_levelwise``: extend every prefix's running score
-  one position at a time (the same additions as the flat route); for
-  parallel models ``sequence_log_partition_factored`` adds the closed form
-  sum_m log Z_m(h), which does group the float operations differently.
+* ``sequence_log_partition``: score all X**k sequences with no map.  Over
+  an identity map it makes the same float additions as the item route, so
+  the two agree bit for bit.
+* ``sequence_log_partition_levelwise``: the product-form recursion
+  log Z(node) = LSE_t(l(node, t) + log Z(child)).  Distributivity makes it
+  the same sum; its float operations differ, so it agrees to rounding only.
+  For parallel models ``sequence_log_partition_factored`` adds the closed
+  form sum_m log Z_m(h).
 
-Under a strict bijection the sequence-enumeration routes equal Z_full
-exactly: both sum exp(summed logits) over the same set.  The loss identity
-L_ntp == L_fv is a different matter: it additionally needs the product of
-the *visited-node* partition functions to equal Z_full, which holds whenever
-Z_m does not depend on the prefix (parallel models, k = 1, or degenerate
-tables such as all zeros) and fails for generic cascaded tables, where the
-chained softmax and the flat softmax define different distributions over the
-same items.  ``check_equivalence`` reports both gaps so either regime is
-measured rather than assumed.
+Under a strict bijection every route computes Z_full, summing exp(summed
+logits) over the same set.  The loss identity L_ntp == L_fv is a different
+matter: it additionally needs the product of the *visited-node* partition
+functions to equal Z_full, which holds whenever Z_m does not depend on the
+prefix (parallel models, k = 1, or degenerate tables such as all zeros) and
+fails for generic cascaded tables, where the chained softmax and the flat
+softmax define different distributions over the same items.
+``check_equivalence`` reports both gaps so either regime is measured rather
+than assumed.
 """
 
 from __future__ import annotations
@@ -61,6 +61,12 @@ def log_sum_exp(values) -> float:
         raise EmptyInputError("log_sum_exp needs at least one value")
     m = arr.max()
     return float(m + np.log(np.exp(arr - m).sum()))
+
+
+def log_sum_exp_rows(rows: np.ndarray) -> np.ndarray:
+    """:func:`log_sum_exp` of each row of a 2-D array, shape (rows,)."""
+    mx = rows.max(axis=-1)
+    return mx + np.log(np.exp(rows - mx[:, None]).sum(axis=-1))
 
 
 def softmax(values) -> np.ndarray:
@@ -105,36 +111,28 @@ def fv_mle_loss(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> float
 def sequence_log_partition(model: LogitModel, h: int) -> float:
     """log of the sum over all X**k sequences of exp(summed conditional logits).
 
-    Flat enumeration in lexicographic order, one sequence at a time; needs no
-    token map.
-    """
-    spec = model.spec
-    rows = [model.rows(m)[h] for m in range(spec.k)]
-    # span[m] consecutive sequences share position m's node row, so sequence
-    # idx reads row idx // span[m] (its prefix index, or 0 for a shared row)
-    span = [spec.sequence_space_size // r.shape[0] for r in rows]
-    scores = np.empty(spec.sequence_space_size)
-    for idx, seq in enumerate(spec.iter_sequences()):
-        total = 0.0
-        for m in range(spec.k):
-            total += float(rows[m][idx // span[m], seq[m]])
-        scores[idx] = total
-    return log_sum_exp(scores)
-
-
-def sequence_log_partition_levelwise(model: LogitModel, h: int) -> float:
-    """Same sum as :func:`sequence_log_partition`, expanded level by level.
-
-    Maintains the accumulated score of every prefix and extends all prefixes
-    by one position per step, so partial sums are shared across sequences.
-    Each sequence's score is still 0.0 plus its k logits in position order,
-    so the result is bit-identical to the flat route, not merely close.
+    Scores every sequence as 0.0 plus its k logits in position order, in
+    lexicographic order: the additions :func:`full_log_partition` makes over
+    an identity map.  Needs no token map.
     """
     scores = np.zeros(1)
     for m in range(model.spec.k):
         # (nodes, X) rows in base-X prefix order; one shared row broadcasts
         scores = (scores[:, None] + model.rows(m)[h]).ravel()
     return log_sum_exp(scores)
+
+
+def sequence_log_partition_levelwise(model: LogitModel, h: int) -> float:
+    """The same sum by the product-form recursion, from the last position up:
+    log Z(node) = LSE_t(l(node, t) + log Z(child)), with log Z = 0 for a
+    complete sequence.  Its float operations differ from the flat route's.
+    """
+    log_z = np.zeros(model.rows(model.spec.k - 1)[h].size)
+    for m in reversed(range(model.spec.k)):
+        rows = model.rows(m)[h]
+        # child (node, t) is row node * X + t one level down; a shared row broadcasts
+        log_z = log_sum_exp_rows(rows + log_z.reshape(rows.shape[0], -1))
+    return float(log_z[0])
 
 
 def sequence_log_partition_factored(model: LogitModel, h: int) -> float:
@@ -146,7 +144,10 @@ def sequence_log_partition_factored(model: LogitModel, h: int) -> float:
     """
     if model.form != "parallel":
         raise FormError("factored partition route needs a parallel model")
-    return sum(log_sum_exp(model.tables[m][h]) for m in range(model.spec.k))
+    total = 0.0
+    for m in range(model.spec.k):
+        total += log_sum_exp(model.tables[m][h])
+    return total
 
 
 def ntp_grad(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> list[np.ndarray]:

@@ -31,7 +31,7 @@ from math import exp
 import numpy as np
 
 from .logits import LogitModel, item_logits_all
-from .losses import log_sum_exp
+from .losses import log_sum_exp, log_sum_exp_rows
 from .vocab import TokenMap
 
 
@@ -152,10 +152,8 @@ def _model_log_probs_chain(model: LogitModel, tmap: TokenMap, h: int) -> np.ndar
     out = np.zeros(mat.shape[0])
     for m in range(model.spec.k):
         rows = model.rows(m)[h]
-        mx = rows.max(axis=-1)
-        log_z = mx + np.log(np.exp(rows - mx[:, None]).sum(axis=-1))
         node = model.node_index(prefixes[m])
-        out += rows[node, mat[:, m]] - log_z[node]
+        out += rows[node, mat[:, m]] - log_sum_exp_rows(rows)[node]
     return out
 
 

@@ -493,12 +493,34 @@ class TestBadConfigValues:
          {"scheme": "rq_kmeans", "embeddings": {"kind": "synth", "n_items": 0, "dim": 2}},
          {"scheme": "rq_kmeans", "embeddings": {"kind": "synth", "n_items": 4, "dim": 0}},
          {"scheme": "rq_kmeans", "embeddings": {"kind": "synth", "n_items": 4, "dim": 2},
-          "kmeans": {"max_iters": 0}}],
+          "kmeans": {"max_iters": 0}},
+         {"collapse_threshold": 0}, {"collapse_threshold": 1.5},
+         {"scheme": "pq", "k": 3, "mode": "probe",
+          "embeddings": {"kind": "synth", "n_items": 8, "dim": 2}},
+         {"scheme": "rq_kmeans", "X": 4, "mode": "probe",
+          "embeddings": {"kind": "synth", "n_items": 3, "dim": 2}},
+         {"scheme": "fsq", "k": 3, "mode": "probe",
+          "embeddings": {"kind": "synth", "n_items": 8, "dim": 2}, "fsq": {"levels": [2, 2, 2]}},
+         {"scheme": "fsq", "embeddings": {"kind": "synth", "n_items": 4, "dim": 2},
+          "fsq": {"levels": [0, 2]}}],
         ids=["threshold", "seed", "k", "kmeans", "fsq_bounds", "n_items_0", "dim_0",
-             "max_iters_0"],
+             "max_iters_0", "threshold_0", "threshold_above_1", "pq_dim_below_k",
+             "rq_fewer_items_than_X", "fsq_dim_below_levels", "fsq_level_0"],
     )
     def test_tokenize(self, tmp_path, capsys, over):
         payload = dict({"scheme": "identity", "k": 2, "X": 2}, **over)
+        self.assert_config_error(tmp_path, capsys, "tokenize", payload)
+
+    @pytest.mark.parametrize(
+        "name,content",
+        [("bad_header.csv", b"x,y\n1,2\n"), ("bad_magic.bin", b"NOTMAGIC" + bytes(8))],
+        ids=["csv_header", "bin_magic"],
+    )
+    def test_tokenize_bad_embeddings_file(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        payload = {"scheme": "rq_kmeans", "k": 1, "X": 2, "mode": "probe",
+                   "embeddings": {"kind": path.suffix[1:], "path": str(path)}}
         self.assert_config_error(tmp_path, capsys, "tokenize", payload)
 
     @pytest.mark.parametrize(
@@ -506,10 +528,12 @@ class TestBadConfigValues:
         [{"trials": "x"}, {"k_values": ["a"]}, {"C_values": 4}, {"sigma": None},
          {"trials": float("inf")}, {"k_values": [0]}, {"k_values": []}, {"C_values": [0]},
          {"C_values": []}, {"X_values": [1]}, {"X_values": []}, {"forms": []},
-         {"sigma": -1}, {"items_per_context": -1}],
+         {"sigma": -1}, {"items_per_context": -1},
+         {"k_values": [1, 40], "X_values": [2, 16]}],
         ids=["trials", "k_values", "C_values", "sigma", "trials_inf", "k_values_0",
              "k_values_empty", "C_values_0", "C_values_empty", "X_values_1", "X_values_empty",
-             "forms_empty", "sigma_negative", "items_per_context_negative"],
+             "forms_empty", "sigma_negative", "items_per_context_negative",
+             "space_over_2_31"],
     )
     def test_verify(self, tmp_path, capsys, over):
         self.assert_config_error(tmp_path, capsys, "verify", dict({"trials": 1}, **over))
@@ -544,8 +568,10 @@ class TestBadConfigValues:
     @pytest.mark.parametrize(
         "over",
         [{"C": "one"}, {"k_values": 5}, {"include_timing": True, "repeats": "x"},
-         {"k_values": [0]}, {"X_values": [1]}, {"C": 0}, {"include_timing": True, "repeats": 0}],
-        ids=["C", "k_values", "repeats", "k_values_0", "X_values_1", "C_0", "repeats_0"],
+         {"k_values": [0]}, {"X_values": [1]}, {"C": 0}, {"include_timing": True, "repeats": 0},
+         {"k_values": [40], "X_values": [16]}],
+        ids=["C", "k_values", "repeats", "k_values_0", "X_values_1", "C_0", "repeats_0",
+             "space_over_2_31"],
     )
     def test_bench(self, tmp_path, capsys, over):
         payload = dict({"k_values": [1], "X_values": [2]}, **over)

@@ -1,6 +1,7 @@
 """Tabular logit models: shapes, lookups, counters, and serialization."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,18 @@ from sidlab import (
     LogitModel,
     LookupCounter,
     ParallelLogitModel,
+    beam_search,
+    decoder,
     embed_parallel_as_cascaded,
     identity_token_map,
     item_logit,
     item_logits_all,
     load_model,
+    logits,
+    losses,
     model_from_json_dict,
     model_to_json_dict,
+    mtp_decode,
     prefix_index_arrays,
     save_model,
     table_entry_count,
@@ -94,8 +100,8 @@ class TestRowView:
         assert ParallelLogitModel.zeros(SPEC, 1).node_index(7) == 0
 
 
-class _FormCompares(ast.NodeVisitor):
-    """(line, enclosing function) of every comparison that reads ``x.form``."""
+class _Finder(ast.NodeVisitor):
+    """(line, enclosing function) of every node a subclass picks."""
 
     def __init__(self):
         self.func = "<module>"
@@ -106,11 +112,38 @@ class _FormCompares(ast.NodeVisitor):
         self.generic_visit(node)
         self.func = outer
 
+
+class _FormCompares(_Finder):
     def visit_Compare(self, node):
         operands = [node.left, *node.comparators]
         if any(isinstance(o, ast.Attribute) and o.attr == "form" for o in operands):
             self.found.append((node.lineno, self.func))
         self.generic_visit(node)
+
+
+class _BuiltinSums(_Finder):
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "sum":
+            self.found.append((node.lineno, self.func))
+        self.generic_visit(node)
+
+
+def scan_package(finder, allowed, skip=()):
+    """Sites ``finder`` picks in src/sidlab outside ``allowed`` (file, function)
+    pairs, and the allowed pairs it did see."""
+    src = Path(__file__).resolve().parents[1] / "src" / "sidlab"
+    offenders, allowed_seen = [], set()
+    for path in sorted(src.glob("*.py")):
+        if path.name in skip:
+            continue
+        visitor = finder()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        for line, func in visitor.found:
+            if (path.name, func) in allowed:
+                allowed_seen.add((path.name, func))
+            else:
+                offenders.append(f"{path.name}:{line} in {func}")
+    return offenders, allowed_seen
 
 
 class TestOneFormSwitch:
@@ -121,20 +154,60 @@ class TestOneFormSwitch:
     ALLOWED = {("decoder.py", "mtp_decode"), ("losses.py", "sequence_log_partition_factored")}
 
     def test_form_is_compared_only_where_allowed(self):
-        src = Path(__file__).resolve().parents[1] / "src" / "sidlab"
-        offenders, allowed_seen = [], set()
-        for path in sorted(src.glob("*.py")):
-            if path.name == "logits.py":
-                continue
-            visitor = _FormCompares()
-            visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
-            for line, func in visitor.found:
-                if (path.name, func) in self.ALLOWED:
-                    allowed_seen.add((path.name, func))
-                else:
-                    offenders.append(f"{path.name}:{line} in {func}")
+        offenders, allowed_seen = scan_package(_FormCompares, self.ALLOWED, skip={"logits.py"})
         assert not offenders, f".form compared outside logits.py: {offenders}"
         assert allowed_seen == self.ALLOWED  # the scan does see real comparisons
+
+
+class TestNoBuiltinSum:
+    """From Python 3.12 builtin ``sum()`` of floats is compensated, so a float
+    sum written with it gives other bits on other interpreters.  Builtin
+    ``sum`` may only add integers, at these sites; float sums add left to
+    right from 0.0."""
+
+    ALLOWED = {
+        ("logits.py", "n_params"),
+        ("logits.py", "table_entry_count"),
+        ("tokenizer.py", "encode_pq"),  # sum(model.subspace_dims)
+    }
+
+    def test_builtin_sum_only_adds_integers(self):
+        offenders, allowed_seen = scan_package(_BuiltinSums, self.ALLOWED)
+        assert not offenders, f"builtin sum() outside the integer allow-list: {offenders}"
+        assert allowed_seen == self.ALLOWED  # the scan does see real calls
+
+
+class TestPathSumsUnderCompensatedSum:
+    """The modules' ``sum`` swapped for ``math.fsum``, a compensated sum like
+    Python 3.12's: path sums must still match the left-to-right additions of
+    ``item_logits_all`` and ``beam_search`` bit for bit."""
+
+    @pytest.fixture(autouse=True)
+    def compensated_sum(self, monkeypatch):
+        for module in (logits, decoder, losses):
+            monkeypatch.setattr(module, "sum", math.fsum, raising=False)
+
+    @pytest.mark.parametrize("cls", [CascadedLogitModel, ParallelLogitModel])
+    def test_item_logit_equals_item_logits_all(self, cls):
+        for seed in range(20):
+            spec = CodebookSpec(k=3 + seed % 2, X=2 + seed % 3)
+            model = cls.random(spec, 1, 2.0, seed=seed)
+            tmap = identity_token_map(spec)
+            vec = item_logits_all(model, 0, tmap)
+            for i in range(tmap.n_items):
+                assert item_logit(model, 0, tmap, i) == vec[i]
+
+    def test_mtp_equals_exhaustive_beam(self):
+        for seed in range(40):
+            spec = CodebookSpec(k=3 + seed % 2, X=2 + seed % 3)
+            model = ParallelLogitModel.random(spec, 2, 2.0, seed=seed)
+            n = spec.sequence_space_size
+            for h in range(2):
+                mtp = mtp_decode(model, h, n)
+                beam = beam_search(model, h, beam_width=n, top_k=n)
+                assert [(s.sequence, s.score) for s in mtp] == [
+                    (s.sequence, s.score) for s in beam
+                ]
 
 
 class TestLookups:

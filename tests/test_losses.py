@@ -222,6 +222,39 @@ class TestPartitionRoutes:
                 assert abs(flat - item) < 1e-11
                 assert abs(level - item) < 1e-11
 
+    @staticmethod
+    def per_sequence_log_partition(model, h):
+        """The flat route as a per-sequence loop: sequences in lexicographic
+        order, each scored by its k logits added left to right from 0.0."""
+        spec = model.spec
+        scores = []
+        for seq in itertools.product(range(spec.X), repeat=spec.k):
+            total = 0.0
+            for m in range(spec.k):
+                node = model.node_index(spec.prefix_index(seq[:m]))
+                total += float(model.rows(m)[h, node, seq[m]])
+            scores.append(total)
+        return log_sum_exp(scores)
+
+    def test_routes_bit_by_bit(self):
+        """The flat and item routes make the same additions, so they equal the
+        loop exactly; the product-form recursion groups them differently, so
+        it agrees to rounding and, somewhere in the sweep, not in the last bit."""
+        last_bits_differ = 0
+        for cls in (CascadedLogitModel, ParallelLogitModel):
+            for k, X in itertools.product(range(1, 4), range(2, 9)):
+                spec = CodebookSpec(k=k, X=X)
+                tmap = identity_token_map(spec)
+                model = cls.random(spec, 2, 3.0, seed=10 * k + X)
+                for h in range(2):
+                    ref = self.per_sequence_log_partition(model, h)
+                    assert sequence_log_partition(model, h) == ref
+                    assert full_log_partition(model, h, tmap) == ref
+                    level = sequence_log_partition_levelwise(model, h)
+                    assert abs(level - ref) <= 1e-12
+                    last_bits_differ += level != ref
+        assert last_bits_differ > 0
+
     def test_factored_route_for_parallel(self):
         spec = CodebookSpec(k=3, X=3)
         model = ParallelLogitModel.random(spec, 2, 0.8, seed=6)
