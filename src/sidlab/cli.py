@@ -70,6 +70,10 @@ EXIT_MISSING = 5
 
 OUT_ENV_VAR = "SIDLAB_OUT"
 
+# default cap on a model's table entries, and on the X**k sequences of the
+# identity or probe map that verify builds
+MAX_TABLE_ENTRIES = 10**7
+
 
 class ConfigError(Exception):
     """Bad config file, bad config value, or unparseable input artifact."""
@@ -153,6 +157,12 @@ def _spec_from(cfg: dict) -> CodebookSpec:
 def _sweep_specs(k_values: list[int], X_values: list[int]) -> dict:
     """Every (k, X) spec of a sweep, built up front: a bad one fails before any work."""
     return {(k, X): _spec(k, X) for k in k_values for X in X_values}
+
+
+def _check_table_size(spec: CodebookSpec, C: int, form: str, cap: int) -> None:
+    entries = table_entry_count(spec, C, form)
+    if entries > cap:
+        raise ConfigError(f"model would hold {entries} table entries, cap is {cap}")
 
 
 def _load_artifact_json(path: str) -> dict:
@@ -292,6 +302,15 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(f"map_mode must be 'strict' or 'probe_collision', got {map_mode!r}")
     items_per_context = _value(cfg, "items_per_context", int, 2, low=0)
     specs = _sweep_specs(k_values, X_values)
+    for spec in specs.values():
+        if spec.sequence_space_size > MAX_TABLE_ENTRIES:
+            raise ConfigError(
+                f"k={spec.k}, X={spec.X} has {spec.sequence_space_size} sequences, "
+                f"cap is {MAX_TABLE_ENTRIES}"
+            )
+        for form in forms:
+            for C in C_values:
+                _check_table_size(spec, C, form, MAX_TABLE_ENTRIES)
 
     rng = np.random.default_rng(seed)
     reports = []
@@ -354,10 +373,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     form = cfg.get("form", "cascaded")
     if form not in FORMS:
         raise ConfigError(f"unknown model form {form!r}")
-    cap = _value(cfg, "max_table_entries", int, 10**7)
-    entries = table_entry_count(spec, C, form)
-    if entries > cap:
-        raise ConfigError(f"model would hold {entries} table entries, cap is {cap}")
+    _check_table_size(spec, C, form, _value(cfg, "max_table_entries", int, MAX_TABLE_ENTRIES))
     lr = _value(cfg, "lr", float, low=0.0)
     epochs = _value(cfg, "epochs", int, low=1)
     n_samples = _value(cfg, "n_samples", int, low=1)

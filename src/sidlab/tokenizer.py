@@ -7,6 +7,26 @@ by one generator, Lloyd iterations run to an assignment fixed point or
 farthest from its own centroid, and every nearest-centroid decision breaks
 ties toward the lowest centroid index.  Distances are computed with the
 direct (x - c)**2 sum so exact ties stay exact.
+
+Every nearest-center decision (k-means assignment, RQ and PQ encoding) goes
+through ``nearest_centers``, which returns exactly
+``squared_distances(points, centers).argmin(axis=1)`` without filling that
+matrix.  It screens with A = |x|^2 - 2 x.c + |c|^2 from one matrix product,
+and bounds |A - D| <= e = 2 (d + 2) eps (|x| + |c|)^2 + 1e-300, where D is
+the exact column value and eps = 2**-52.  The bound holds for any summation
+order, with or without FMA, and under underflow.  A center whose A - e
+exceeds the row's smallest A + e cannot be the nearest one, so a row with a
+single surviving candidate is decided.  Rows with two or more candidates,
+and rows whose A or e is not finite or so large that D could round to inf,
+are re-done exactly through ``squared_distances``.
+
+The speed-up needs rows that are far from a tie relative to their norms.
+A standard-normal RQ fit and encode of 4096 x 32 items (k=3, X=16, seeds
+0-2) re-does none of its 548,864 to 626,688 rows.  With 1e6 added to every
+coordinate, seed 0 re-does 160,210 of 548,864 rows (29%): still exact,
+only slower.  Inputs are copied to C order first, because numpy sums the
+rows of a Fortran-ordered array in a different order and so to different
+bits.
 """
 
 from __future__ import annotations
@@ -38,7 +58,7 @@ class ItemEmbeddings:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
+        arr = np.ascontiguousarray(self.values, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"embeddings must be a non-empty 2-D array, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
@@ -122,6 +142,44 @@ def nearest_centroid(centers: np.ndarray, x: np.ndarray) -> int:
     return int(d2.argmin())
 
 
+# no exact column value can round to inf while (|x| + |c|)^2 stays below this
+_SCREEN_MAX = 2.0**1000
+
+
+def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n,) int64 equal to ``squared_distances(points, centers).argmin(axis=1)``.
+
+    Screens with the matrix-product form of the distance and re-does only
+    the rows its error bound cannot decide (see the module docstring).
+    """
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    centers = np.ascontiguousarray(centers, dtype=np.float64)
+    # The screen is laid out (X, n) so that the elementwise passes run along
+    # the points, and updated in place: at n=4096, X=16 both halve its time.
+    # An overflow here only sends its point to the exact recheck.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = np.einsum("ij,ij->i", points, points)
+        c2 = np.einsum("ij,ij->i", centers, centers)
+        screen = centers @ points.T
+        screen *= -2.0
+        screen += c2[:, None]
+        screen += x2
+        err = np.sqrt(c2)[:, None] + np.sqrt(x2)
+        err *= err
+        # also true for a point whose column holds a nan or inf
+        unbounded = ~np.all(err < _SCREEN_MAX, axis=0)
+        err *= 2.0 * (points.shape[1] + 2) * np.finfo(np.float64).eps
+        err += 1e-300
+        best = (screen + err).min(axis=0)
+        screen -= err
+        candidates = screen <= best
+    recheck = unbounded | (candidates.sum(axis=0) != 1)
+    out = candidates.argmax(axis=0)
+    if recheck.any():
+        out[recheck] = squared_distances(points[recheck], centers).argmin(axis=1)
+    return out
+
+
 def _kmeans_pp_seed(points: np.ndarray, X: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((X, points.shape[1]))
@@ -143,13 +201,11 @@ def fit_kmeans(
     points: np.ndarray, X: int, max_iters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd k-means; returns (centers (X, d), assignments (n,))."""
-    points = np.asarray(points, dtype=np.float64)
-    n = points.shape[0]
+    points = np.ascontiguousarray(points, dtype=np.float64)
     centers = _kmeans_pp_seed(points, X, rng)
     assign = None
     for _ in range(max_iters):
-        d2 = squared_distances(points, centers)
-        new_assign = d2.argmin(axis=1)
+        new_assign = nearest_centers(points, centers)
         for j in range(X):
             if np.any(new_assign == j):
                 continue
@@ -158,14 +214,13 @@ def fit_kmeans(
             # hole); with nothing stealable the cluster stays empty and keeps
             # its seeded center
             counts = np.bincount(new_assign, minlength=X)
-            own = d2[np.arange(n), new_assign].copy()
+            own = ((points - centers[new_assign]) ** 2).sum(axis=1)
             own[counts[new_assign] <= 1] = -1.0
             idx = int(own.argmax())
             if own[idx] < 0.0:
                 continue
             centers[j] = points[idx]
             new_assign[idx] = j
-            d2[:, j] = ((points - centers[j]) ** 2).sum(axis=1)
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -226,16 +281,13 @@ def fit_rq_kmeans(
 
 def encode_rq(model: RQKmeansModel, emb: ItemEmbeddings) -> list[TokenSeq]:
     """Greedy nearest-centroid walk down the levels, quantizing the running residual."""
-    out = []
-    for x in emb.values:
-        residual = x.copy()
-        seq = []
-        for cb in model.codebooks:
-            t = nearest_centroid(cb, residual)
-            seq.append(t)
-            residual -= cb[t]
-        out.append(tuple(seq))
-    return out
+    residual = emb.values.copy()
+    tokens = []
+    for cb in model.codebooks:
+        t = nearest_centers(residual, cb)
+        tokens.append(t)
+        residual -= cb[t]
+    return [tuple(seq) for seq in np.stack(tokens, axis=1).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +351,11 @@ def encode_pq(model: PQModel, emb: ItemEmbeddings) -> list[TokenSeq]:
         raise ValueError(
             f"embeddings have {emb.dim} dims, model expects {sum(model.subspace_dims)}"
         )
-    out = []
-    offsets = model.offsets
-    for x in emb.values:
-        seq = []
-        for m, width in enumerate(model.subspace_dims):
-            block = x[offsets[m] : offsets[m] + width]
-            seq.append(nearest_centroid(model.codebooks[m], block))
-        out.append(tuple(seq))
-    return out
+    tokens = [
+        nearest_centers(emb.values[:, offset : offset + width], cb)
+        for offset, width, cb in zip(model.offsets, model.subspace_dims, model.codebooks)
+    ]
+    return [tuple(seq) for seq in np.stack(tokens, axis=1).tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -529,11 +529,13 @@ class TestBadConfigValues:
          {"trials": float("inf")}, {"k_values": [0]}, {"k_values": []}, {"C_values": [0]},
          {"C_values": []}, {"X_values": [1]}, {"X_values": []}, {"forms": []},
          {"sigma": -1}, {"items_per_context": -1},
-         {"k_values": [1, 40], "X_values": [2, 16]}],
+         {"k_values": [1, 40], "X_values": [2, 16]},
+         {"forms": ["cascaded"], "k_values": [2], "X_values": [1000], "C_values": [20]},
+         {"forms": ["parallel"], "k_values": [6], "X_values": [30], "C_values": [1]}],
         ids=["trials", "k_values", "C_values", "sigma", "trials_inf", "k_values_0",
              "k_values_empty", "C_values_0", "C_values_empty", "X_values_1", "X_values_empty",
              "forms_empty", "sigma_negative", "items_per_context_negative",
-             "space_over_2_31"],
+             "space_over_2_31", "cascaded_tables_over_cap", "parallel_space_over_cap"],
     )
     def test_verify(self, tmp_path, capsys, over):
         self.assert_config_error(tmp_path, capsys, "verify", dict({"trials": 1}, **over))
@@ -612,6 +614,23 @@ class TestArtifactBytes:
         assert self.sha256(out / "audit.json") == (
             "10cd5c7f195e79d5442adc7ed73628f6130764e3410b9bc780a622d68765d754"
         )
+
+    @pytest.mark.parametrize(
+        "scheme,tokenizer_sha,token_map_sha",
+        [("rq_kmeans", "c72534716338b0b6996371679fe89a0df80f0248c545dfec78380520b1da443c",
+          "73185356d53ca1704574314a47caf7a64eba5b050a3c62faa286059819d953cd"),
+         ("pq", "31a9b863db839d3edd9d6ed4a93b0d1eae0120536498a660f06ed599db18a75b",
+          "93d27b8dcd1af3b1c1838cf03ff8cdf44fc8e958f2c4a8205ce39b2ec67e64da")],
+    )
+    def test_tokenize_fit_bytes(self, tmp_path, scheme, tokenizer_sha, token_map_sha):
+        # pins the fitted codebooks, not only the map: recorded with the
+        # full-matrix k-means that the screened nearest-center search replaced
+        payload = {"seed": 0, "scheme": scheme, "k": 3, "X": 8, "mode": "probe",
+                   "embeddings": {"kind": "synth", "n_items": 512, "dim": 16}}
+        code, out = run(tmp_path, "tokenize", payload, "pinned")
+        assert code == EXIT_OK
+        assert self.sha256(out / "tokenizer.json") == tokenizer_sha
+        assert self.sha256(out / "token_map.json") == token_map_sha
 
     def test_train_token_map(self, tmp_path):
         code, out = run(tmp_path, "train", TRAIN_CFG, "pinned")

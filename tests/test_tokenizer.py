@@ -18,12 +18,14 @@ from sidlab import (
     load_embeddings_bin,
     load_embeddings_csv,
     load_tokenizer,
+    nearest_centers,
     nearest_centroid,
     save_embeddings_bin,
     save_embeddings_csv,
     save_tokenizer,
     synth_embeddings,
 )
+from sidlab import tokenizer
 from sidlab.tokenizer import split_subspace_dims, squared_distances
 
 
@@ -32,6 +34,45 @@ def blobs(n_per, centers, spread, seed):
     rng = np.random.default_rng(seed)
     parts = [c + spread * rng.standard_normal((n_per, len(c))) for c in centers]
     return np.concatenate(parts)
+
+
+def screen_case(rng, kind):
+    """(points, centers) for the nearest-center sweep, built to stress one way
+    the matrix-product screen can be wrong about the exact distances."""
+    n, d, X = int(rng.integers(1, 301)), int(rng.integers(1, 71)), int(rng.integers(1, 21))
+    pts, ctr = rng.standard_normal((n, d)), rng.standard_normal((X, d))
+    if kind == "ties":  # integer grid and a duplicated center: exact ties
+        pts = rng.integers(-2, 3, (n, d)).astype(float)
+        ctr = rng.integers(-2, 3, (X, d)).astype(float)
+        ctr[-1] = ctr[0]
+    elif kind == "offset":  # cancellation in |x|^2 - 2 x.c + |c|^2
+        pts, ctr = pts + 1e8, ctr + 1e8
+    elif kind == "near_ties":  # center pairs a rounding apart, offset by up to 1e6
+        pts = pts + 10.0 ** rng.uniform(0, 6)
+        ctr = pts[rng.integers(n, size=X)] + 0.1 * ctr
+        ctr[1::2] = ctr[0::2][: X // 2] * (1 + 1e-15 * rng.standard_normal((X // 2, d)))
+    elif kind == "overflow":  # squares overflow to inf
+        scale = 10.0 ** rng.uniform(150, 160)
+        pts, ctr = pts * scale, ctr * scale
+    elif kind == "underflow":  # terms underflow or go subnormal
+        scale = 10.0 ** -rng.uniform(150, 165)
+        pts, ctr = pts * scale, ctr * scale
+    elif kind == "row_scales":
+        pts = pts * 10.0 ** rng.choice([-300, 0, 300], size=(n, 1))
+    elif kind == "strided":  # strided rows, as PQ subspaces are
+        pts = np.hstack([pts, pts])[:, ::2]
+    if rng.random() < 0.3:
+        ctr[int(rng.integers(X))] = pts[int(rng.integers(n))]  # an exact zero distance
+    return pts, ctr
+
+
+def tie_rows():
+    """The origin and seven permutations of one vector: the origin is at the
+    same real distance from every other row, so which center it joins rests
+    on the order of the distance sums."""
+    rng = np.random.default_rng(22)
+    w = rng.uniform(0.1, 1.0, 16).round(2)
+    return np.array([np.zeros(16)] + [rng.permutation(w) for _ in range(7)])
 
 
 class TestEmbeddings:
@@ -156,6 +197,42 @@ class TestKmeansCore:
         assert any(np.allclose(c, [10.0, 10.0]) for c in centers)
 
 
+class TestNearestCenters:
+    KINDS = ("plain", "ties", "offset", "near_ties", "overflow", "underflow", "row_scales",
+             "strided")
+
+    def test_matches_the_squared_distances_argmin(self):
+        rng = np.random.default_rng(9)
+        for case in range(2100):
+            pts, ctr = screen_case(rng, self.KINDS[case % len(self.KINDS)])
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = squared_distances(pts, ctr).argmin(axis=1)
+                got = nearest_centers(pts, ctr)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), f"case {case}"
+
+    def test_few_rows_reach_the_exact_recheck(self, monkeypatch):
+        # every squared_distances call in a fit and encode is the screen's
+        # recheck; a bound loose enough to send every row there fails here
+        rows = {"nearest_centers": 0, "squared_distances": 0}
+
+        def counted(name):
+            fn = getattr(tokenizer, name)
+
+            def wrapped(points, centers):
+                rows[name] += len(points)
+                return fn(points, centers)
+
+            monkeypatch.setattr(tokenizer, name, wrapped)
+
+        counted("nearest_centers")
+        counted("squared_distances")
+        emb = synth_embeddings(1024, 32, 0)
+        encode_rq(fit_rq_kmeans(emb, CodebookSpec(k=3, X=16), seed=0), emb)
+        assert rows["nearest_centers"] >= 3 * 1024
+        assert rows["squared_distances"] <= 0.01 * rows["nearest_centers"]
+
+
 class TestResidualKmeans:
     def one_hot_points(self):
         return ItemEmbeddings(np.eye(4))
@@ -258,6 +335,31 @@ class TestProductQuantization:
         model = fit_pq(emb, CodebookSpec(k=3, X=2), seed=1)
         assert model.subspace_dims == [3, 2, 2]
         assert model.offsets == [0, 3, 5]
+
+
+class TestMemoryLayout:
+    def test_embeddings_are_stored_in_c_order(self):
+        emb = ItemEmbeddings(np.asfortranarray(synth_embeddings(6, 3, seed=0).values))
+        assert emb.values.flags.c_contiguous
+
+    @pytest.mark.parametrize("scheme", ["rq_kmeans", "pq"])
+    def test_fortran_and_c_order_give_identical_fits(self, scheme):
+        fit, encode = (fit_rq_kmeans, encode_rq) if scheme == "rq_kmeans" else (fit_pq, encode_pq)
+        cases = [(tie_rows(), CodebookSpec(k=1, X=2)),
+                 (synth_embeddings(200, 9, seed=5).values, CodebookSpec(k=3, X=4))]
+        for values, spec in cases:
+            c_emb = ItemEmbeddings(np.ascontiguousarray(values))
+            f_emb = ItemEmbeddings(np.asfortranarray(values))
+            c_model, f_model = fit(c_emb, spec, seed=0), fit(f_emb, spec, seed=0)
+            for c_cb, f_cb in zip(c_model.codebooks, f_model.codebooks):
+                assert np.array_equal(c_cb, f_cb)
+            assert encode(c_model, c_emb) == encode(f_model, f_emb)
+
+    def test_fit_kmeans_ignores_layout(self):
+        values = tie_rows()
+        c_out = fit_kmeans(values, 2, max_iters=50, rng=np.random.default_rng(0))
+        f_out = fit_kmeans(np.asfortranarray(values), 2, max_iters=50, rng=np.random.default_rng(0))
+        assert np.array_equal(c_out[0], f_out[0]) and np.array_equal(c_out[1], f_out[1])
 
 
 class TestFSQ:
