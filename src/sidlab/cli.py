@@ -28,7 +28,7 @@ from . import __version__
 from .bench import count_softmax_ops, ops_sweep, time_losses, write_ops_csv, write_timing_csv
 from .decoder import beam_search, exact_topk, mtp_decode
 from .logits import FORMS, FormError, model_from_json_dict, model_to_json_dict, table_entry_count
-from .losses import check_equivalence, summarize_reports, write_reports_csv
+from .losses import check_context, summarize_reports, write_reports_csv
 from .tokenizer import (
     DegenerateInputError,
     FSQModel,
@@ -277,10 +277,10 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
     return code
 
 
-def _probe_map_with_duplicate(spec: CodebookSpec, dup_item: int) -> TokenMap:
-    """Identity map plus one extra item repeating ``dup_item``'s sequence."""
-    identity = identity_token_map(spec).token_matrix
-    return TokenMap(spec, np.vstack([identity, identity[dup_item]]), "probe")
+def _probe_map_with_duplicate(identity: TokenMap, dup_item: int) -> TokenMap:
+    """``identity`` plus one extra item repeating ``dup_item``'s sequence."""
+    table = identity.token_matrix
+    return TokenMap(identity.spec, np.vstack([table, table[dup_item]]), "probe")
 
 
 def cmd_verify(cfg: dict, out_dir: Path) -> int:
@@ -297,6 +297,9 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         raise ConfigError("forms, k_values, X_values and C_values must each be non-empty")
     sigma = _value(cfg, "sigma", float, 0.5, low=0.0)
     tolerance = _value(cfg, "tolerance", float, 1e-10)
+    if not (np.isfinite(sigma) and np.isfinite(tolerance)):
+        # a NaN tolerance would pass every gap, a NaN sigma give NaN gaps that pass it
+        raise ConfigError(f"sigma and tolerance must be finite, got {sigma!r} and {tolerance!r}")
     map_mode = cfg.get("map_mode", "strict")
     if map_mode not in ("strict", "probe_collision"):
         raise ConfigError(f"map_mode must be 'strict' or 'probe_collision', got {map_mode!r}")
@@ -313,6 +316,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
                 _check_table_size(spec, C, form, MAX_TABLE_ENTRIES)
 
     rng = np.random.default_rng(seed)
+    identities: dict[CodebookSpec, TokenMap] = {}
     reports = []
     per_form: dict[str, list] = {form: [] for form in forms}
     for t in range(trials):
@@ -320,16 +324,17 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         C = int(rng.choice(C_values))
         form = forms[t % len(forms)]
         model = FORMS[form].random(spec, C, sigma, int(rng.integers(2**31)))
-        if map_mode == "strict":
-            tmap = identity_token_map(spec)
-        else:
-            tmap = _probe_map_with_duplicate(spec, int(rng.integers(spec.sequence_space_size)))
+        if spec not in identities:
+            identities[spec] = identity_token_map(spec)
+        tmap = identities[spec]
+        if map_mode == "probe_collision":
+            tmap = _probe_map_with_duplicate(tmap, int(rng.integers(spec.sequence_space_size)))
         n_pick = min(items_per_context, tmap.n_items)
         for h in range(C):
-            for i in rng.choice(tmap.n_items, size=n_pick, replace=False):
-                rep = check_equivalence(model, h, tmap, int(i))
-                reports.append(rep)
-                per_form[form].append(rep)
+            items = rng.choice(tmap.n_items, size=n_pick, replace=False)
+            context_reports = check_context(model, h, tmap, items)
+            reports.extend(context_reports)
+            per_form[form].extend(context_reports)
 
     chash = _config_hash(cfg)
     write_reports_csv(reports, out_dir / "equivalence.csv")

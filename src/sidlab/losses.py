@@ -37,6 +37,14 @@ fails for generic cascaded tables, where the chained softmax and the flat
 softmax define different distributions over the same items.
 ``check_equivalence`` reports both gaps so either regime is measured rather
 than assumed.
+
+Most of a report is shared by every item of one context: log Z by the
+sequence route, the item logits, log Z_full and the flat softmax.
+``check_context`` computes those once per (model, context) and then, per
+item, only the k visited nodes' log Z, the item's logit and the k visited
+gradient rows; ``check_equivalence`` is its one-item call.  It makes the
+float operations of the per-item routines above in their order, so its
+reports equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -70,9 +78,10 @@ def log_sum_exp_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def softmax(values) -> np.ndarray:
+    """Softmax along the last axis: of a vector, or of each row of a 2-D array."""
     arr = np.asarray(values, dtype=np.float64)
-    shifted = np.exp(arr - arr.max())
-    return shifted / shifted.sum()
+    shifted = np.exp(arr - arr.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
 
 
 def token_partition(model: LogitModel, h: int, prefix) -> float:
@@ -222,37 +231,75 @@ class EquivalenceReport:
         return [getattr(self, name) for name in self.CSV_FIELDS]
 
 
+def check_context(model: LogitModel, h: int, tmap: TokenMap, items) -> list[EquivalenceReport]:
+    """:func:`check_equivalence` of each of ``items`` under context ``h``, in order.
+
+    The context's work is done once: log Z by the sequence route, every item
+    logit, log Z_full, the flat softmax p, and per position the flat mass of
+    every (node, token), each item's p added in item order from 0.0.  Each
+    item then reads only its k visited nodes, for all items at once: the
+    node's log Z and softmax row for the chained loss and gradient, the mass
+    row minus the one-hot for the flat gradient.  Every field is made by the
+    float operations :func:`ntp_loss`, :func:`fv_mle_loss`, :func:`ntp_grad`
+    and :func:`fv_mle_grad` make, in the same order, so the reports are the
+    ones those routines would give bit for bit.
+    """
+    spec = model.spec
+    items = np.asarray(items, dtype=np.int64)
+    if items.size and not (0 <= items.min() and items.max() < tmap.n_items):
+        raise ValueError(f"items must lie in [0, {tmap.n_items}), got {items.tolist()}")
+    log_zprod = sequence_log_partition(model, h)
+    logits = item_logits_all(model, h, tmap)
+    log_zfull = log_sum_exp(logits)
+    p = softmax(logits)
+
+    pick = np.arange(items.size)
+    loss_ntp = np.zeros(items.size)
+    grad_gap = np.zeros(items.size)
+    for m in range(spec.k):
+        rows = model.rows(m)[h]
+        slots = model.node_index(tmap.prefix_indices[m]) * spec.X + tmap.token_matrix[:, m]
+        mass = np.bincount(slots, weights=p, minlength=rows.size).reshape(rows.shape)
+        nodes = np.broadcast_to(model.node_index(tmap.prefix_indices[m, items]), items.shape)
+        tokens = tmap.token_matrix[items, m]
+        visited = rows[nodes]
+        loss_ntp -= visited[pick, tokens] - log_sum_exp_rows(visited)
+        g_ntp = softmax(visited)
+        g_ntp[pick, tokens] -= 1.0
+        g_fv = mass[nodes]
+        g_fv[pick, tokens] -= 1.0
+        delta = np.abs(g_ntp - g_fv).max(axis=1)
+        # builtin max(gap, delta) semantics: a NaN delta never replaces the gap
+        grad_gap = np.where(delta > grad_gap, delta, grad_gap)
+    loss_fv = -(logits[items] - log_zfull)
+
+    z_product = float(np.exp(log_zprod))
+    z_full = float(np.exp(log_zfull))
+    return [
+        EquivalenceReport(
+            context=h,
+            item=int(i),
+            z_product=z_product,
+            z_full=z_full,
+            loss_ntp=float(loss_n),
+            loss_fv_mle=float(loss_f),
+            abs_partition_gap=abs(log_zprod - log_zfull),
+            abs_loss_gap=float(abs(loss_n - loss_f)),
+            max_grad_gap=float(gap),
+        )
+        for i, loss_n, loss_f, gap in zip(items, loss_ntp, loss_fv, grad_gap)
+    ]
+
+
 def check_equivalence(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> EquivalenceReport:
     """Compare both losses, both partition routes, and both gradients.
 
     Accepts strict or probe maps; on probe maps the partition gap quantifies
-    the effect of collisions and missing coverage instead of vanishing.
+    the effect of collisions and missing coverage instead of vanishing.  The
+    one-item call of :func:`check_context`; to check several items of one
+    context, call that once so the context-level work is shared.
     """
-    log_zprod = sequence_log_partition(model, h)
-    log_zfull = full_log_partition(model, h, tmap)
-    loss_n = ntp_loss(model, h, tmap, i_plus)
-    loss_f = fv_mle_loss(model, h, tmap, i_plus)
-
-    g_ntp = ntp_grad(model, h, tmap, i_plus)
-    g_fv = fv_mle_grad(model, h, tmap, i_plus)
-    seq = tmap.forward(i_plus)
-    grad_gap = 0.0
-    for m in range(model.spec.k):
-        node = model.node_index(model.spec.prefix_index(seq[:m]))
-        delta = np.abs(model.rows(m, g_ntp)[h, node] - model.rows(m, g_fv)[h, node]).max()
-        grad_gap = max(grad_gap, float(delta))
-
-    return EquivalenceReport(
-        context=h,
-        item=i_plus,
-        z_product=float(np.exp(log_zprod)),
-        z_full=float(np.exp(log_zfull)),
-        loss_ntp=loss_n,
-        loss_fv_mle=loss_f,
-        abs_partition_gap=abs(log_zprod - log_zfull),
-        abs_loss_gap=abs(loss_n - loss_f),
-        max_grad_gap=grad_gap,
-    )
+    return check_context(model, h, tmap, [i_plus])[0]
 
 
 def write_reports_csv(reports: list[EquivalenceReport], path) -> None:

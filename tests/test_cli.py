@@ -4,10 +4,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from sidlab import cli, losses
 from sidlab import TokenMap, load_model, save_embeddings_bin, save_embeddings_csv, synth_embeddings
 from sidlab.cli import (
     EXIT_BIJECTION,
@@ -531,11 +533,14 @@ class TestBadConfigValues:
          {"sigma": -1}, {"items_per_context": -1},
          {"k_values": [1, 40], "X_values": [2, 16]},
          {"forms": ["cascaded"], "k_values": [2], "X_values": [1000], "C_values": [20]},
-         {"forms": ["parallel"], "k_values": [6], "X_values": [30], "C_values": [1]}],
+         {"forms": ["parallel"], "k_values": [6], "X_values": [30], "C_values": [1]},
+         {"sigma": float("nan")}, {"sigma": float("inf")}, {"tolerance": float("nan")},
+         {"tolerance": float("inf")}],
         ids=["trials", "k_values", "C_values", "sigma", "trials_inf", "k_values_0",
              "k_values_empty", "C_values_0", "C_values_empty", "X_values_1", "X_values_empty",
              "forms_empty", "sigma_negative", "items_per_context_negative",
-             "space_over_2_31", "cascaded_tables_over_cap", "parallel_space_over_cap"],
+             "space_over_2_31", "cascaded_tables_over_cap", "parallel_space_over_cap",
+             "sigma_nan", "sigma_inf", "tolerance_nan", "tolerance_inf"],
     )
     def test_verify(self, tmp_path, capsys, over):
         self.assert_config_error(tmp_path, capsys, "verify", dict({"trials": 1}, **over))
@@ -638,6 +643,56 @@ class TestArtifactBytes:
         assert self.sha256(out / "token_map.json") == (
             "0da820f6a48bb70a07b5aa8448767cf41b71530550f7a3761ceec224e72a0a16"
         )
+
+
+    @pytest.mark.parametrize(
+        "payload,exit_code,csv_sha,summary_sha",
+        [({"seed": 5, "trials": 12, "k_values": [1, 2, 3], "X_values": [2, 3, 4],
+           "C_values": [1, 2, 3], "items_per_context": 3}, EXIT_EQUIVALENCE,
+          "1d5e92853deb03127fc8af67f512600651a963c11eb1bf415cc09685dd6a7b43",
+          "a4d285a4fa84b79653f80c5ddb32478c1264a787d7725d80050272e87ed29969"),
+         ({"seed": 6, "trials": 10, "map_mode": "probe_collision", "k_values": [1, 2],
+           "X_values": [2, 3], "C_values": [1, 2], "items_per_context": 10}, EXIT_OK,
+          "673327a6e09e47ae3c83d9b895f8400f50a6bee50acbb0da8eb34e6b63977fe1",
+          "fcfb2539e8ce9d29929891ee6e185ac91fe1eb0fc033d2e92fdfa419340047e9")],
+        ids=["strict", "probe_collision"],
+    )
+    def test_verify(self, tmp_path, payload, exit_code, csv_sha, summary_sha):
+        # recorded when every (context, item) report redid the context-level work
+        code, out = run(tmp_path, "verify", payload, "pinned")
+        assert code == exit_code
+        assert self.sha256(out / "equivalence.csv") == csv_sha
+        assert self.sha256(out / "summary.json") == summary_sha
+
+
+class TestVerifyWork:
+    """verify does a context's shared work once, however many items it checks."""
+
+    @pytest.mark.parametrize("map_mode", ["strict", "probe_collision"])
+    def test_once_per_context_and_spec(self, tmp_path, monkeypatch, map_mode):
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(losses, "item_logits_all")
+        count(losses, "sequence_log_partition")
+        count(cli, "identity_token_map")
+        payload = {"seed": 3, "trials": 8, "k_values": [1, 2], "X_values": [2, 3],
+                   "C_values": [2], "items_per_context": 2, "map_mode": map_mode}
+        code, out = run(tmp_path, "verify", payload, "work")
+        assert code in (EXIT_OK, EXIT_EQUIVALENCE)
+        contexts = 8 * 2
+        assert len((out / "equivalence.csv").read_text().splitlines()) == 1 + 2 * contexts
+        assert calls["item_logits_all"] == contexts
+        assert calls["sequence_log_partition"] == contexts
+        assert 1 <= calls["identity_token_map"] <= 4
 
 
 class TestDeterminism:

@@ -5,6 +5,7 @@ python floats, so agreement is between two genuinely different codepaths.
 """
 
 import csv
+import dataclasses
 import itertools
 import math
 
@@ -17,9 +18,11 @@ from sidlab import (
     CascadedLogitModel,
     CodebookSpec,
     EmptyInputError,
+    EquivalenceReport,
     FormError,
     ParallelLogitModel,
     TokenMap,
+    check_context,
     check_equivalence,
     full_log_partition,
     fv_mle_grad,
@@ -488,3 +491,79 @@ class TestEquivalenceReport:
         summary = summarize_reports(reports)
         assert summary["n_reports"] == 4
         assert summary["max_abs_loss_gap"] == max(r.abs_loss_gap for r in reports)
+
+
+def composed_report(model, h, tmap, i_plus):
+    """One item's report composed from the public routines, each of which
+    redoes the context-level work: the reference for :func:`check_context`."""
+    log_zprod = sequence_log_partition(model, h)
+    log_zfull = full_log_partition(model, h, tmap)
+    loss_n = ntp_loss(model, h, tmap, i_plus)
+    loss_f = fv_mle_loss(model, h, tmap, i_plus)
+    g_ntp = ntp_grad(model, h, tmap, i_plus)
+    g_fv = fv_mle_grad(model, h, tmap, i_plus)
+    seq = tmap.forward(i_plus)
+    grad_gap = 0.0
+    for m in range(model.spec.k):
+        node = model.node_index(model.spec.prefix_index(seq[:m]))
+        delta = np.abs(model.rows(m, g_ntp)[h, node] - model.rows(m, g_fv)[h, node]).max()
+        grad_gap = max(grad_gap, float(delta))
+    return EquivalenceReport(
+        context=h,
+        item=i_plus,
+        z_product=float(np.exp(log_zprod)),
+        z_full=float(np.exp(log_zfull)),
+        loss_ntp=loss_n,
+        loss_fv_mle=loss_f,
+        abs_partition_gap=abs(log_zprod - log_zfull),
+        abs_loss_gap=abs(loss_n - loss_f),
+        max_grad_gap=grad_gap,
+    )
+
+
+def typed_fields(report):
+    return [(type(v), v) for v in dataclasses.astuple(report)]
+
+
+class TestCheckContext:
+    def test_bitwise_parity_with_the_composed_report(self):
+        rng = np.random.default_rng(2024)
+        checked = 0
+        for cls in (CascadedLogitModel, ParallelLogitModel):
+            for k, X in itertools.product((1, 2, 3), range(2, 7)):
+                spec = CodebookSpec(k=k, X=X)
+                identity = identity_token_map(spec)
+                dup = int(rng.integers(identity.n_items))
+                probe = TokenMap(
+                    spec, np.vstack([identity.token_matrix, identity.token_matrix[dup]]), "probe"
+                )
+                C = int(rng.integers(1, 4))
+                sigma = (0.0, 0.5, 4.0)[X % 3]
+                model = cls.random(spec, C, sigma, seed=int(rng.integers(2**31)))
+                for tmap in (identity, probe):
+                    for h in range(C):
+                        n_pick = min(4, tmap.n_items)
+                        items = [int(i) for i in rng.choice(tmap.n_items, n_pick, replace=False)]
+                        if tmap is probe:  # both owners of the colliding sequence
+                            items += [dup, tmap.n_items - 1]
+                        got = check_context(model, h, tmap, items)
+                        want = [composed_report(model, h, tmap, i) for i in items]
+                        assert [typed_fields(r) for r in got] == [typed_fields(r) for r in want]
+                        checked += len(items)
+        assert checked > 500
+
+    def test_check_equivalence_is_the_one_item_call(self):
+        spec = CodebookSpec(k=2, X=3)
+        tmap = identity_token_map(spec)
+        model = CascadedLogitModel.random(spec, 2, 0.5, seed=19)
+        reports = check_context(model, 1, tmap, [4, 0, 4])
+        assert [r.item for r in reports] == [4, 0, 4]
+        assert reports == [check_equivalence(model, 1, tmap, i) for i in (4, 0, 4)]
+        assert check_context(model, 1, tmap, []) == []
+
+    @pytest.mark.parametrize("items", [[-1], [0, 9]])
+    def test_rejects_items_outside_the_map(self, items):
+        spec = CodebookSpec(k=2, X=3)
+        model = CascadedLogitModel.random(spec, 1, 0.5, seed=20)
+        with pytest.raises(ValueError):
+            check_context(model, 0, identity_token_map(spec), items)
