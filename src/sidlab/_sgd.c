@@ -3,9 +3,11 @@
  * Mirrors the Python loop in trainer.py operation for operation, so the two
  * give bit-identical tables: first-maximum shift, libm exp, a left-to-right
  * sum from 0.0, one scale = lr / sum, then the visited token's += lr.
- * tabs[m] is position m's C-contiguous table; sample s visits the X-row at
- * tabs[m] + off[s*k + m] and its target token is tok[s*k + m].  es is
- * scratch space for X doubles.  Build without fast-math or FP contraction.
+ * tabs[m] is position m's C-contiguous table.  Rows of off and tok belong to
+ * distinct (context, item) pairs, and order[t] is the pair row of the t-th
+ * sample visited: pair row s visits the X-row at tabs[m] + off[s*k + m] and
+ * its target token is tok[s*k + m].  es is scratch space for X doubles.
+ * Build without fast-math or FP contraction.
  */
 #include <math.h>
 #include <stdint.h>

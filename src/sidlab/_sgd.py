@@ -33,28 +33,34 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 def epoch(kernel, model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
     """The Python loop's epoch through the kernel, updating ``model.tables`` in place.
 
-    Sample s visits, at position m, the row at flat offset
-    ``off[s, m] = (h * nodes + node) * X`` of that position's (C, nodes, X)
+    Every offset and token a sample visits depends only on its (context,
+    item) pair, so the index tables hold one row per distinct pair in the
+    data, at most min(len(data), C * n_items) rows, and ``run(order)`` hands
+    the kernel the pair row of each sample in visiting order.  Pair row p
+    visits, at position m, the row at flat offset
+    ``off[p, m] = (h * nodes + node) * X`` of that position's (C, nodes, X)
     row view, so both forms share one offset scheme.  The tables must be
     C-contiguous (``LogitModel.copy`` makes them so).
     """
     if not all(t.flags.c_contiguous and t.dtype == np.float64 for t in model.tables):
         raise ValueError("the SGD kernel needs C-contiguous float64 tables")
     k, X = model.spec.k, model.spec.X
-    off = np.empty((len(data), k), dtype=np.int64)
+    pairs, visit = np.unique(data.contexts * tmap.n_items + data.items, return_inverse=True)
+    h, item = np.divmod(pairs, tmap.n_items)
+    off = np.empty((len(pairs), k), dtype=np.int64)
     tok = np.empty_like(off)
     for m in range(k):
         nodes = model.rows(m).shape[1]
         node = np.broadcast_to(model.node_index(tmap.prefix_indices[m]), tmap.n_items)
-        off[:, m] = (data.contexts * nodes + node[data.items]) * X
-        tok[:, m] = tmap.token_matrix[data.items, m]
+        off[:, m] = (h * nodes + node[item]) * X
+        tok[:, m] = tmap.token_matrix[item, m]
     es = np.empty(X)
 
     def run(order: np.ndarray) -> None:
-        order = np.ascontiguousarray(order, dtype=np.int64)
+        path = np.ascontiguousarray(visit[order], dtype=np.int64)
         tabs = (ctypes.c_void_p * k)(*(t.ctypes.data for t in model.tables))
-        kernel(tabs, off.ctypes.data, tok.ctypes.data, order.ctypes.data,
-               len(order), k, X, float(lr), es.ctypes.data)
+        kernel(tabs, off.ctypes.data, tok.ctypes.data, path.ctypes.data,
+               len(path), k, X, float(lr), es.ctypes.data)
 
     return run
 

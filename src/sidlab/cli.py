@@ -11,6 +11,13 @@ Exit codes: 0 success; 1 training divergence (the mean epoch loss went
 non-finite); 2 bijection failure (the audit is still written); 3 equivalence
 tolerance exceeded; 4 config or artifact-parse error; 5 missing input
 artifact.
+
+Exit 1 means a non-finite mean loss and nothing else: a run whose loss stays
+finite exits 0 however poor the model, as ``train`` with ``lr: 1e6`` does
+with a final KL near 1e6.  ``summary.json`` reports how good the model is;
+the exit code does not judge it.  Non-finite values that a config or
+checkpoint forces, such as an init ``sigma`` that draws ``inf`` or decoded
+path scores that overflow, exit 4 before any artifact is written.
 """
 
 from __future__ import annotations
@@ -398,8 +405,6 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     data = sample_dataset(world, n_samples, data_seed)
-    tmap = identity_token_map(spec)
-    tmap.save(out_dir / "token_map.json")
 
     init_cfg = cfg.get("init", "zeros")
     if init_cfg == "zeros":
@@ -408,6 +413,10 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         model = FORMS[form].random(spec, C, _value(init_cfg, "sigma", float, low=0.0), init_seed)
     else:
         raise ConfigError("init must be 'zeros' or an object with a 'sigma' key")
+    if not all(np.isfinite(t).all() for t in model.tables):
+        raise ConfigError(f"init sigma {init_cfg['sigma']!r} draws non-finite logits")
+    tmap = identity_token_map(spec)
+    tmap.save(out_dir / "token_map.json")
 
     chash = _config_hash(cfg)
 
@@ -494,6 +503,8 @@ def cmd_decode(cfg: dict, out_dir: Path) -> int:
             raise ConfigError(f"unknown decode method {method!r}")
     except (FormError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    if not all(np.isfinite(r["score"]) for r in results):
+        raise ConfigError("decoded path scores overflow: the checkpoint's logits are too large")
 
     _write_json(
         out_dir / "decode.json",

@@ -223,10 +223,14 @@ def model_from_json_dict(payload: dict) -> LogitModel:
     params = payload["params"]
     if len(params) != spec.k:
         raise ValueError(f"checkpoint holds {len(params)} tables, expected k={spec.k}")
-    tables = [
-        np.asarray(params[m], dtype=np.float64).reshape(_table_shape(form, spec, C, m))
-        for m in range(spec.k)
-    ]
+    tables = []
+    for m in range(spec.k):
+        # a float64 cast would take "0.5", a table of booleans or 10**400 without a word
+        values = np.asarray(params[m])
+        if values.dtype.kind not in "iuf":
+            raise ValueError(f"checkpoint params must be numbers, table {m + 1} is {values.dtype}")
+        shape = _table_shape(form, spec, C, m)
+        tables.append(values.astype(np.float64, copy=False).reshape(shape))
     if not all(np.isfinite(t).all() for t in tables):
         raise ValueError("checkpoint params must all be finite")
     return FORMS[form](spec, C, tables)

@@ -11,6 +11,7 @@ import pytest
 
 from sidlab import cli, losses
 from sidlab import TokenMap, load_model, save_embeddings_bin, save_embeddings_csv, synth_embeddings
+from sidlab import CodebookSpec, ParallelLogitModel, identity_token_map, save_model
 from sidlab.cli import (
     EXIT_BIJECTION,
     EXIT_CONFIG,
@@ -420,6 +421,22 @@ class TestDecodeCommand:
         assert "finite" in capsys.readouterr().err
         assert not (out / "decode.json").exists()
 
+    @pytest.mark.parametrize("method", ["beam", "exact", "mtp"])
+    def test_overflowing_path_scores_exit_4(self, tmp_path, method, capsys):
+        # every entry finite, but two of them summed along a path overflow to inf
+        spec = CodebookSpec(k=2, X=4)
+        model = ParallelLogitModel(spec, 1, [np.full((1, 4), 1.7e308)] * 2)
+        ckpt = tmp_path / "huge.json"
+        save_model(model, ckpt)
+        tmap = tmp_path / "huge_map.json"
+        identity_token_map(spec).save(tmap)
+        payload = {"checkpoint": str(ckpt), "token_map": str(tmap), "context": 0,
+                   "method": method, "beam_width": 4, "top_k": 2}
+        code, out = run(tmp_path, "decode", payload, "overflow")
+        assert code == EXIT_CONFIG
+        assert "overflow" in capsys.readouterr().err
+        assert not (out / "decode.json").exists()
+
     @pytest.mark.parametrize(
         "breakage",
         [lambda tm: tm["forward"][1].__setitem__(1, 1.5), lambda tm: tm["forward"][1].pop()],
@@ -555,6 +572,13 @@ class TestBadConfigValues:
     )
     def test_train(self, tmp_path, capsys, over):
         self.assert_config_error(tmp_path, capsys, "train", dict(TRAIN_CFG, **over))
+
+    def test_train_init_that_overflows_writes_nothing(self, tmp_path, capsys):
+        payload = dict(TRAIN_CFG, init={"sigma": 1e308})
+        code, out = run(tmp_path, "train", payload, "huge_init")
+        assert code == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "over", [{"context": "first"}, {"top_k": [1]}, {"beam_width": {}}],

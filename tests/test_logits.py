@@ -350,3 +350,18 @@ class TestSerialization:
         payload["params"][-1][5] = bad
         with pytest.raises(ValueError, match="finite"):
             model_from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "params",
+        [[["0.5", True]], [[True, False]], [[0.5, None]], [[0.5, 10**400]]],
+        ids=["string", "bool", "null", "huge_int"],
+    )
+    def test_non_numeric_params_rejected(self, params):
+        payload = {"form": "parallel", "k": 1, "X": 2, "C": 1, "params": params}
+        with pytest.raises(ValueError, match="must be numbers"):
+            model_from_json_dict(payload)
+
+    def test_integer_params_load_as_floats(self):
+        payload = {"form": "parallel", "k": 1, "X": 2, "C": 1, "params": [[1, -2]]}
+        (table,) = model_from_json_dict(payload).tables
+        assert table.dtype == np.float64 and table.tolist() == [[1.0, -2.0]]

@@ -1,6 +1,7 @@
 """Synthetic worlds, sampling, SGD training, and the KL evaluations."""
 
 import csv
+import inspect
 import math
 import os
 import shutil
@@ -369,6 +370,46 @@ class TestCompiledEpoch:
             monkeypatch, kernel, cls.zeros(spec, 2), tmap, data, float("inf"), 3, seed=0, world=world
         )
         assert a == b == "mean epoch loss became non-finite at epoch 1"
+
+    @pytest.mark.parametrize("form", ["cascaded", "parallel"])
+    def test_many_samples_over_few_pairs(self, monkeypatch, kernel, form):
+        # one pair repeated 10k times among 4 distinct pairs, shuffled together
+        cls = {"cascaded": CascadedLogitModel, "parallel": ParallelLogitModel}[form]
+        spec = CodebookSpec(k=2, X=3)
+        tmap = identity_token_map(spec)
+        world = synth_world(2, 9, 0.5, seed=3)
+        contexts = np.concatenate([np.zeros(10_000, dtype=np.int64), [1, 0, 1] * 400])
+        items = np.concatenate([np.full(10_000, 4), [8, 2, 0] * 400])
+        data = Dataset(contexts, items)
+        model = cls.random(spec, 2, 0.5, seed=4)
+        a, b = train_both(monkeypatch, kernel, model, tmap, data, 0.1, 2, seed=5, world=world)
+        assert_same_training(a, b)
+
+    @pytest.mark.parametrize("form", ["cascaded", "parallel"])
+    def test_fewer_samples_than_pairs(self, monkeypatch, kernel, form):
+        # 40 samples over C * n_items = 192 pairs: most pairs are never visited
+        cls = {"cascaded": CascadedLogitModel, "parallel": ParallelLogitModel}[form]
+        spec = CodebookSpec(k=3, X=4)
+        tmap = identity_token_map(spec)
+        world = synth_world(3, 64, 0.5, seed=6)
+        data = sample_dataset(world, 40, seed=7)
+        model = cls.random(spec, 3, 1.0, seed=8)
+        a, b = train_both(monkeypatch, kernel, model, tmap, data, 0.3, 3, seed=9, world=world)
+        assert_same_training(a, b)
+
+    @pytest.mark.parametrize(
+        "contexts,items",
+        [([0] * 10_000 + [1, 1, 0], [4] * 10_000 + [8, 4, 0]), ([2, 0, 1, 0, 2], [7, 7, 3, 7, 0])],
+        ids=["repeated_pair", "sparse_pairs"],
+    )
+    def test_index_table_has_one_row_per_distinct_pair(self, kernel, contexts, items):
+        spec = CodebookSpec(k=2, X=3)
+        data = Dataset(contexts, items)
+        model = CascadedLogitModel.zeros(spec, 3)
+        run = _sgd.epoch(kernel, model, identity_token_map(spec), data, 0.1)
+        tables = inspect.getclosurevars(run).nonlocals
+        n_pairs = len(set(data.pairs()))
+        assert tables["off"].shape == tables["tok"].shape == (n_pairs, spec.k)
 
     def test_python_fallback_gives_the_pinned_parallel_run(self, monkeypatch):
         monkeypatch.setattr(_sgd, "load", lambda: None)
