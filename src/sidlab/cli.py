@@ -225,9 +225,9 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
         fit, encode = (fit_rq_kmeans, encode_rq) if scheme == "rq_kmeans" else (fit_pq, encode_pq)
         try:
             fitted = fit(emb, spec, max_iters=max_iters, seed=seed)
+            sequences = encode(fitted, emb)
         except (DegenerateInputError, SubspaceSplitError) as exc:
             raise ConfigError(f"cannot fit {scheme} to these embeddings: {exc}") from exc
-        sequences = encode(fitted, emb)
     elif scheme == "fsq":
         emb = _load_embeddings(_req(cfg, "embeddings", dict), seed)
         fsq_cfg = _req(cfg, "fsq", dict)
@@ -242,9 +242,9 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
         bounds = _value(fsq_cfg, "bounds", _float_pair, [[-1.0, 1.0]] * spec.k, many=True)
         try:
             fitted = FSQModel(levels=levels, per_dim_bounds=bounds)
-        except ValueError as exc:
+            sequences = encode_fsq(fitted, emb)
+        except ValueError as exc:  # DegenerateInputError: bounds too narrow for the values
             raise ConfigError(f"bad fsq config: {exc}") from exc
-        sequences = encode_fsq(fitted, emb)
     else:
         raise ConfigError(f"unknown scheme {scheme!r}")
 

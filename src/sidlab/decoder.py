@@ -56,7 +56,8 @@ def exact_topk(model: LogitModel, h: int, tmap: TokenMap, top_k: int) -> list[tu
     """
     if not 1 <= top_k <= tmap.n_items:
         raise ValueError(f"top_k must be in [1, {tmap.n_items}], got {top_k}")
-    scores = item_logits_all(model, h, tmap)
+    with np.errstate(over="ignore"):  # an overflowing path sum is the caller's to reject
+        scores = item_logits_all(model, h, tmap)
     order = np.argsort(-scores, kind="stable")
     return [(int(i), float(scores[i])) for i in order[:top_k]]
 

@@ -1,31 +1,15 @@
 """Embedding tokenizers: residual k-means, product quantization, and FSQ.
 
 All fits are deterministic functions of (input, seed, max_iters).  The
-k-means here is deliberately hand-rolled: seeding is k-means++ style driven
-by one generator, Lloyd iterations run to an assignment fixed point or
-``max_iters``, clusters that empty out are re-seeded to the point currently
-farthest from its own centroid, and every nearest-centroid decision breaks
-ties toward the lowest centroid index.  Distances are computed with the
-direct (x - c)**2 sum so exact ties stay exact.
-
-Every nearest-center decision (k-means assignment, RQ and PQ encoding) goes
-through ``nearest_centers``, which returns exactly
-``squared_distances(points, centers).argmin(axis=1)`` without filling that
-matrix.  It screens with A = |x|^2 - 2 x.c + |c|^2 from one matrix product,
-and bounds |A - D| <= e = 2 (d + 2) eps (|x| + |c|)^2 + 1e-300, where D is
-the exact column value and eps = 2**-52.  The bound holds for any summation
-order, with or without FMA, and under underflow.  A center whose A - e
-exceeds the row's smallest A + e cannot be the nearest one, so a row with a
-single surviving candidate is decided.  Rows with two or more candidates,
-and rows whose A or e is not finite or so large that D could round to inf,
-are re-done exactly through ``squared_distances``.
-
-The speed-up needs rows that are far from a tie relative to their norms.
-A standard-normal RQ fit and encode of 4096 x 32 items (k=3, X=16, seeds
-0-2) re-does none of its 548,864 to 626,688 rows.  With 1e6 added to every
-coordinate, seed 0 re-does 160,210 of 548,864 rows (29%): still exact,
-only slower.  Inputs are copied to C order first, because numpy sums the
-rows of a Fortran-ordered array in a different order and so to different
+k-means is hand-rolled: k-means++ seeding from one generator, Lloyd
+iterations to an assignment fixed point or ``max_iters``, empty clusters
+re-seeded to the point farthest from its own centroid, ties toward the
+lowest centroid index.  Distances are direct (x - c)**2 sums, so exact ties
+stay exact, and every nearest-center decision goes through the exact
+``nearest_centers``.  Each mean sums its cluster's rows in ascending row
+order.  Float overflow in a fit or an encode raises ``DegenerateInputError``,
+so no inf or nan reaches an artifact.  Inputs are copied to C order first:
+numpy sums the rows of a Fortran-ordered array in another order, to other
 bits.
 """
 
@@ -34,6 +18,7 @@ from __future__ import annotations
 import csv
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +29,7 @@ _BIN_MAGIC = b"SIDEMB64"  # 8 bytes; header totals 16 with the two uint32 fields
 
 
 class DegenerateInputError(ValueError):
-    """Too few distinct points to cut the requested number of clusters."""
+    """Too few distinct points for the clusters, or float64 overflow on them."""
 
 
 class SubspaceSplitError(ValueError):
@@ -125,6 +110,16 @@ def load_embeddings_bin(path) -> ItemEmbeddings:
     return ItemEmbeddings(values)
 
 
+@contextmanager
+def _finite():
+    """Overflow or an invalid operation (inf - inf) raises DegenerateInputError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DegenerateInputError(f"float64 {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # k-means core
 
@@ -149,13 +144,22 @@ _SCREEN_MAX = 2.0**1000
 def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """(n,) int64 equal to ``squared_distances(points, centers).argmin(axis=1)``.
 
-    Screens with the matrix-product form of the distance and re-does only
-    the rows its error bound cannot decide (see the module docstring).
+    Screens with A = |x|^2 - 2 x.c + |c|^2 from one matrix product.  For any
+    summation order, with or without FMA and under underflow, the exact value
+    D obeys |A - D| <= 2 (d + 2) eps (|x| + |c|)^2 + 1e-300, eps = 2**-52.
+    Each point takes the largest of its bounds, e (|c| -> max |c|): rounding
+    is monotone, so that can only add candidates.  A center whose A - e
+    exceeds the row's smallest A + e is not the nearest, so a row with one
+    candidate is decided.  Other rows, and rows whose A or e is not finite or
+    so large that D could round to inf, are re-done by ``squared_distances``.
+
+    A standard-normal RQ fit and encode of 4096 x 32 items (k=3, X=16, seeds
+    0-2) re-does none of its 548,864 to 626,688 rows.  With 1e6 added to every
+    coordinate, seed 0 re-does 160,210 (29%), as one bound per center did.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     centers = np.ascontiguousarray(centers, dtype=np.float64)
-    # The screen is laid out (X, n) so that the elementwise passes run along
-    # the points, and updated in place: at n=4096, X=16 both halve its time.
+    # (X, n) and in place: at n=4096, X=16 each halves the screen's time.
     # An overflow here only sends its point to the exact recheck.
     with np.errstate(over="ignore", invalid="ignore"):
         x2 = np.einsum("ij,ij->i", points, points)
@@ -164,16 +168,15 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
         screen *= -2.0
         screen += c2[:, None]
         screen += x2
-        err = np.sqrt(c2)[:, None] + np.sqrt(x2)
-        err *= err
-        # also true for a point whose column holds a nan or inf
-        unbounded = ~np.all(err < _SCREEN_MAX, axis=0)
+        err = (np.sqrt(x2) + np.sqrt(c2.max())) ** 2
+        # also true for a point or center holding a nan or inf
+        unbounded = ~(err < _SCREEN_MAX)
         err *= 2.0 * (points.shape[1] + 2) * np.finfo(np.float64).eps
         err += 1e-300
-        best = (screen + err).min(axis=0)
+        best = screen.min(axis=0) + err
         screen -= err
         candidates = screen <= best
-    recheck = unbounded | (candidates.sum(axis=0) != 1)
+    recheck = unbounded | (candidates.view(np.int8).sum(axis=0, dtype=np.int32) != 1)
     out = candidates.argmax(axis=0)
     if recheck.any():
         out[recheck] = squared_distances(points[recheck], centers).argmin(axis=1)
@@ -197,6 +200,7 @@ def _kmeans_pp_seed(points: np.ndarray, X: int, rng: np.random.Generator) -> np.
     return centers
 
 
+@_finite()
 def fit_kmeans(
     points: np.ndarray, X: int, max_iters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -206,28 +210,29 @@ def fit_kmeans(
     assign = None
     for _ in range(max_iters):
         new_assign = nearest_centers(points, centers)
-        for j in range(X):
-            if np.any(new_assign == j):
-                continue
-            # re-seed to the point farthest from its current centroid, but
-            # never steal a cluster's only member (that would just move the
-            # hole); with nothing stealable the cluster stays empty and keeps
-            # its seeded center
-            counts = np.bincount(new_assign, minlength=X)
+        counts = np.bincount(new_assign, minlength=X)
+        # a re-seed never empties another cluster: fill the empty ones in order
+        for j in np.flatnonzero(counts == 0):
+            # re-seed to the point farthest from its centroid, never a cluster's
+            # only member (that moves the hole); else keep the empty center
             own = ((points - centers[new_assign]) ** 2).sum(axis=1)
             own[counts[new_assign] <= 1] = -1.0
             idx = int(own.argmax())
             if own[idx] < 0.0:
                 continue
+            counts[new_assign[idx]] -= 1
+            counts[j] += 1
             centers[j] = points[idx]
             new_assign[idx] = j
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        for j in range(X):
-            members = assign == j
-            if np.any(members):
-                centers[j] = points[members].mean(axis=0)
+        # a stable sort keeps each cluster's rows in ascending order, as a
+        # boolean mask does; on a narrow key dtype numpy radix-sorts
+        order = np.argsort(assign.astype(np.min_scalar_type(X - 1)), kind="stable")
+        ends = np.cumsum(counts)
+        for j in np.flatnonzero(counts):
+            centers[j] = points[order[ends[j] - counts[j] : ends[j]]].mean(axis=0)
     return centers, assign
 
 
@@ -248,6 +253,7 @@ class RQKmeansModel:
                 raise ValueError(f"codebook has {cb.shape[0]} rows, expected {self.spec.X}")
 
 
+@_finite()
 def fit_rq_kmeans(
     emb: ItemEmbeddings, spec: CodebookSpec, max_iters: int = 50, seed: int = 0
 ) -> RQKmeansModel:
@@ -259,26 +265,23 @@ def fit_rq_kmeans(
     leaves all-zero residuals, and later centroids land on zero).
 
     Raises:
-        DegenerateInputError: fewer than X distinct embedding rows.
+        DegenerateInputError: fewer than X distinct embedding rows, or overflow.
     """
     if emb.n_items < spec.X:
-        raise DegenerateInputError(
-            f"need at least X={spec.X} items, got {emb.n_items}"
-        )
+        raise DegenerateInputError(f"need at least X={spec.X} items, got {emb.n_items}")
     if np.unique(emb.values, axis=0).shape[0] < spec.X:
-        raise DegenerateInputError(
-            f"need at least X={spec.X} distinct embedding rows"
-        )
+        raise DegenerateInputError(f"need at least X={spec.X} distinct embedding rows")
     rng = np.random.default_rng(seed)
     residuals = emb.values.copy()
     codebooks = []
     for _ in range(spec.k):
         centers, assign = fit_kmeans(residuals, spec.X, max_iters, rng)
         codebooks.append(centers)
-        residuals = residuals - centers[assign]
+        residuals -= centers[assign]
     return RQKmeansModel(spec=spec, codebooks=codebooks)
 
 
+@_finite()
 def encode_rq(model: RQKmeansModel, emb: ItemEmbeddings) -> list[TokenSeq]:
     """Greedy nearest-centroid walk down the levels, quantizing the running residual."""
     residual = emb.values.copy()
@@ -346,6 +349,7 @@ def fit_pq(
     return PQModel(spec=spec, subspace_dims=dims, codebooks=codebooks)
 
 
+@_finite()
 def encode_pq(model: PQModel, emb: ItemEmbeddings) -> list[TokenSeq]:
     if emb.dim != sum(model.subspace_dims):
         raise ValueError(
@@ -382,27 +386,24 @@ class FSQModel:
             if lv < 1:
                 raise ValueError(f"levels must be positive, got {lv}")
         for lo, hi in self.per_dim_bounds:
-            if not lo < hi:
-                raise ValueError(f"bounds must satisfy lo < hi, got ({lo}, {hi})")
+            if not 0.0 < hi - lo < np.inf:
+                raise ValueError(f"bounds must satisfy lo < hi, finitely apart, got ({lo}, {hi})")
 
     @property
     def k(self) -> int:
         return len(self.levels)
 
 
+@_finite()
 def encode_fsq(model: FSQModel, emb: ItemEmbeddings) -> list[TokenSeq]:
     """Quantize the first k embedding dimensions; round half up, then clamp."""
     if emb.dim < model.k:
         raise ValueError(f"embeddings have {emb.dim} dims, FSQ needs {model.k}")
-    out = []
-    for x in emb.values:
-        seq = []
-        for m, (lv, (lo, hi)) in enumerate(zip(model.levels, model.per_dim_bounds)):
-            scaled = (float(x[m]) - lo) / (hi - lo) * (lv - 1)
-            t = int(np.floor(scaled + 0.5))
-            seq.append(min(max(t, 0), lv - 1))
-        out.append(tuple(seq))
-    return out
+    lo, hi = np.array(model.per_dim_bounds, dtype=np.float64).T
+    top = np.array(model.levels) - 1
+    scaled = (emb.values[:, : model.k] - lo) / (hi - lo) * top
+    tokens = np.clip(np.floor(scaled + 0.5), 0, top).astype(np.int64)
+    return [tuple(seq) for seq in tokens.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -410,21 +411,13 @@ def encode_fsq(model: FSQModel, emb: ItemEmbeddings) -> list[TokenSeq]:
 
 
 def tokenizer_to_json_dict(model) -> dict:
-    if isinstance(model, RQKmeansModel):
-        return {
-            "scheme": "rq_kmeans",
-            "k": model.spec.k,
-            "X": model.spec.X,
-            "codebooks": [cb.tolist() for cb in model.codebooks],
-        }
-    if isinstance(model, PQModel):
-        return {
-            "scheme": "pq",
-            "k": model.spec.k,
-            "X": model.spec.X,
-            "subspace_dims": list(model.subspace_dims),
-            "codebooks": [cb.tolist() for cb in model.codebooks],
-        }
+    if isinstance(model, (RQKmeansModel, PQModel)):
+        out = {"scheme": "pq" if isinstance(model, PQModel) else "rq_kmeans",
+               "k": model.spec.k, "X": model.spec.X,
+               "codebooks": [cb.tolist() for cb in model.codebooks]}
+        if isinstance(model, PQModel):
+            out["subspace_dims"] = list(model.subspace_dims)
+        return out
     if isinstance(model, FSQModel):
         return {
             "scheme": "fsq",
@@ -436,18 +429,13 @@ def tokenizer_to_json_dict(model) -> dict:
 
 def tokenizer_from_json_dict(payload: dict):
     scheme = payload.get("scheme")
-    if scheme == "rq_kmeans":
+    if scheme in ("rq_kmeans", "pq"):
         spec = CodebookSpec(k=int(payload["k"]), X=int(payload["X"]))
-        return RQKmeansModel(
-            spec=spec, codebooks=[np.asarray(cb, dtype=np.float64) for cb in payload["codebooks"]]
-        )
-    if scheme == "pq":
-        spec = CodebookSpec(k=int(payload["k"]), X=int(payload["X"]))
-        return PQModel(
-            spec=spec,
-            subspace_dims=[int(d) for d in payload["subspace_dims"]],
-            codebooks=[np.asarray(cb, dtype=np.float64) for cb in payload["codebooks"]],
-        )
+        codebooks = [np.asarray(cb, dtype=np.float64) for cb in payload["codebooks"]]
+        if scheme == "rq_kmeans":
+            return RQKmeansModel(spec=spec, codebooks=codebooks)
+        dims = [int(d) for d in payload["subspace_dims"]]
+        return PQModel(spec=spec, subspace_dims=dims, codebooks=codebooks)
     if scheme == "fsq":
         return FSQModel(
             levels=[int(v) for v in payload["levels"]],

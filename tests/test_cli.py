@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from sidlab import cli, losses
 from sidlab import TokenMap, load_model, save_embeddings_bin, save_embeddings_csv, synth_embeddings
-from sidlab import CodebookSpec, ParallelLogitModel, identity_token_map, save_model
+from sidlab import CodebookSpec, ItemEmbeddings, ParallelLogitModel, identity_token_map, save_model
 from sidlab.cli import (
     EXIT_BIJECTION,
     EXIT_CONFIG,
@@ -237,6 +238,40 @@ class TestTokenizeCommand:
         )
         assert code == EXIT_CONFIG
 
+    def assert_one_config_error_line(self, tmp_path, capsys, payload):
+        # a warning raised as an error would end in a traceback, not in exit 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "tokenize", payload, "non_finite")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("scheme", ["rq_kmeans", "pq"])
+    @pytest.mark.parametrize("values", ["opposite_signs", "same_sign"])
+    def test_embeddings_near_overflow_exit_4(self, tmp_path, capsys, scheme, values):
+        rng = np.random.default_rng(0)
+        if values == "opposite_signs":  # distances overflow
+            rows = rng.choice([-1.0, 1.0], (16, 2)) * 1.7e308 * rng.uniform(0.9, 1.0, (16, 2))
+        else:  # distances are 0 or 1, center means overflow
+            rows = np.stack([np.full(16, 1.6e308), np.arange(16) % 2.0], axis=1)
+        emb_path = tmp_path / "huge.csv"
+        save_embeddings_csv(ItemEmbeddings(rows), emb_path)
+        payload = {"seed": 0, "scheme": scheme, "k": 2, "X": 2, "mode": "probe",
+                   "embeddings": {"kind": "csv", "path": str(emb_path)}}
+        self.assert_one_config_error_line(tmp_path, capsys, payload)
+
+    @pytest.mark.parametrize(
+        "bounds", [[[0.0, 1e-320]], [["-inf", "inf"]], [[0.0, "inf"]]],
+        ids=["scaled_overflows", "infinite", "half_infinite"],
+    )
+    def test_fsq_non_finite_exit_4(self, tmp_path, capsys, bounds):
+        payload = {"seed": 0, "scheme": "fsq", "k": 1, "X": 4, "mode": "probe",
+                   "embeddings": {"kind": "synth", "n_items": 8, "dim": 2},
+                   "fsq": {"levels": [4], "bounds": bounds}}
+        self.assert_one_config_error_line(tmp_path, capsys, payload)
+
 
 class TestVerifyCommand:
     def test_strict_sweep_reports_the_loss_gap(self, tmp_path, capsys):
@@ -436,6 +471,21 @@ class TestDecodeCommand:
         assert code == EXIT_CONFIG
         assert "overflow" in capsys.readouterr().err
         assert not (out / "decode.json").exists()
+
+    @pytest.mark.parametrize("method", ["beam", "exact", "mtp"])
+    def test_overflowing_path_scores_print_one_line(self, tmp_path, method, capsys):
+        spec = CodebookSpec(k=2, X=4)
+        model = ParallelLogitModel(spec, 1, [np.full((1, 4), 1.7e308)] * 2)
+        save_model(model, tmp_path / "huge.json")
+        identity_token_map(spec).save(tmp_path / "huge_map.json")
+        payload = {"checkpoint": str(tmp_path / "huge.json"),
+                   "token_map": str(tmp_path / "huge_map.json"), "context": 0,
+                   "method": method, "beam_width": 4, "top_k": 2}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(tmp_path, "decode", payload, "overflow")[0] == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "breakage",
@@ -660,6 +710,21 @@ class TestArtifactBytes:
         assert code == EXIT_OK
         assert self.sha256(out / "tokenizer.json") == tokenizer_sha
         assert self.sha256(out / "token_map.json") == token_map_sha
+
+    def test_tokenize_fsq_bytes(self, tmp_path):
+        # recorded with the per-item, per-dimension loop that whole columns replaced
+        payload = {"seed": 0, "scheme": "fsq", "k": 3, "X": 8, "mode": "probe",
+                   "embeddings": {"kind": "synth", "n_items": 512, "dim": 16},
+                   "fsq": {"levels": [8, 5, 2],
+                           "bounds": [[-2.0, 2.0], [-1.5, 1.0], [-0.25, 0.25]]}}
+        code, out = run(tmp_path, "tokenize", payload, "pinned")
+        assert code == EXIT_OK
+        assert self.sha256(out / "tokenizer.json") == (
+            "f4e7d829d769ab22de4af45e396e14577c81648317a88d9ad9d484a90455d7a9"
+        )
+        assert self.sha256(out / "token_map.json") == (
+            "0fd86ea7cea2423115e5a0d0632420752341b33b184029afdc771b565bb6883d"
+        )
 
     def test_train_token_map(self, tmp_path):
         code, out = run(tmp_path, "train", TRAIN_CFG, "pinned")

@@ -1,5 +1,8 @@
 """Embedding tokenizers: k-means core, RQ, PQ, FSQ, and file formats."""
 
+import warnings
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -430,3 +433,243 @@ class TestTokenizerSerialization:
 
         with pytest.raises(ValueError):
             tokenizer_from_json_dict({"scheme": "mystery"})
+
+
+def fit_kmeans_per_cluster(points, X, max_iters, rng, reseeds):
+    """``fit_kmeans`` with one boolean scan per cluster for empty clusters and
+    one masked mean per cluster: the reference the grouped fit must match bit
+    for bit.  ``reseeds`` counts the empty clusters it re-seeded ("stolen")
+    and those it had to leave empty ("kept")."""
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    centers = tokenizer._kmeans_pp_seed(points, X, rng)
+    assign = None
+    for _ in range(max_iters):
+        new_assign = nearest_centers(points, centers)
+        for j in range(X):
+            if np.any(new_assign == j):
+                continue
+            counts = np.bincount(new_assign, minlength=X)
+            own = ((points - centers[new_assign]) ** 2).sum(axis=1)
+            own[counts[new_assign] <= 1] = -1.0
+            idx = int(own.argmax())
+            if own[idx] < 0.0:
+                reseeds["kept"] += 1
+                continue
+            reseeds["stolen"] += 1
+            centers[j] = points[idx]
+            new_assign[idx] = j
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        for j in range(X):
+            members = assign == j
+            if np.any(members):
+                centers[j] = points[members].mean(axis=0)
+    return centers, assign
+
+
+def kmeans_case(seed, X, d):
+    """Points for the grouped-mean sweep: standard normal at seed 0, rounded
+    to integers (exact ties and duplicates) at seed 1, and drawn from X // 2
+    distinct rows at seed 2, which leaves clusters empty."""
+    rng = np.random.default_rng(100 * X + d)
+    n = X + 40 + int(rng.integers(0, 60))
+    pts = rng.standard_normal((n, d)) * 3.0
+    if seed == 1:
+        pts = np.round(pts)
+    elif seed == 2:
+        pts = pts[rng.integers(0, max(1, X // 2), n)]
+    return pts
+
+
+class TestGroupedKmeans:
+    """fit_kmeans finds empty clusters with one bincount and takes every mean
+    over a slice of one stable sort; both must give the per-cluster bits."""
+
+    @pytest.mark.parametrize("X", [1, 2, 16, 64, 257, 300])
+    def test_matches_the_per_cluster_loop_bitwise(self, X):
+        reseeds = Counter()
+        for seed in range(3):
+            for d in (1, 2, 4, 33):
+                pts = kmeans_case(seed, X, d)
+                got = fit_kmeans(pts, X, max_iters=12, rng=np.random.default_rng(seed))
+                want = fit_kmeans_per_cluster(pts, X, 12, np.random.default_rng(seed), reseeds)
+                assert np.array_equal(got[0], want[0]), (seed, d)
+                assert np.array_equal(got[1], want[1]), (seed, d)
+                assert got[1].dtype == np.int64
+        if X >= 16:
+            assert reseeds["stolen"] > 0
+
+    def test_reseed_branches_match_the_per_cluster_loop(self):
+        reseeds = Counter()
+        cases = [
+            (np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5), 3),  # a copy is stolen
+            (np.array([[0.0], [1.0], [5.0]]), 5),  # every cluster a singleton: kept empty
+            (np.repeat(np.eye(3), [1, 4, 2], axis=0), 6),  # both, in one iteration
+        ]
+        for pts, X in cases:
+            for seed in range(4):
+                got = fit_kmeans(pts, X, max_iters=50, rng=np.random.default_rng(seed))
+                want = fit_kmeans_per_cluster(pts, X, 50, np.random.default_rng(seed), reseeds)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert reseeds["stolen"] > 0 and reseeds["kept"] > 0
+
+    @pytest.mark.parametrize(
+        "seed,offset,screened,rechecked",
+        [(0, 0.0, 548_864, 0), (1, 0.0, 614_400, 0), (2, 0.0, 626_688, 0),
+         (0, 1e6, 548_864, 160_210)],
+    )
+    def test_exact_recheck_rows_of_the_tokenize_workload(
+        self, monkeypatch, seed, offset, screened, rechecked
+    ):
+        # one bound per point is at least every per-center bound, so it can only
+        # add candidates; on these fits it sends exactly the rows the per-center
+        # bound sent to the exact recheck
+        rows = Counter()
+
+        def counted(name):
+            fn = getattr(tokenizer, name)
+
+            def wrapped(points, centers):
+                rows[name] += len(points)
+                return fn(points, centers)
+
+            monkeypatch.setattr(tokenizer, name, wrapped)
+
+        counted("nearest_centers")
+        counted("squared_distances")
+        emb = ItemEmbeddings(synth_embeddings(4096, 32, seed).values + offset)
+        encode_rq(fit_rq_kmeans(emb, CodebookSpec(k=3, X=16), seed=seed), emb)
+        assert rows["nearest_centers"] == screened
+        assert rows["squared_distances"] == rechecked
+
+
+def per_center_recheck(points, centers):
+    """Rows the screen with one bound per (point, center) pair leaves
+    undecided: more than one candidate, or a bound that is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2, c2 = (points**2).sum(axis=1), (centers**2).sum(axis=1)
+        screen = c2[:, None] - 2.0 * (centers @ points.T) + x2
+        err = (np.sqrt(c2)[:, None] + np.sqrt(x2)) ** 2
+        unbounded = ~np.all(err < 2.0**1000, axis=0)
+        err = err * (2.0 * (points.shape[1] + 2) * np.finfo(np.float64).eps) + 1e-300
+        candidates = screen - err <= (screen + err).min(axis=0)
+    return unbounded | (candidates.sum(axis=0) != 1)
+
+
+class TestOneBoundPerPoint:
+    def test_rechecks_every_row_the_per_center_bounds_leave_open(self, monkeypatch):
+        # centers of very different norms: the per-point bound must be the
+        # largest per-center bound, or near ties among the far centers slip by
+        rng = np.random.default_rng(3)
+        pts = rng.standard_normal((2048, 32)) + 1e6
+        ctr = np.vstack([pts[:15] + 0.5 * rng.standard_normal((15, 32)), np.zeros((1, 32))])
+        seen = []
+        exact = tokenizer.squared_distances
+
+        def recorded(points, centers):
+            seen.append(points.copy())
+            return exact(points, centers)
+
+        monkeypatch.setattr(tokenizer, "squared_distances", recorded)
+        got = nearest_centers(pts, ctr)
+        assert np.array_equal(got, exact(pts, ctr).argmin(axis=1))
+        want = per_center_recheck(pts, ctr)
+        assert want.sum() > 100
+        rechecked = np.concatenate(seen) if seen else np.empty((0, 32))
+        assert np.isin(pts[want, 0], rechecked[:, 0]).all()
+
+
+def encode_fsq_per_item(model, emb):
+    """FSQ by a per-item, per-dimension Python loop: the whole-column
+    encoder's reference."""
+    out = []
+    for x in emb.values:
+        seq = []
+        for m, (lv, (lo, hi)) in enumerate(zip(model.levels, model.per_dim_bounds)):
+            scaled = (float(x[m]) - lo) / (hi - lo) * (lv - 1)
+            t = int(np.floor(scaled + 0.5))
+            seq.append(min(max(t, 0), lv - 1))
+        out.append(tuple(seq))
+    return out
+
+
+class TestFSQColumns:
+    def test_matches_the_per_item_loop(self):
+        rng = np.random.default_rng(4)
+        for case in range(200):
+            k = int(rng.integers(1, 5))
+            levels = [int(v) for v in rng.integers(1, 9, k)]
+            lows = rng.uniform(-3, 1, k) * 10.0 ** float(rng.integers(-5, 6))
+            widths = rng.uniform(0.1, 4, k) * 10.0 ** float(rng.integers(-5, 6))
+            bounds = [(float(lo), float(lo + w)) for lo, w in zip(lows, widths)]
+            if case % 4 == 0:
+                bounds = [(int(np.floor(lo)), int(np.floor(lo)) + 3) for lo in lows]
+            model = FSQModel(levels=levels, per_dim_bounds=bounds)
+            values = rng.uniform(-1.5, 1.5, (int(rng.integers(1, 40)), k + 1))
+            lo, hi = np.array(bounds, dtype=float).T
+            values[:, :k] = lo + (hi - lo) * values[:, :k]
+            # grid points and the half-way points between them
+            half = lo + (hi - lo) * rng.integers(0, 17, (len(values), k)) / 16
+            values[::2, :k] = half[::2]
+            emb = ItemEmbeddings(values)
+            got = encode_fsq(model, emb)
+            assert got == encode_fsq_per_item(model, emb), case
+            assert all(type(t) is int for seq in got for t in seq)
+
+    @pytest.mark.parametrize(
+        "bounds", [(-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308),
+                   (0.0, np.nan)],
+        ids=["both_inf", "hi_inf", "lo_inf", "width_overflows", "nan"],
+    )
+    def test_bounds_must_be_finitely_apart(self, bounds):
+        with pytest.raises(ValueError, match="finitely apart"):
+            FSQModel(levels=[4], per_dim_bounds=[bounds])
+
+    @pytest.mark.parametrize(
+        "bounds,value", [((0.0, 1e-320), 0.5), ((-1e308, -1e308 + 1e293), 1.7e308)],
+        ids=["scaled_overflows", "offset_overflows"],
+    )
+    def test_overflow_is_a_degenerate_input(self, bounds, value):
+        model = FSQModel(levels=[4], per_dim_bounds=[bounds])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="overflow"):
+                encode_fsq(model, ItemEmbeddings(np.array([[value]])))
+
+
+def near_overflow_points():
+    """16 x 2 coordinates near +-1.7e308: differences and squares overflow."""
+    rng = np.random.default_rng(0)
+    return rng.choice([-1.0, 1.0], (16, 2)) * 1.7e308 * rng.uniform(0.9, 1.0, (16, 2))
+
+
+class TestOverflow:
+    """A fit or encode whose float64 arithmetic overflows raises
+    DegenerateInputError and warns nothing."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    @pytest.mark.parametrize("fit", [fit_rq_kmeans, fit_pq], ids=["rq", "pq"])
+    def test_near_overflow_distances(self, fit):
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            fit(ItemEmbeddings(near_overflow_points()), CodebookSpec(k=2, X=4))
+
+    def test_overflowing_center_mean(self):
+        # distances stay 0 or 1, but eight copies of 1.6e308 sum past float64
+        pts = np.stack([np.full(16, 1.6e308), np.arange(16) % 2.0], axis=1)
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            fit_kmeans(pts, 2, max_iters=50, rng=np.random.default_rng(0))
+
+    def test_encode_distances(self):
+        emb = ItemEmbeddings(near_overflow_points())
+        rq = tokenizer.RQKmeansModel(CodebookSpec(k=1, X=2), [np.array([[0.0, 0.0], [-1.7e308, 0.0]])])
+        pq = tokenizer.PQModel(CodebookSpec(k=2, X=2), [1, 1], [np.array([[0.0], [-1.7e308]])] * 2)
+        with pytest.raises(DegenerateInputError):
+            encode_rq(rq, emb)
+        with pytest.raises(DegenerateInputError):
+            encode_pq(pq, emb)
