@@ -11,12 +11,11 @@ timing is a secondary illustration with no invariant on absolute values.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 from statistics import median
 
-from .logits import CascadedLogitModel, LookupCounter, table_entry_count
+from .logits import MAX_TABLE_ENTRIES, CascadedLogitModel, LookupCounter, table_entry_count
 from .losses import fv_mle_loss, full_log_partition, ntp_loss
 from .vocab import CodebookSpec, identity_token_map
 
@@ -48,19 +47,6 @@ class OpsRow:
     ntp_entries_closed: int
     fv_entries_closed: int
 
-    CSV_FIELDS = (
-        "k",
-        "X",
-        "C",
-        "ntp_ops",
-        "full_ops",
-        "ratio",
-        "ntp_entries_counted",
-        "fv_entries_counted",
-        "ntp_entries_closed",
-        "fv_entries_closed",
-    )
-
 
 def measure_lookup_counts(spec: CodebookSpec, C: int = 1) -> tuple[int, int]:
     """Entries actually touched by one ntp_loss and one full_log_partition call."""
@@ -77,20 +63,16 @@ def measure_lookup_counts(spec: CodebookSpec, C: int = 1) -> tuple[int, int]:
     return ntp_entries, fv_entries
 
 
-def ops_sweep(
-    k_values: list[int],
-    X_values: list[int],
-    C: int = 1,
-    max_instrumented_entries: int = 10**7,
-) -> list[OpsRow]:
-    """Closed forms for every (k, X); instrumented counts where the table fits."""
+def ops_sweep(k_values: list[int], X_values: list[int], C: int = 1) -> list[OpsRow]:
+    """Closed forms for every (k, X); instrumented counts where the table fits
+    under ``MAX_TABLE_ENTRIES``."""
     rows = []
     for k in k_values:
         for X in X_values:
             spec = CodebookSpec(k=k, X=X)
             ops = count_softmax_ops(spec)
             counted: tuple[int, int] | None = None
-            if table_entry_count(spec, C, "cascaded") <= max_instrumented_entries:
+            if table_entry_count(spec, C, "cascaded") <= MAX_TABLE_ENTRIES:
                 counted = measure_lookup_counts(spec, C)
             rows.append(
                 OpsRow(
@@ -121,19 +103,6 @@ class TimingRow:
     fv_median_s: float
     fv_min_s: float
     fv_max_s: float
-
-    CSV_FIELDS = (
-        "k",
-        "X",
-        "C",
-        "repeats",
-        "ntp_median_s",
-        "ntp_min_s",
-        "ntp_max_s",
-        "fv_median_s",
-        "fv_min_s",
-        "fv_max_s",
-    )
 
 
 def time_losses(
@@ -181,18 +150,3 @@ def time_losses(
             )
     return rows
 
-
-def _write_rows(rows, fields, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(fields)
-        for row in rows:
-            writer.writerow(["" if (v := getattr(row, name)) is None else v for name in fields])
-
-
-def write_ops_csv(rows: list[OpsRow], path) -> None:
-    _write_rows(rows, OpsRow.CSV_FIELDS, path)
-
-
-def write_timing_csv(rows: list[TimingRow], path) -> None:
-    _write_rows(rows, TimingRow.CSV_FIELDS, path)

@@ -10,14 +10,18 @@ as: --out-dir flag, then the config's "out_dir", then $SIDLAB_OUT, then
 Exit codes: 0 success; 1 training divergence (the mean epoch loss went
 non-finite); 2 bijection failure (the audit is still written); 3 equivalence
 tolerance exceeded; 4 config or artifact-parse error; 5 missing input
-artifact.
+artifact.  Every config value is read through one typed reader, so a value
+of the wrong JSON type, a non-integral float for an integer key or a
+negative seed exits 4 as well.
 
 Exit 1 means a non-finite mean loss and nothing else: a run whose loss stays
 finite exits 0 however poor the model, as ``train`` with ``lr: 1e6`` does
 with a final KL near 1e6.  ``summary.json`` reports how good the model is;
 the exit code does not judge it.  Non-finite values that a config or
 checkpoint forces, such as an init ``sigma`` that draws ``inf`` or decoded
-path scores that overflow, exit 4 before any artifact is written.
+path scores that overflow, exit 4 before any artifact is written.  Every
+artifact goes through :mod:`sidlab.artifacts`, so none ever holds NaN or an
+infinity: a run that would write one exits 4 and leaves that file unwritten.
 """
 
 from __future__ import annotations
@@ -32,10 +36,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import count_softmax_ops, ops_sweep, time_losses, write_ops_csv, write_timing_csv
+from .artifacts import NonFiniteError, write_csv, write_json
+from .bench import OpsRow, TimingRow, count_softmax_ops, ops_sweep, time_losses
 from .decoder import beam_search, exact_topk, mtp_decode
-from .logits import FORMS, FormError, model_from_json_dict, model_to_json_dict, table_entry_count
-from .losses import check_context, summarize_reports, write_reports_csv
+from .logits import (
+    FORMS,
+    MAX_TABLE_ENTRIES,
+    FormError,
+    model_from_json_dict,
+    model_to_json_dict,
+    table_entry_count,
+)
+from .losses import EquivalenceReport, check_context, summarize_reports
 from .tokenizer import (
     DegenerateInputError,
     FSQModel,
@@ -54,6 +66,7 @@ from .tokenizer import (
 )
 from .trainer import (
     DivergenceError,
+    EpochRecord,
     eval_kl,
     eval_kl_chain,
     sample_dataset,
@@ -76,10 +89,6 @@ EXIT_CONFIG = 4
 EXIT_MISSING = 5
 
 OUT_ENV_VAR = "SIDLAB_OUT"
-
-# default cap on a model's table entries, and on the X**k sequences of the
-# identity or probe map that verify builds
-MAX_TABLE_ENTRIES = 10**7
 
 
 class ConfigError(Exception):
@@ -110,39 +119,48 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _req(cfg: dict, key: str, kind=None):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    value = cfg[key]
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"config key {key!r} has wrong type: {type(value).__name__}")
-    return value
-
-
 _REQUIRED = object()
+_JSON_TYPES = {str: "string", bool: "boolean", dict: "object", list: "array"}
 
 
-def _value(cfg: dict, key: str, kind, default=_REQUIRED, many: bool = False, low=None):
-    """``kind(cfg[key])``, or of ``default`` when the key is absent and one is given.
+def _cast(kind, v):
+    if kind in _JSON_TYPES:
+        if not isinstance(v, kind):
+            raise TypeError(f"expected a JSON {_JSON_TYPES[kind]}")
+        return v
+    if kind is int and isinstance(v, float) and not v.is_integer():
+        raise ValueError("not an integer")
+    return kind(v)
 
-    ``many`` casts each element of a list value.  ``kind`` is ``int``,
-    ``float`` or another cast; a value it rejects, or a cast value below
-    ``low``, is a ConfigError.
+
+def _value(cfg: dict, key: str, kind, default=_REQUIRED, many=False, low=None, choices=None):
+    """``cfg[key]`` read as ``kind``, or ``default`` when the key is absent and one is given.
+
+    ``kind`` is ``int`` (a non-integral float is refused, not truncated),
+    ``float``, another cast such as :func:`_float_pair`, or one of the JSON
+    types ``str``, ``bool``, ``dict`` and ``list``, which the value must
+    already be.  ``many`` takes a list and reads each element.  A missing
+    key, a value the read refuses, or one below ``low`` or outside
+    ``choices`` is a ConfigError.
     """
-    value = _req(cfg, key) if default is _REQUIRED else cfg.get(key, default)
+    if default is _REQUIRED and key not in cfg:
+        raise ConfigError(f"config is missing required key {key!r}")
+    value = cfg.get(key, default)
     try:
-        out = [kind(v) for v in value] if many else kind(value)
+        if many and not isinstance(value, list):
+            raise TypeError("expected a JSON array")
+        out = [_cast(kind, v) for v in (value if many else [value])]
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
-    if low is not None and any(v < low for v in (out if many else [out])):
+    if low is not None and any(v < low for v in out):
         raise ConfigError(f"config key {key!r} must be >= {low}, got {value!r}")
-    return out
+    if choices is not None and any(v not in choices for v in out):
+        raise ConfigError(f"config key {key!r} must be one of {list(choices)}, got {value!r}")
+    return out if many else out[0]
+
+
+def _seed(cfg: dict) -> int:
+    return _value(cfg, "seed", int, 0, low=0)
 
 
 def _float_pair(pair) -> tuple[float, float]:
@@ -166,10 +184,18 @@ def _sweep_specs(k_values: list[int], X_values: list[int]) -> dict:
     return {(k, X): _spec(k, X) for k in k_values for X in X_values}
 
 
-def _check_table_size(spec: CodebookSpec, C: int, form: str, cap: int) -> None:
+def _check_table_size(spec: CodebookSpec, C: int, form: str) -> None:
     entries = table_entry_count(spec, C, form)
-    if entries > cap:
-        raise ConfigError(f"model would hold {entries} table entries, cap is {cap}")
+    if entries > MAX_TABLE_ENTRIES:
+        raise ConfigError(f"model would hold {entries} table entries, cap is {MAX_TABLE_ENTRIES}")
+
+
+def _random_model(form: str, spec: CodebookSpec, C: int, sigma: float, seed: int):
+    """``FORMS[form].random``, refused when sigma is so wide that a draw overflows."""
+    model = FORMS[form].random(spec, C, sigma, seed)
+    if not all(np.isfinite(t).all() for t in model.tables):
+        raise ConfigError(f"sigma {sigma!r} draws non-finite logits")
+    return model
 
 
 def _load_artifact_json(path: str) -> dict:
@@ -183,17 +209,15 @@ def _load_artifact_json(path: str) -> dict:
 
 
 def _load_embeddings(cfg: dict, seed: int) -> ItemEmbeddings:
-    kind = _req(cfg, "kind", str)
+    loaders = {"csv": load_embeddings_csv, "bin": load_embeddings_bin}
+    kind = _value(cfg, "kind", str, choices=("synth", *loaders))
     if kind == "synth":
         return synth_embeddings(
             _value(cfg, "n_items", int, low=1), _value(cfg, "dim", int, low=1), seed
         )
-    path = _req(cfg, "path", str)
+    path = _value(cfg, "path", str)
     if not Path(path).is_file():
         raise FileNotFoundError(f"embeddings file not found: {path}")
-    loaders = {"csv": load_embeddings_csv, "bin": load_embeddings_bin}
-    if kind not in loaders:
-        raise ConfigError(f"unknown embeddings kind {kind!r}")
     try:
         return loaders[kind](path)
     except ValueError as exc:
@@ -205,33 +229,30 @@ def _load_embeddings(cfg: dict, seed: int) -> ItemEmbeddings:
 
 
 def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
-    seed = _value(cfg, "seed", int, 0)
-    scheme = _req(cfg, "scheme", str)
+    seed = _seed(cfg)
+    scheme = _value(cfg, "scheme", str, choices=("identity", "rq_kmeans", "pq", "fsq"))
     spec = _spec_from(cfg)
-    mode = cfg.get("mode", "strict")
-    if mode not in ("strict", "probe"):
-        raise ConfigError(f"mode must be 'strict' or 'probe', got {mode!r}")
+    mode = _value(cfg, "mode", str, "strict", choices=("strict", "probe"))
     threshold = _value(cfg, "collapse_threshold", float, 0.75)
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"collapse_threshold must be in (0, 1], got {threshold!r}")
-    kmeans_cfg = _req(cfg, "kmeans", dict) if "kmeans" in cfg else {}
+    kmeans_cfg = _value(cfg, "kmeans", dict, {})
     max_iters = _value(kmeans_cfg, "max_iters", int, 50, low=1)
 
     fitted = None
     if scheme == "identity":
         sequences = identity_token_map(spec).token_matrix
     elif scheme in ("rq_kmeans", "pq"):
-        emb = _load_embeddings(_req(cfg, "embeddings", dict), seed)
+        emb = _load_embeddings(_value(cfg, "embeddings", dict), seed)
         fit, encode = (fit_rq_kmeans, encode_rq) if scheme == "rq_kmeans" else (fit_pq, encode_pq)
         try:
             fitted = fit(emb, spec, max_iters=max_iters, seed=seed)
             sequences = encode(fitted, emb)
         except (DegenerateInputError, SubspaceSplitError) as exc:
             raise ConfigError(f"cannot fit {scheme} to these embeddings: {exc}") from exc
-    elif scheme == "fsq":
-        emb = _load_embeddings(_req(cfg, "embeddings", dict), seed)
-        fsq_cfg = _req(cfg, "fsq", dict)
-        _req(fsq_cfg, "levels", list)
+    else:  # fsq
+        emb = _load_embeddings(_value(cfg, "embeddings", dict), seed)
+        fsq_cfg = _value(cfg, "fsq", dict)
         levels = _value(fsq_cfg, "levels", int, many=True)
         if len(levels) != spec.k:
             raise ConfigError(f"fsq levels must list k={spec.k} entries")
@@ -245,8 +266,6 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
             sequences = encode_fsq(fitted, emb)
         except ValueError as exc:  # DegenerateInputError: bounds too narrow for the values
             raise ConfigError(f"bad fsq config: {exc}") from exc
-    else:
-        raise ConfigError(f"unknown scheme {scheme!r}")
 
     code = EXIT_OK
     error_message = None
@@ -261,12 +280,12 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
     chash = _config_hash(cfg)
     audit_payload = report.to_json_dict()
     audit_payload.update({"config_sha256": chash, "seed": seed, "scheme": scheme})
-    _write_json(out_dir / "audit.json", audit_payload)
+    write_json(out_dir / "audit.json", audit_payload)
     if code == EXIT_OK:
         tmap.save(out_dir / "token_map.json")
     if fitted is not None:
         save_tokenizer(fitted, out_dir / "tokenizer.json")
-    _write_json(
+    write_json(
         out_dir / "summary.json",
         {
             "command": "tokenize",
@@ -291,12 +310,9 @@ def _probe_map_with_duplicate(identity: TokenMap, dup_item: int) -> TokenMap:
 
 
 def cmd_verify(cfg: dict, out_dir: Path) -> int:
-    seed = _value(cfg, "seed", int, 0)
+    seed = _seed(cfg)
     trials = _value(cfg, "trials", int, 100, low=0)
-    forms = cfg.get("forms", ["cascaded", "parallel"])
-    for form in forms:
-        if form not in FORMS:
-            raise ConfigError(f"unknown model form {form!r}")
+    forms = _value(cfg, "forms", str, ["cascaded", "parallel"], many=True, choices=FORMS)
     k_values = _value(cfg, "k_values", int, [1, 2, 3], many=True, low=1)
     X_values = _value(cfg, "X_values", int, [2, 3, 4], many=True, low=2)
     C_values = _value(cfg, "C_values", int, [1, 2, 4], many=True, low=1)
@@ -307,9 +323,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     if not (np.isfinite(sigma) and np.isfinite(tolerance)):
         # a NaN tolerance would pass every gap, a NaN sigma give NaN gaps that pass it
         raise ConfigError(f"sigma and tolerance must be finite, got {sigma!r} and {tolerance!r}")
-    map_mode = cfg.get("map_mode", "strict")
-    if map_mode not in ("strict", "probe_collision"):
-        raise ConfigError(f"map_mode must be 'strict' or 'probe_collision', got {map_mode!r}")
+    map_mode = _value(cfg, "map_mode", str, "strict", choices=("strict", "probe_collision"))
     items_per_context = _value(cfg, "items_per_context", int, 2, low=0)
     specs = _sweep_specs(k_values, X_values)
     for spec in specs.values():
@@ -320,7 +334,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
             )
         for form in forms:
             for C in C_values:
-                _check_table_size(spec, C, form, MAX_TABLE_ENTRIES)
+                _check_table_size(spec, C, form)
 
     rng = np.random.default_rng(seed)
     identities: dict[CodebookSpec, TokenMap] = {}
@@ -330,7 +344,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
         spec = specs[int(rng.choice(k_values)), int(rng.choice(X_values))]
         C = int(rng.choice(C_values))
         form = forms[t % len(forms)]
-        model = FORMS[form].random(spec, C, sigma, int(rng.integers(2**31)))
+        model = _random_model(form, spec, C, sigma, int(rng.integers(2**31)))
         if spec not in identities:
             identities[spec] = identity_token_map(spec)
         tmap = identities[spec]
@@ -344,7 +358,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
             per_form[form].extend(context_reports)
 
     chash = _config_hash(cfg)
-    write_reports_csv(reports, out_dir / "equivalence.csv")
+    write_csv(out_dir / "equivalence.csv", EquivalenceReport, reports)
     summary = summarize_reports(reports)
     summary.update(
         {
@@ -357,7 +371,7 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
             "per_form": {form: summarize_reports(rows) for form, rows in per_form.items()},
         }
     )
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
 
     if map_mode == "strict" and (
         summary["max_abs_loss_gap"] > tolerance or summary["max_abs_partition_gap"] > tolerance
@@ -374,18 +388,15 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_train(cfg: dict, out_dir: Path) -> int:
-    seed = _value(cfg, "seed", int, 0)
-    world_cfg = _req(cfg, "world", dict)
-    spec_cfg = _req(cfg, "spec", dict)
-    spec = _spec_from(spec_cfg)
+    seed = _seed(cfg)
+    world_cfg = _value(cfg, "world", dict)
+    spec = _spec_from(_value(cfg, "spec", dict))
     C = _value(world_cfg, "C", int)
     N = _value(world_cfg, "N", int)
     if N != spec.sequence_space_size:
         raise ConfigError(f"world N={N} must equal X**k={spec.sequence_space_size}")
-    form = cfg.get("form", "cascaded")
-    if form not in FORMS:
-        raise ConfigError(f"unknown model form {form!r}")
-    _check_table_size(spec, C, form, _value(cfg, "max_table_entries", int, MAX_TABLE_ENTRIES))
+    form = _value(cfg, "form", str, "cascaded", choices=FORMS)
+    _check_table_size(spec, C, form)
     lr = _value(cfg, "lr", float, low=0.0)
     epochs = _value(cfg, "epochs", int, low=1)
     n_samples = _value(cfg, "n_samples", int, low=1)
@@ -400,7 +411,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
             N,
             _value(world_cfg, "alpha", float, 1.0),
             world_seed,
-            uniform=bool(world_cfg.get("uniform", False)),
+            uniform=_value(world_cfg, "uniform", bool, False),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -410,11 +421,9 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     if init_cfg == "zeros":
         model = FORMS[form].zeros(spec, C)
     elif isinstance(init_cfg, dict) and "sigma" in init_cfg:
-        model = FORMS[form].random(spec, C, _value(init_cfg, "sigma", float, low=0.0), init_seed)
+        model = _random_model(form, spec, C, _value(init_cfg, "sigma", float, low=0.0), init_seed)
     else:
         raise ConfigError("init must be 'zeros' or an object with a 'sigma' key")
-    if not all(np.isfinite(t).all() for t in model.tables):
-        raise ConfigError(f"init sigma {init_cfg['sigma']!r} draws non-finite logits")
     tmap = identity_token_map(spec)
     tmap.save(out_dir / "token_map.json")
 
@@ -423,7 +432,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     def checkpoint(m, path):
         payload = model_to_json_dict(m)
         payload.update({"config_sha256": chash, "seed": seed})
-        _write_json(path, payload)
+        write_json(path, payload)
 
     checkpoint(model, out_dir / "checkpoint_init.json")
     initial_kl = eval_kl(model, tmap, world)
@@ -434,9 +443,9 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         print(f"train: {exc}", file=sys.stderr)
         return 1
     checkpoint(trained, out_dir / "checkpoint_final.json")
-    trace.to_csv(out_dir / "trace.csv")
+    write_csv(out_dir / "trace.csv", EpochRecord, trace.records)
     last = trace.records[-1]
-    _write_json(
+    write_json(
         out_dir / "summary.json",
         {
             "command": "train",
@@ -458,9 +467,9 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_decode(cfg: dict, out_dir: Path) -> int:
-    seed = _value(cfg, "seed", int, 0)
-    checkpoint = _load_artifact_json(_req(cfg, "checkpoint", str))
-    token_map = _load_artifact_json(_req(cfg, "token_map", str))
+    seed = _seed(cfg)
+    checkpoint = _load_artifact_json(_value(cfg, "checkpoint", str))
+    token_map = _load_artifact_json(_value(cfg, "token_map", str))
     try:
         model = model_from_json_dict(checkpoint)
         tmap = TokenMap.from_json_dict(token_map)
@@ -473,7 +482,7 @@ def cmd_decode(cfg: dict, out_dir: Path) -> int:
     h = _value(cfg, "context", int)
     if not 0 <= h < model.C:
         raise ConfigError(f"context {h} outside [0, {model.C})")
-    method = _req(cfg, "method", str)
+    method = _value(cfg, "method", str, choices=("beam", "exact", "mtp"))
     top_k = _value(cfg, "top_k", int, 1)
 
     try:
@@ -492,21 +501,19 @@ def cmd_decode(cfg: dict, out_dir: Path) -> int:
                  "item_id": item}
                 for r, (item, score) in enumerate(hits)
             ]
-        elif method == "mtp":
+        else:  # mtp
             hits = mtp_decode(model, h, top_k)
             results = [
                 {"rank": r, "tokens": list(s.sequence), "score": s.score,
                  "item_id": tmap.inverse(s.sequence)}
                 for r, s in enumerate(hits)
             ]
-        else:
-            raise ConfigError(f"unknown decode method {method!r}")
     except (FormError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     if not all(np.isfinite(r["score"]) for r in results):
         raise ConfigError("decoded path scores overflow: the checkpoint's logits are too large")
 
-    _write_json(
+    write_json(
         out_dir / "decode.json",
         {
             "command": "decode",
@@ -521,24 +528,24 @@ def cmd_decode(cfg: dict, out_dir: Path) -> int:
 
 
 def cmd_bench(cfg: dict, out_dir: Path) -> int:
-    seed = _value(cfg, "seed", int, 0)
+    seed = _seed(cfg)
     k_values = _value(cfg, "k_values", int, [1, 2, 3, 4], many=True, low=1)
     X_values = _value(cfg, "X_values", int, [4, 8, 16], many=True, low=2)
     C = _value(cfg, "C", int, 1, low=1)
-    cap = _value(cfg, "max_instrumented_entries", int, 10**7)
+    include_timing = _value(cfg, "include_timing", bool, False)
     _sweep_specs(k_values, X_values)
-    rows = ops_sweep(k_values, X_values, C=C, max_instrumented_entries=cap)
-    write_ops_csv(rows, out_dir / "bench_ops.csv")
+    rows = ops_sweep(k_values, X_values, C=C)
+    write_csv(out_dir / "bench_ops.csv", OpsRow, rows)
     headline = count_softmax_ops(CodebookSpec(k=3, X=256))
     chash = _config_hash(cfg)
-    _write_json(
+    write_json(
         out_dir / "summary.json",
         {
             "command": "bench",
             "config_sha256": chash,
             "seed": seed,
             "n_rows": len(rows),
-            "include_timing": bool(cfg.get("include_timing", False)),
+            "include_timing": include_timing,
             "reference_k3_X256": {
                 "ntp_ops": headline.ntp_ops,
                 "full_ops": headline.full_ops,
@@ -546,7 +553,7 @@ def cmd_bench(cfg: dict, out_dir: Path) -> int:
             },
         },
     )
-    if cfg.get("include_timing", False):
+    if include_timing:
         timing = time_losses(
             k_values,
             X_values,
@@ -555,7 +562,7 @@ def cmd_bench(cfg: dict, out_dir: Path) -> int:
             sigma=_value(cfg, "sigma", float, 0.5, low=0.0),
             seed=seed,
         )
-        write_timing_csv(timing, out_dir / "bench_times.csv")
+        write_csv(out_dir / "bench_times.csv", TimingRow, timing)
     return EXIT_OK
 
 
@@ -588,13 +595,13 @@ def main(argv=None) -> int:
             cfg["seed"] = int(args.seed)
         out_dir = Path(
             args.out_dir
-            or cfg.get("out_dir")
+            or _value(cfg, "out_dir", str, "")
             or os.environ.get(OUT_ENV_VAR)
             or "sidlab_out"
         )
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)
-    except ConfigError as exc:
+    except (ConfigError, NonFiniteError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except FileNotFoundError as exc:

@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+from .artifacts import write_json
 from .vocab import CodebookSpec, TokenMap, TokenSeq
 
 
@@ -199,6 +200,11 @@ def embed_parallel_as_cascaded(model: ParallelLogitModel) -> CascadedLogitModel:
     return CascadedLogitModel(spec, model.C, tables)
 
 
+# the most table entries a model that the CLI builds, or the benchmark
+# instruments, may hold; verify also caps the X**k sequences of its maps
+MAX_TABLE_ENTRIES = 10**7
+
+
 def table_entry_count(spec: CodebookSpec, C: int, form: str) -> int:
     """Total table entries a model of this shape would hold."""
     return sum(math.prod(_table_shape(form, spec, C, m)) for m in range(spec.k))
@@ -237,9 +243,7 @@ def model_from_json_dict(payload: dict) -> LogitModel:
 
 
 def save_model(model: LogitModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json_dict(model), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, model_to_json_dict(model))
 
 
 def load_model(path) -> LogitModel:

@@ -35,21 +35,19 @@ functions to equal Z_full, which holds whenever Z_m does not depend on the
 prefix (parallel models, k = 1, or degenerate tables such as all zeros) and
 fails for generic cascaded tables, where the chained softmax and the flat
 softmax define different distributions over the same items.
-``check_equivalence`` reports both gaps so either regime is measured rather
+``check_context`` reports both gaps so either regime is measured rather
 than assumed.
 
 Most of a report is shared by every item of one context: log Z by the
 sequence route, the item logits, log Z_full and the flat softmax.
 ``check_context`` computes those once per (model, context) and then, per
 item, only the k visited nodes' log Z, the item's logit and the k visited
-gradient rows; ``check_equivalence`` is its one-item call.  It makes the
-float operations of the per-item routines above in their order, so its
-reports equal theirs bit for bit.
+gradient rows.  It makes the float operations of the per-item routines
+above in their order, so its reports equal theirs bit for bit.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +80,6 @@ def softmax(values) -> np.ndarray:
     arr = np.asarray(values, dtype=np.float64)
     shifted = np.exp(arr - arr.max(axis=-1, keepdims=True))
     return shifted / shifted.sum(axis=-1, keepdims=True)
-
-
-def token_partition(model: LogitModel, h: int, prefix) -> float:
-    """log Z_m at node (h, prefix): log sum over exp of the node's X logits."""
-    return log_sum_exp(model.node_logits(h, tuple(prefix)))
 
 
 def ntp_loss(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> float:
@@ -215,24 +208,13 @@ class EquivalenceReport:
     abs_loss_gap: float
     max_grad_gap: float
 
-    CSV_FIELDS = (
-        "context",
-        "item",
-        "z_product",
-        "z_full",
-        "loss_ntp",
-        "loss_fv_mle",
-        "abs_partition_gap",
-        "abs_loss_gap",
-        "max_grad_gap",
-    )
-
-    def csv_row(self) -> list:
-        return [getattr(self, name) for name in self.CSV_FIELDS]
-
 
 def check_context(model: LogitModel, h: int, tmap: TokenMap, items) -> list[EquivalenceReport]:
-    """:func:`check_equivalence` of each of ``items`` under context ``h``, in order.
+    """Compare both losses, both partition routes and both gradients for each
+    of ``items`` under context ``h``, one report per item, in order.
+
+    Accepts strict or probe maps; on probe maps the partition gap quantifies
+    the effect of collisions and missing coverage instead of vanishing.
 
     The context's work is done once: log Z by the sequence route, every item
     logit, log Z_full, the flat softmax p, and per position the flat mass of
@@ -289,26 +271,6 @@ def check_context(model: LogitModel, h: int, tmap: TokenMap, items) -> list[Equi
         )
         for i, loss_n, loss_f, gap in zip(items, loss_ntp, loss_fv, grad_gap)
     ]
-
-
-def check_equivalence(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> EquivalenceReport:
-    """Compare both losses, both partition routes, and both gradients.
-
-    Accepts strict or probe maps; on probe maps the partition gap quantifies
-    the effect of collisions and missing coverage instead of vanishing.  The
-    one-item call of :func:`check_context`; to check several items of one
-    context, call that once so the context-level work is shared.
-    """
-    return check_context(model, h, tmap, [i_plus])[0]
-
-
-def write_reports_csv(reports: list[EquivalenceReport], path) -> None:
-    """One CSV row per report, fixed column order, header always written."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EquivalenceReport.CSV_FIELDS)
-        for rep in reports:
-            writer.writerow(rep.csv_row())
 
 
 def summarize_reports(reports: list[EquivalenceReport]) -> dict:

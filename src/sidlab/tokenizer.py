@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_json
 from .vocab import CodebookSpec, TokenSeq
 
 _BIN_MAGIC = b"SIDEMB64"  # 8 bytes; header totals 16 with the two uint32 fields
@@ -445,9 +446,7 @@ def tokenizer_from_json_dict(payload: dict):
 
 
 def save_tokenizer(model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tokenizer_to_json_dict(model), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(path, tokenizer_to_json_dict(model))
 
 
 def load_tokenizer(path):

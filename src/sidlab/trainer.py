@@ -24,7 +24,6 @@ kernel cannot be built, loaded or trusted.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from math import exp
 
@@ -128,15 +127,6 @@ class EpochRecord:
 @dataclass
 class TrainingTrace:
     records: list[EpochRecord]
-
-    CSV_FIELDS = ("epoch", "mean_ntp_loss", "mean_fv_mle_loss", "kl")
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_FIELDS)
-            for rec in self.records:
-                writer.writerow([rec.epoch, rec.mean_ntp_loss, rec.mean_fv_mle_loss, rec.kl])
 
 
 def _model_log_probs_flat(model: LogitModel, tmap: TokenMap, h: int) -> np.ndarray:

@@ -17,6 +17,8 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from .artifacts import write_json
+
 TokenSeq = tuple[int, ...]
 
 _MODES = ("strict", "probe")
@@ -217,9 +219,7 @@ class TokenMap:
         return cls(spec, payload["forward"], str(payload["mode"]))
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "TokenMap":

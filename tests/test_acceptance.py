@@ -28,7 +28,7 @@ from sidlab import (
     ParallelLogitModel,
     TokenMap,
     beam_search,
-    check_equivalence,
+    check_context,
     count_softmax_ops,
     eval_kl,
     eval_kl_chain,
@@ -318,7 +318,7 @@ class TestCriterion6CollisionProbe:
                 model = cls.random(spec, 2, SIGMA, seed=seed)
                 for h in range(2):
                     n_trials += 1
-                    rep = check_equivalence(model, h, probe, dup_item)
+                    rep = check_context(model, h, probe, [dup_item])[0]
                     log_z_seq = sequence_log_partition(model, h)
                     l_dup = item_logit(model, h, probe, probe.n_items - 1)
                     expected = abs(

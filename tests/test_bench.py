@@ -6,12 +6,13 @@ import pytest
 
 from sidlab import (
     CodebookSpec,
+    OpsRow,
+    TimingRow,
     count_softmax_ops,
     measure_lookup_counts,
     ops_sweep,
     time_losses,
-    write_ops_csv,
-    write_timing_csv,
+    write_csv,
 )
 
 
@@ -55,21 +56,22 @@ class TestInstrumentedCounts:
             assert row.fv_entries_counted == row.fv_entries_closed
 
     def test_sweep_skips_instrumentation_over_the_cap(self):
-        rows = ops_sweep([3], [8], C=1, max_instrumented_entries=10)
-        (row,) = rows
+        # k=4, X=64 has 17M table entries, over MAX_TABLE_ENTRIES; nothing is allocated
+        small, row = ops_sweep([4], [2, 64], C=1)
+        assert small.ntp_entries_counted == small.ntp_entries_closed
         assert row.ntp_entries_counted is None
         assert row.fv_entries_counted is None
-        assert row.full_ops == 512  # closed forms are always present
+        assert row.full_ops == 64**4  # closed forms are always present
 
     def test_ops_csv_layout(self, tmp_path):
-        rows = ops_sweep([2], [2, 4], C=2, max_instrumented_entries=15)
+        rows = ops_sweep([4], [2, 64], C=1)
         path = tmp_path / "ops.csv"
-        write_ops_csv(rows, path)
+        write_csv(path, OpsRow, rows)
         with open(path, newline="") as fh:
             parsed = list(csv.reader(fh))
         assert parsed[0][:6] == ["k", "X", "C", "ntp_ops", "full_ops", "ratio"]
         assert len(parsed) == 3
-        # X = 4 with C = 2 overruns the tiny cap, so counted columns are blank
+        # X = 64 overruns the cap, so its counted columns are blank
         assert parsed[2][6] == "" and parsed[2][7] == ""
         assert parsed[1][6] != ""
 
@@ -83,7 +85,7 @@ class TestTiming:
             assert 0.0 < row.ntp_min_s <= row.ntp_median_s <= row.ntp_max_s
             assert 0.0 < row.fv_min_s <= row.fv_median_s <= row.fv_max_s
         path = tmp_path / "times.csv"
-        write_timing_csv(rows, path)
+        write_csv(path, TimingRow, rows)
         with open(path, newline="") as fh:
             parsed = list(csv.reader(fh))
         assert parsed[0][0] == "k"

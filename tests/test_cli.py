@@ -305,6 +305,18 @@ class TestVerifyCommand:
         assert len(lines) == 1
         assert lines[0].startswith("context,item,")
 
+    @pytest.mark.parametrize("sigma", [1e308, 1000.0], ids=["draw_overflows", "z_overflows"])
+    def test_non_finite_results_exit_4_and_write_nothing(self, tmp_path, capsys, sigma):
+        # 1e308 draws inf table entries; 1000 draws finite ones whose exp(log Z) is inf
+        payload = {"trials": 6, "k_values": [2, 3], "X_values": [2, 3], "C_values": [1, 2],
+                   "sigma": sigma}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out = run(tmp_path, "verify", payload, "non_finite")
+        assert code == EXIT_CONFIG
+        assert "non-finite" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_bad_values_rejected(self, tmp_path):
         assert run(tmp_path, "verify", {"trials": -1}, "neg")[0] == EXIT_CONFIG
         assert run(tmp_path, "verify", {"forms": ["hybrid"]}, "badform")[0] == EXIT_CONFIG
@@ -339,7 +351,9 @@ class TestTrainCommand:
         assert run(tmp_path, "train", payload, "mismatch")[0] == EXIT_CONFIG
 
     def test_table_cap_enforced(self, tmp_path):
-        payload = dict(TRAIN_CFG, max_table_entries=3)
+        # C * (216 + 216**2 + 216**3) entries, past 10**7; refused before the world is drawn
+        payload = dict(TRAIN_CFG, spec={"k": 3, "X": 216},
+                       world={"C": 2, "N": 216**3, "alpha": 0.5})
         assert run(tmp_path, "train", payload, "cap")[0] == EXIT_CONFIG
 
     def test_random_init_variant(self, tmp_path):
@@ -549,6 +563,9 @@ class TestBenchCommand:
 class TestBadConfigValues:
     """A config value its cast rejects exits 4 with a config error, never a traceback."""
 
+    SMALL = {"tokenize": {"scheme": "identity", "k": 2, "X": 2}, "verify": {"trials": 1},
+             "train": TRAIN_CFG, "bench": {"k_values": [1], "X_values": [2]}}
+
     def assert_config_error(self, tmp_path, capsys, command, payload):
         code, _ = run(tmp_path, command, payload, "bad_value")
         assert code == EXIT_CONFIG
@@ -615,9 +632,9 @@ class TestBadConfigValues:
     @pytest.mark.parametrize(
         "over",
         [{"lr": "fast"}, {"epochs": None}, {"world": {"C": "two", "N": 4}},
-         {"init": {"sigma": "wide"}}, {"max_table_entries": [10]}, {"n_samples": 0},
+         {"init": {"sigma": "wide"}}, {"n_samples": 0},
          {"lr": -1}, {"epochs": 0}, {"init": {"sigma": -1}}],
-        ids=["lr", "epochs", "world_C", "init_sigma", "cap", "n_samples_0", "lr_negative",
+        ids=["lr", "epochs", "world_C", "init_sigma", "n_samples_0", "lr_negative",
              "epochs_0", "init_sigma_negative"],
     )
     def test_train(self, tmp_path, capsys, over):
@@ -657,6 +674,34 @@ class TestBadConfigValues:
     def test_bench(self, tmp_path, capsys, over):
         payload = dict({"k_values": [1], "X_values": [2]}, **over)
         self.assert_config_error(tmp_path, capsys, "bench", payload)
+
+    @pytest.mark.parametrize(
+        "command,over",
+        [("verify", {"forms": [["cascaded"]]}), ("train", {"form": ["cascaded"]}),
+         ("verify", {"seed": -5}), ("train", {"seed": -5}), ("tokenize", {"seed": -5}),
+         ("bench", {"seed": -1}), ("tokenize", {"k": 2.7}), ("verify", {"seed": 1.9}),
+         ("train", {"spec": {"k": 2, "X": 2.5}}), ("verify", {"k_values": [1, 2.5]}),
+         ("train", {"world": {"C": 2, "N": 4, "alpha": 0.5, "uniform": "false"}}),
+         ("bench", {"include_timing": "no"}), ("verify", {"k_values": "12"})],
+        ids=["forms_nested", "form_list", "verify_seed_negative", "train_seed_negative",
+             "tokenize_seed_negative", "bench_seed_negative", "k_fractional",
+             "seed_fractional", "X_fractional", "k_values_fractional", "uniform_string",
+             "include_timing_string", "k_values_string"],
+    )
+    def test_values_read_as_their_type(self, tmp_path, capsys, command, over):
+        self.assert_config_error(tmp_path, capsys, command, dict(self.SMALL[command], **over))
+
+    @pytest.mark.parametrize("command", ["verify", "train", "tokenize"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, command, self.SMALL[command], "neg_seed", extra=["--seed", "-5"])
+        assert code == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_out_dir_must_be_a_string(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "out_dir.json", {"trials": 1, "out_dir": 5})
+        assert main(["verify", "--config", cfg]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
 
     def test_values_that_cast_are_accepted_as_before(self, tmp_path):
         payload = {"trials": "2", "sigma": "0.5", "k_values": [1, 2.0], "C_values": [True],
@@ -731,6 +776,46 @@ class TestArtifactBytes:
         assert code == EXIT_OK
         assert self.sha256(out / "token_map.json") == (
             "0da820f6a48bb70a07b5aa8448767cf41b71530550f7a3761ceec224e72a0a16"
+        )
+
+    def test_train_bytes(self, tmp_path):
+        # recorded when each module wrote its own JSON and CSV files
+        code, out = run(tmp_path, "train", TRAIN_CFG, "pinned")
+        assert code == EXIT_OK
+        assert {name: self.sha256(out / name) for name in (
+            "checkpoint_init.json", "checkpoint_final.json", "trace.csv", "summary.json"
+        )} == {
+            "checkpoint_init.json":
+                "71b31c70604b13ad4678fd41331c249969c468cb29b1237304f2e30f4722e4f6",
+            "checkpoint_final.json":
+                "ba2d8069162a92ef9b96661c18a02acdae36ca960b9741c1f3fd09b5cc892aed",
+            "trace.csv": "ed1ebaba3c8df9f343fd14a69850bb6aa7aef3fe3ea68346cc9251f4bdcb8ea6",
+            "summary.json": "11674764587e8f53d2b270fad74493ced7e19f2d909f6dde72f8380eee9a9fd6",
+        }
+
+    def test_bench_bytes(self, tmp_path):
+        # k=4, X=64 is over the table cap, so its counted cells are empty
+        code, out = run(tmp_path, "bench", {"k_values": [1, 2, 4], "X_values": [2, 64]}, "pinned")
+        assert code == EXIT_OK
+        assert self.sha256(out / "bench_ops.csv") == (
+            "39a37e369e70175776c3f9f7922ed68092106a28f97814dcb4d2d6aacccc3533"
+        )
+        assert self.sha256(out / "summary.json") == (
+            "02f0e7a449158d3fb46e07e4826ddf7ff62a7ce1484a36ea5d17747e7a67251b"
+        )
+
+    def test_decode_bytes(self, tmp_path, monkeypatch):
+        # relative artifact paths keep the embedded config hash the same in every tmp_path
+        monkeypatch.chdir(tmp_path)
+        code, _ = run(tmp_path, "train", dict(TRAIN_CFG, form="parallel"), "for_decode")
+        assert code == EXIT_OK
+        payload = {"checkpoint": "for_decode/checkpoint_final.json",
+                   "token_map": "for_decode/token_map.json", "context": 1,
+                   "method": "beam", "beam_width": 3, "top_k": 3}
+        code, out = run(tmp_path, "decode", payload, "pinned")
+        assert code == EXIT_OK
+        assert self.sha256(out / "decode.json") == (
+            "a2f28d605167705c8fff0db9d20735cfcc6e5fbba89901bae1a14a2bcfebabe2"
         )
 
 

@@ -23,7 +23,6 @@ from sidlab import (
     ParallelLogitModel,
     TokenMap,
     check_context,
-    check_equivalence,
     full_log_partition,
     fv_mle_grad,
     fv_mle_loss,
@@ -37,8 +36,7 @@ from sidlab import (
     sequence_log_partition_levelwise,
     softmax,
     summarize_reports,
-    token_partition,
-    write_reports_csv,
+    write_csv,
 )
 
 
@@ -168,11 +166,11 @@ class TestNtpLoss:
         ntp_loss(model, 0, identity_token_map(spec), 5)
         assert model.counter.entries == spec.k * spec.X
 
-    def test_token_partition_matches_node(self):
+    def test_node_partition_matches_row(self):
         spec = CodebookSpec(k=2, X=3)
         model = CascadedLogitModel.random(spec, 1, 0.5, seed=2)
         row = [float(v) for v in model.tables[1][0, 2]]
-        assert token_partition(model, 0, (2,)) == pytest.approx(
+        assert log_sum_exp(model.node_logits(0, (2,))) == pytest.approx(
             math.log(sum(math.exp(v) for v in row)), abs=1e-13
         )
 
@@ -449,7 +447,7 @@ class TestEquivalenceReport:
         spec = CodebookSpec(k=2, X=3)
         tmap = identity_token_map(spec)
         model = ParallelLogitModel.random(spec, 2, 0.5, seed=16)
-        rep = check_equivalence(model, 1, tmap, 3)
+        rep = check_context(model, 1, tmap, [3])[0]
         assert rep.context == 1 and rep.item == 3
         assert rep.abs_partition_gap < 1e-11
         assert rep.abs_loss_gap < 1e-12
@@ -460,7 +458,7 @@ class TestEquivalenceReport:
         spec = CodebookSpec(k=2, X=3)
         tmap = identity_token_map(spec)
         model = CascadedLogitModel.random(spec, 1, 0.5, seed=0)
-        rep = check_equivalence(model, 0, tmap, 4)
+        rep = check_context(model, 0, tmap, [4])[0]
         assert rep.abs_partition_gap < 1e-11  # enumeration identity still exact
         assert rep.abs_loss_gap > 1e-3  # chained vs flat distribution differ
 
@@ -468,12 +466,13 @@ class TestEquivalenceReport:
         spec = CodebookSpec(k=1, X=2)
         tmap = identity_token_map(spec)
         model = ParallelLogitModel.random(spec, 1, 0.5, seed=17)
-        reports = [check_equivalence(model, 0, tmap, i) for i in range(2)]
+        reports = [check_context(model, 0, tmap, [i])[0] for i in range(2)]
         path = tmp_path / "eq.csv"
-        write_reports_csv(reports, path)
+        write_csv(path, EquivalenceReport, reports)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == list(reports[0].CSV_FIELDS)
+        assert rows[0] == ["context", "item", "z_product", "z_full", "loss_ntp", "loss_fv_mle",
+                           "abs_partition_gap", "abs_loss_gap", "max_grad_gap"]
         assert len(rows) == 3
         assert float(rows[1][4]) == pytest.approx(reports[0].loss_ntp, abs=1e-15)
 
@@ -487,7 +486,7 @@ class TestEquivalenceReport:
         spec = CodebookSpec(k=2, X=2)
         tmap = identity_token_map(spec)
         model = CascadedLogitModel.random(spec, 1, 0.5, seed=18)
-        reports = [check_equivalence(model, 0, tmap, i) for i in range(4)]
+        reports = [check_context(model, 0, tmap, [i])[0] for i in range(4)]
         summary = summarize_reports(reports)
         assert summary["n_reports"] == 4
         assert summary["max_abs_loss_gap"] == max(r.abs_loss_gap for r in reports)
@@ -552,13 +551,13 @@ class TestCheckContext:
                         checked += len(items)
         assert checked > 500
 
-    def test_check_equivalence_is_the_one_item_call(self):
+    def test_batch_equals_one_item_calls(self):
         spec = CodebookSpec(k=2, X=3)
         tmap = identity_token_map(spec)
         model = CascadedLogitModel.random(spec, 2, 0.5, seed=19)
         reports = check_context(model, 1, tmap, [4, 0, 4])
         assert [r.item for r in reports] == [4, 0, 4]
-        assert reports == [check_equivalence(model, 1, tmap, i) for i in (4, 0, 4)]
+        assert reports == [check_context(model, 1, tmap, [i])[0] for i in (4, 0, 4)]
         assert check_context(model, 1, tmap, []) == []
 
     @pytest.mark.parametrize("items", [[-1], [0, 9]])

@@ -16,6 +16,7 @@ from sidlab import (
     CodebookSpec,
     Dataset,
     DivergenceError,
+    EpochRecord,
     ParallelLogitModel,
     SyntheticWorld,
     TokenMap,
@@ -27,6 +28,7 @@ from sidlab import (
     sample_dataset,
     synth_world,
     train_sgd,
+    write_csv,
 )
 from sidlab import _sgd
 
@@ -276,7 +278,7 @@ class TestTrainSgd:
         model = CascadedLogitModel.zeros(spec, 2)
         _, trace = train_sgd(model, tmap, data, lr=0.1, epochs=3, seed=0, world=world)
         path = tmp_path / "trace.csv"
-        trace.to_csv(path)
+        write_csv(path, EpochRecord, trace.records)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "mean_ntp_loss", "mean_fv_mle_loss", "kl"]
