@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logits import FormError, LogitModel, item_logits_all
+from .logits import MAX_TABLE_ENTRIES, FormError, LogitModel, _check_context, item_logits_all
 from .vocab import TokenMap, TokenSeq
 
 
@@ -29,23 +29,45 @@ def beam_search(model: LogitModel, h: int, beam_width: int, top_k: int) -> list[
     """Width-limited exhaustive-prefix search, best ``top_k`` of the final beam.
 
     With ``beam_width >= X**(k-1) * X`` no candidate is ever pruned and the
-    result is the exact ranking of all sequences.
+    result is the exact ranking of all sequences.  Each round works on whole
+    arrays: it gathers the node rows of all surviving prefixes, adds their
+    scores in one broadcast (the additions of a path run left to right from
+    0.0) and ranks every candidate with one lexsort, score descending, then
+    base-X prefix code ascending, which is lexicographic token order.
+
+    Raises:
+        ValueError: a bad width or ``top_k``, a context outside the model, or
+            a round of more than ``MAX_TABLE_ENTRIES`` candidates.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     if not 1 <= top_k <= beam_width:
         raise ValueError(f"top_k must be in [1, beam_width], got {top_k}")
+    _check_context(model.C, h)
     spec = model.spec
-    beams: list[tuple[float, TokenSeq]] = [(0.0, ())]
+    widest = min(beam_width, spec.X ** (spec.k - 1)) * spec.X
+    if widest > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"a beam round would hold {widest} candidates, cap is {MAX_TABLE_ENTRIES}"
+        )
+    scores = np.zeros(1)
+    codes = np.zeros(1, dtype=np.int64)  # base-X prefix index of each beam
+    tokens = np.arange(spec.X)
     for m in range(spec.k):
-        candidates = []
-        for score, prefix in beams:
-            node = model.node_logits(h, prefix)
-            for t in range(spec.X):
-                candidates.append((score + float(node[t]), prefix + (t,)))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        beams = candidates[:beam_width]
-    return [ScoredSequence(sequence=seq, score=score) for score, seq in beams[:top_k]]
+        rows = model.rows(m)[h, model.node_index(codes)]
+        if model.counter is not None:
+            model.counter.entries += codes.size * spec.X
+        with np.errstate(over="ignore"):  # an overflowing path sum is the caller's to reject
+            scores = (scores[:, None] + rows).ravel()
+        codes = (codes[:, None] * spec.X + tokens).ravel()
+        keep = np.lexsort((codes, -scores))[:beam_width]
+        scores, codes = scores[keep], codes[keep]
+    place = spec.X ** np.arange(spec.k - 1, -1, -1)
+    sequences = (codes[:top_k, None] // place % spec.X).tolist()
+    return [
+        ScoredSequence(sequence=tuple(seq), score=score)
+        for seq, score in zip(sequences, scores[:top_k].tolist())
+    ]
 
 
 def exact_topk(model: LogitModel, h: int, tmap: TokenMap, top_k: int) -> list[tuple[int, float]]:

@@ -255,8 +255,9 @@ def check_context(model: LogitModel, h: int, tmap: TokenMap, items) -> list[Equi
         grad_gap = np.where(delta > grad_gap, delta, grad_gap)
     loss_fv = -(logits[items] - log_zfull)
 
-    z_product = float(np.exp(log_zprod))
-    z_full = float(np.exp(log_zfull))
+    with np.errstate(over="ignore"):  # an infinite partition is write_csv's to reject
+        z_product = float(np.exp(log_zprod))
+        z_full = float(np.exp(log_zfull))
     return [
         EquivalenceReport(
             context=h,

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 import warnings
 from collections import Counter
 
@@ -310,11 +311,13 @@ class TestVerifyCommand:
         # 1e308 draws inf table entries; 1000 draws finite ones whose exp(log Z) is inf
         payload = {"trials": 6, "k_values": [2, 3], "X_values": [2, 3], "C_values": [1, 2],
                    "sigma": sigma}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings():  # and no numpy warning before the error line
+            warnings.simplefilter("error")
             code, out = run(tmp_path, "verify", payload, "non_finite")
         assert code == EXIT_CONFIG
-        assert "non-finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "non-finite" in err
         assert list(out.iterdir()) == []
 
     def test_bad_values_rejected(self, tmp_path):
@@ -500,6 +503,23 @@ class TestDecodeCommand:
             assert run(tmp_path, "decode", payload, "overflow")[0] == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_beam_round_over_the_table_cap_exits_4(self, tmp_path, capsys):
+        # 3,000 entries per context, but width 10**6 makes the last round 10**9 candidates
+        spec = CodebookSpec(k=3, X=1000)
+        save_model(ParallelLogitModel.zeros(spec, 1), tmp_path / "wide.json")
+        TokenMap(spec, [[0, 0, 0]], "probe").save(tmp_path / "wide_map.json")
+        payload = {"checkpoint": str(tmp_path / "wide.json"),
+                   "token_map": str(tmp_path / "wide_map.json"), "context": 0,
+                   "method": "beam", "beam_width": 10**6, "top_k": 1}
+        start = time.perf_counter()
+        code, out = run(tmp_path, "decode", payload, "wide")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "cap is 10000000" in err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "breakage",

@@ -8,7 +8,9 @@ every file it writes must be strict JSON or a CSV of finite numbers.
 
 Every key that sizes work (k, X, C, N, trials, n_items, ...) only ever gets
 values up to 64, so no example allocates much; huge floats go to float keys
-only.
+only.  The decode widths ``beam_width`` and ``top_k`` also get 2**31 and
+2**62: the decode documents are k=2, X=3, so a beam round never holds more
+than 9 candidates whatever its width.
 """
 
 import copy
@@ -31,6 +33,8 @@ FLOAT_KEYS = {"sigma", "tolerance", "lr", "alpha", "collapse_threshold", "bounds
 ANY_KEY = [None, True, False, "x", "", "2", [], {}, [1], -5, -1, 0, 1, 2, 64, 2.5, -0.5,
            float("nan"), float("inf"), float("-inf")]
 FLOAT_KEY = ANY_KEY + [1e3, 1e308, -1e308]
+WIDTH_KEYS = {"beam_width", "top_k"}
+WIDTH_KEY = ANY_KEY + [2**31, 2**62]
 
 SPEC = CodebookSpec(k=2, X=3)
 EMBEDDINGS = [[0.1 * i, -0.2 * i, (-1.0) ** i] for i in range(12)]
@@ -143,6 +147,18 @@ def assert_strict(path: Path):
             assert math.isfinite(value), f"{path.name} holds {cell!r}"
 
 
+def return_code_and_artifacts_hold(command, docs):
+    """Run ``command`` on ``docs``: a code in 0-5, and only strict artifacts."""
+    with tempfile.TemporaryDirectory() as tmp:
+        where = Path(tmp)
+        write_inputs(docs, where)
+        out = where / "out"
+        code = main([command, "--config", str(where / "config.json"), "--out-dir", str(out)])
+        assert code in range(6)
+        for path in out.iterdir() if out.exists() else ():
+            assert_strict(path)
+
+
 @pytest.mark.parametrize("command", sorted(VARIANTS))
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
@@ -153,13 +169,17 @@ def test_any_input_keeps_the_exit_contract(command, data):
         if not candidates:  # every document was deleted
             break
         path = data.draw(st.sampled_from(candidates))
-        pool = FLOAT_KEY if FLOAT_KEYS.intersection(map(str, path)) else ANY_KEY
+        keys = set(map(str, path))
+        pool = FLOAT_KEY if FLOAT_KEYS & keys else WIDTH_KEY if WIDTH_KEYS & keys else ANY_KEY
         mutate(docs, path, data.draw(st.sampled_from([DELETE, *pool])))
-    with tempfile.TemporaryDirectory() as tmp:
-        where = Path(tmp)
-        write_inputs(docs, where)
-        out = where / "out"
-        code = main([command, "--config", str(where / "config.json"), "--out-dir", str(out)])
-        assert code in range(6)
-        for path in out.iterdir() if out.exists() else ():
-            assert_strict(path)
+    return_code_and_artifacts_hold(command, docs)
+
+
+@pytest.mark.parametrize("value", [2**31, 2**62])
+@pytest.mark.parametrize("key", sorted(WIDTH_KEYS))
+@pytest.mark.parametrize("variant", VARIANTS["decode"])
+def test_huge_decode_widths_keep_the_exit_contract(variant, key, value):
+    # the random paths above seldom land on the two width keys
+    docs = base_documents("decode", variant)
+    mutate(docs, ("config", key), value)
+    return_code_and_artifacts_hold("decode", docs)

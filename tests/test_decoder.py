@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sidlab import (
     CascadedLogitModel,
     CodebookSpec,
     FormError,
+    LookupCounter,
     ParallelLogitModel,
     ScoredSequence,
     beam_search,
@@ -38,6 +40,84 @@ def brute_force_ranking(model, h):
     return scored
 
 
+def beam_search_reference(model, h, beam_width, top_k):
+    """The per-candidate loop that ``beam_search`` replaced, kept as its oracle."""
+    if beam_width < 1:
+        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+    if not 1 <= top_k <= beam_width:
+        raise ValueError(f"top_k must be in [1, beam_width], got {top_k}")
+    spec = model.spec
+    beams: list[tuple[float, tuple]] = [(0.0, ())]
+    for m in range(spec.k):
+        candidates = []
+        for score, prefix in beams:
+            node = model.node_logits(h, prefix)
+            for t in range(spec.X):
+                candidates.append((score + float(node[t]), prefix + (t,)))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        beams = candidates[:beam_width]
+    return [ScoredSequence(sequence=seq, score=score) for score, seq in beams[:top_k]]
+
+
+def oracle_tables(cls, spec, kind, seed):
+    """Tables for the oracle cases: random draws, integer ties, signed zeros or
+    entries near +-1e308 whose path sums overflow."""
+    rng = np.random.default_rng(seed)
+    model = cls.random(spec, 2, 1.5, seed=seed)
+    for table in model.tables:
+        if kind == "integer_ties":
+            table[...] = np.round(table)
+        elif kind == "zeros":
+            table[...] = 0.0
+        elif kind == "negative_zeros":
+            table[...] = -0.0
+        elif kind == "near_overflow":
+            table[...] = rng.choice([-1.0, 1.0], table.shape) * rng.uniform(0.6, 1.0, table.shape)
+            table *= 1e308
+    return model
+
+
+class TestBeamSearchOracle:
+    """``beam_search`` against the per-candidate loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "kind", ["random", "integer_ties", "zeros", "negative_zeros", "near_overflow"]
+    )
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("cls", [CascadedLogitModel, ParallelLogitModel])
+    def test_matches_reference_loop_bitwise(self, cls, k, kind):
+        for X in range(2, 7):
+            spec = CodebookSpec(k=k, X=X)
+            model = oracle_tables(cls, spec, kind, seed=10 * k + X)
+            n = spec.sequence_space_size
+            for width in sorted({1, 2, X, X ** (k - 1), n, n + 1}):
+                for top_k in sorted({1, min(3, width), width}):
+                    for h in range(model.C):
+                        model.counter = LookupCounter()
+                        want = beam_search_reference(model, h, width, top_k)
+                        want_entries = model.counter.entries
+                        model.counter = LookupCounter()
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("error")
+                            got = beam_search(model, h, width, top_k)
+                        assert model.counter.entries == want_entries
+                        assert [g.sequence for g in got] == [w.sequence for w in want]
+                        assert all(type(t) is int for g in got for t in g.sequence)
+                        assert [g.score.hex() for g in got] == [w.score.hex() for w in want]
+
+    @pytest.mark.parametrize("cls", [CascadedLogitModel, ParallelLogitModel])
+    def test_near_overflow_tables_reach_both_infinities(self, cls):
+        model = oracle_tables(cls, CodebookSpec(k=3, X=4), "near_overflow", seed=3)
+        scores = [b.score for b in beam_search(model, 0, 64, 64)]
+        assert float("inf") in scores and float("-inf") in scores
+
+    @pytest.mark.parametrize("h", [-1, 2])
+    def test_context_is_checked(self, h):
+        model = CascadedLogitModel.zeros(CodebookSpec(k=2, X=3), 2)
+        with pytest.raises(ValueError, match="context"):
+            beam_search(model, h, 3, 1)
+
+
 class TestBeamSearch:
     def test_argument_validation(self):
         model = ParallelLogitModel.zeros(CodebookSpec(k=2, X=2), 1)
@@ -58,8 +138,7 @@ class TestBeamSearch:
             beams = beam_search(model, h, beam_width=n, top_k=n)
             expect = brute_force_ranking(model, h)
             assert [b.sequence for b in beams] == [seq for _, seq in expect]
-            for b, (score, _) in zip(beams, expect):
-                assert b.score == pytest.approx(score, abs=1e-12)
+            assert [b.score for b in beams] == [score for score, _ in expect]
 
     def test_full_width_beam_matches_exact_topk_items(self):
         spec = CodebookSpec(k=2, X=4)
