@@ -26,8 +26,6 @@ from .logits import (
     LogitModel,
     LookupCounter,
     ParallelLogitModel,
-    embed_parallel_as_cascaded,
-    item_logit,
     item_logits_all,
     load_model,
     model_from_json_dict,
@@ -40,10 +38,8 @@ from .losses import (
     EquivalenceReport,
     check_context,
     full_log_partition,
-    fv_mle_grad,
     fv_mle_loss,
     log_sum_exp,
-    ntp_grad,
     ntp_loss,
     sequence_log_partition,
     sequence_log_partition_factored,
@@ -68,7 +64,6 @@ from .tokenizer import (
     load_embeddings_csv,
     load_tokenizer,
     nearest_centers,
-    nearest_centroid,
     save_embeddings_bin,
     save_embeddings_csv,
     save_tokenizer,
@@ -79,7 +74,6 @@ from .trainer import (
     DivergenceError,
     EpochRecord,
     SyntheticWorld,
-    TrainingTrace,
     eval_kl,
     eval_kl_chain,
     sample_dataset,
@@ -95,7 +89,6 @@ from .vocab import (
     TokenMap,
     TokenSeq,
     audit_bijection,
-    build_token_map,
     identity_token_map,
     prefix_index_arrays,
 )
@@ -117,7 +110,6 @@ __all__ = [
     "CollisionError",
     "CoverageError",
     "audit_bijection",
-    "build_token_map",
     "identity_token_map",
     "prefix_index_arrays",
     # logits
@@ -126,9 +118,7 @@ __all__ = [
     "LogitModel",
     "LookupCounter",
     "FormError",
-    "item_logit",
     "item_logits_all",
-    "embed_parallel_as_cascaded",
     "table_entry_count",
     "model_to_json_dict",
     "model_from_json_dict",
@@ -145,8 +135,6 @@ __all__ = [
     "sequence_log_partition",
     "sequence_log_partition_levelwise",
     "sequence_log_partition_factored",
-    "ntp_grad",
-    "fv_mle_grad",
     "check_context",
     "summarize_reports",
     # decoder
@@ -167,7 +155,6 @@ __all__ = [
     "save_embeddings_bin",
     "load_embeddings_bin",
     "fit_kmeans",
-    "nearest_centroid",
     "nearest_centers",
     "fit_rq_kmeans",
     "encode_rq",
@@ -180,7 +167,6 @@ __all__ = [
     "SyntheticWorld",
     "Dataset",
     "EpochRecord",
-    "TrainingTrace",
     "DivergenceError",
     "synth_world",
     "sample_dataset",

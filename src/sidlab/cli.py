@@ -12,7 +12,9 @@ non-finite); 2 bijection failure (the audit is still written); 3 equivalence
 tolerance exceeded; 4 config or artifact-parse error; 5 missing input
 artifact.  Every config value is read through one typed reader, so a value
 of the wrong JSON type, a non-integral float for an integer key or a
-negative seed exits 4 as well.
+negative seed exits 4 as well.  So does a checkpoint or token map whose
+``k``, ``X`` or ``C`` header is not a JSON integer (``1.9``, ``true`` or
+``"2"``): headers are read as they are, never cast.
 
 Exit 1 means a non-finite mean loss and nothing else: a run whose loss stays
 finite exits 0 however poor the model, as ``train`` with ``lr: 1e6`` does
@@ -62,7 +64,6 @@ from .tokenizer import (
     load_embeddings_csv,
     save_tokenizer,
     synth_embeddings,
-    tokenizer_to_json_dict,
 )
 from .trainer import (
     DivergenceError,
@@ -438,13 +439,13 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     initial_kl = eval_kl(model, tmap, world)
     initial_kl_chain = eval_kl_chain(model, tmap, world)
     try:
-        trained, trace = train_sgd(model, tmap, data, lr, epochs, shuffle_seed, world=world)
+        trained, records = train_sgd(model, tmap, data, lr, epochs, shuffle_seed, world=world)
     except DivergenceError as exc:
         print(f"train: {exc}", file=sys.stderr)
         return 1
     checkpoint(trained, out_dir / "checkpoint_final.json")
-    write_csv(out_dir / "trace.csv", EpochRecord, trace.records)
-    last = trace.records[-1]
+    write_csv(out_dir / "trace.csv", EpochRecord, records)
+    last = records[-1]
     write_json(
         out_dir / "summary.json",
         {
@@ -486,30 +487,19 @@ def cmd_decode(cfg: dict, out_dir: Path) -> int:
     top_k = _value(cfg, "top_k", int, 1)
 
     try:
-        if method == "beam":
-            beam_width = _value(cfg, "beam_width", int, top_k)
-            hits = beam_search(model, h, beam_width, top_k)
-            results = [
-                {"rank": r, "tokens": list(s.sequence), "score": s.score,
-                 "item_id": tmap.inverse(s.sequence)}
-                for r, s in enumerate(hits)
-            ]
-        elif method == "exact":
-            hits = exact_topk(model, h, tmap, top_k)
-            results = [
-                {"rank": r, "tokens": list(tmap.forward(item)), "score": score,
-                 "item_id": item}
-                for r, (item, score) in enumerate(hits)
-            ]
-        else:  # mtp
-            hits = mtp_decode(model, h, top_k)
-            results = [
-                {"rank": r, "tokens": list(s.sequence), "score": s.score,
-                 "item_id": tmap.inverse(s.sequence)}
-                for r, s in enumerate(hits)
-            ]
+        if method == "exact":
+            hits = [(item, tmap.forward(item), score)
+                    for item, score in exact_topk(model, h, tmap, top_k)]
+        else:
+            found = (beam_search(model, h, _value(cfg, "beam_width", int, top_k), top_k)
+                     if method == "beam" else mtp_decode(model, h, top_k))
+            hits = [(tmap.inverse(s.sequence), s.sequence, s.score) for s in found]
     except (FormError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    results = [
+        {"rank": r, "tokens": list(tokens), "score": score, "item_id": item}
+        for r, (item, tokens, score) in enumerate(hits)
+    ]
     if not all(np.isfinite(r["score"]) for r in results):
         raise ConfigError("decoded path scores overflow: the checkpoint's logits are too large")
 

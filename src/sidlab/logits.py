@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .artifacts import write_json
-from .vocab import CodebookSpec, TokenMap, TokenSeq
+from .vocab import CodebookSpec, TokenMap, TokenSeq, _json_int
 
 
 class FormError(TypeError):
@@ -94,13 +94,12 @@ class LogitModel:
         shapes = [_table_shape(cls.form, spec, C, m) for m in range(spec.k)]
         return cls(spec, C, [np.zeros(shape) for shape in shapes])
 
-    def rows(self, m: int, tables: list[np.ndarray] | None = None) -> np.ndarray:
+    def rows(self, m: int) -> np.ndarray:
         """Position m's table as a (C, nodes, X) view: X**m nodes cascaded, 1 parallel.
 
-        Writes through the view reach the table.  ``tables`` (e.g. gradients
-        from :meth:`zero_like_tables`) are viewed instead of the model's own.
+        Writes through the view reach the table.
         """
-        tab = (self.tables if tables is None else tables)[m]
+        tab = self.tables[m]
         return tab[:, None, :] if self.form == "parallel" else tab
 
     def node_index(self, prefix_idx):
@@ -111,37 +110,18 @@ class LogitModel:
         """
         return 0 if self.form == "parallel" else prefix_idx
 
-    def _node_row(self, h: int, prefix: TokenSeq) -> np.ndarray:
+    def node_logits(self, h: int, prefix: TokenSeq) -> np.ndarray:
+        """The X-vector of logits at node (h, prefix); position is len(prefix) + 1."""
         _check_context(self.C, h)
         if len(prefix) >= self.spec.k:
             raise ValueError(f"prefix length {len(prefix)} must be < k={self.spec.k}")
-        return self.rows(len(prefix))[h, self.node_index(self.spec.prefix_index(prefix))]
-
-    def node_logits(self, h: int, prefix: TokenSeq) -> np.ndarray:
-        """The X-vector of logits at node (h, prefix); position is len(prefix) + 1."""
-        row = self._node_row(h, prefix)
+        row = self.rows(len(prefix))[h, self.node_index(self.spec.prefix_index(prefix))]
         if self.counter is not None:
             self.counter.entries += self.spec.X
         return row
 
-    def token_logit(self, h: int, prefix: TokenSeq, t: int) -> float:
-        """Single entry l(t | h, prefix)."""
-        if not 0 <= t < self.spec.X:
-            raise ValueError(f"token {t} outside [0, {self.spec.X})")
-        val = self._node_row(h, prefix)[t]
-        if self.counter is not None:
-            self.counter.entries += 1
-        return float(val)
-
     def copy(self) -> "LogitModel":
         return type(self)(self.spec, self.C, [t.copy() for t in self.tables])
-
-    def zero_like_tables(self) -> list[np.ndarray]:
-        return [np.zeros_like(t) for t in self.tables]
-
-    @property
-    def n_params(self) -> int:
-        return sum(t.size for t in self.tables)
 
 
 class CascadedLogitModel(LogitModel):
@@ -162,21 +142,12 @@ FORMS: dict[str, type[LogitModel]] = {
 }
 
 
-def item_logit(model: LogitModel, h: int, tmap: TokenMap, item: int) -> float:
-    """Item logit: the sum of token logits along the item's sequence path,
-    added left to right from 0.0 like :func:`item_logits_all`."""
-    seq = tmap.forward(item)
-    total = 0.0
-    for m in range(len(seq)):
-        total += model.token_logit(h, seq[:m], seq[m])
-    return total
-
-
 def item_logits_all(model: LogitModel, h: int, tmap: TokenMap) -> np.ndarray:
     """Item logits of every item in the map, shape (n_items,).
 
-    Equivalent to calling :func:`item_logit` per item; vectorized, and counts
-    n_items entry reads per position against the attached lookup counter.
+    Each item's logit is the sum of its token logits along its path, added
+    left to right from 0.0; counts n_items entry reads per position against
+    the attached lookup counter.
     """
     _check_context(model.C, h)
     spec = model.spec
@@ -189,15 +160,6 @@ def item_logits_all(model: LogitModel, h: int, tmap: TokenMap) -> np.ndarray:
     if model.counter is not None:
         model.counter.entries += spec.k * n
     return scores
-
-
-def embed_parallel_as_cascaded(model: ParallelLogitModel) -> CascadedLogitModel:
-    """Copy a parallel model into cascaded tables (every prefix row identical)."""
-    if model.form != "parallel":
-        raise FormError("embed_parallel_as_cascaded needs a parallel model")
-    spec = model.spec
-    tables = [np.repeat(model.rows(m), spec.X**m, axis=1) for m in range(spec.k)]
-    return CascadedLogitModel(spec, model.C, tables)
 
 
 # the most table entries a model that the CLI builds, or the benchmark
@@ -223,8 +185,8 @@ def model_to_json_dict(model: LogitModel) -> dict:
 
 
 def model_from_json_dict(payload: dict) -> LogitModel:
-    spec = CodebookSpec(k=int(payload["k"]), X=int(payload["X"]))
-    C = int(payload["C"])
+    spec = CodebookSpec(k=_json_int(payload, "k"), X=_json_int(payload, "X"))
+    C = _json_int(payload, "C")
     form = str(payload["form"])
     params = payload["params"]
     if len(params) != spec.k:

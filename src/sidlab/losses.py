@@ -42,8 +42,9 @@ Most of a report is shared by every item of one context: log Z by the
 sequence route, the item logits, log Z_full and the flat softmax.
 ``check_context`` computes those once per (model, context) and then, per
 item, only the k visited nodes' log Z, the item's logit and the k visited
-gradient rows.  It makes the float operations of the per-item routines
-above in their order, so its reports equal theirs bit for bit.
+rows of both analytic gradients.  It makes the float operations of the
+per-item routines (the losses here, the gradients in ``tests/reference.py``)
+in their order, so its reports equal theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logits import FormError, LogitModel, item_logit, item_logits_all
+from .logits import FormError, LogitModel, item_logits_all
 from .vocab import TokenMap
 
 
@@ -107,7 +108,10 @@ def full_log_partition(model: LogitModel, h: int, tmap: TokenMap) -> float:
 
 def fv_mle_loss(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> float:
     """Flat-softmax negative log likelihood of ``i_plus`` over the item catalogue."""
-    return -(item_logit(model, h, tmap, i_plus) - full_log_partition(model, h, tmap))
+    if not 0 <= i_plus < tmap.n_items:
+        raise ValueError(f"item {i_plus} outside [0, {tmap.n_items})")
+    logits = item_logits_all(model, h, tmap)
+    return -(float(logits[i_plus]) - log_sum_exp(logits))
 
 
 def sequence_log_partition(model: LogitModel, h: int) -> float:
@@ -152,42 +156,6 @@ def sequence_log_partition_factored(model: LogitModel, h: int) -> float:
     return total
 
 
-def ntp_grad(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> list[np.ndarray]:
-    """Gradient of :func:`ntp_loss` w.r.t. every table entry.
-
-    Nonzero only at the k visited (h, prefix) nodes, where it is
-    softmax(node logits) minus the one-hot of the visited token.
-    """
-    seq = tmap.forward(i_plus)
-    grads = model.zero_like_tables()
-    for m in range(model.spec.k):
-        p = softmax(model.node_logits(h, seq[:m]))
-        row = model.rows(m, grads)[h, model.node_index(model.spec.prefix_index(seq[:m]))]
-        row += p
-        row[seq[m]] -= 1.0
-    return grads
-
-
-def fv_mle_grad(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> list[np.ndarray]:
-    """Gradient of :func:`fv_mle_loss` w.r.t. every table entry.
-
-    Each item contributes its flat-softmax probability along its own path,
-    so entries at nodes the positive item never visits are generally nonzero
-    too (through Z_full).
-    """
-    spec = model.spec
-    mat = tmap.token_matrix
-    prefixes = tmap.prefix_indices
-    p = softmax(item_logits_all(model, h, tmap))
-    grads = model.zero_like_tables()
-    seq = tmap.forward(i_plus)
-    for m in range(spec.k):
-        rows = model.rows(m, grads)[h]
-        np.add.at(rows, (model.node_index(prefixes[m]), mat[:, m]), p)
-        rows[model.node_index(spec.prefix_index(seq[:m])), seq[m]] -= 1.0
-    return grads
-
-
 @dataclass
 class EquivalenceReport:
     """Measured agreement between the chained and flat formulations.
@@ -222,9 +190,9 @@ def check_context(model: LogitModel, h: int, tmap: TokenMap, items) -> list[Equi
     item then reads only its k visited nodes, for all items at once: the
     node's log Z and softmax row for the chained loss and gradient, the mass
     row minus the one-hot for the flat gradient.  Every field is made by the
-    float operations :func:`ntp_loss`, :func:`fv_mle_loss`, :func:`ntp_grad`
-    and :func:`fv_mle_grad` make, in the same order, so the reports are the
-    ones those routines would give bit for bit.
+    float operations that :func:`ntp_loss`, :func:`fv_mle_loss` and the
+    per-item gradient routines of ``tests/reference.py`` make, in the same
+    order, so each report equals that file's ``composed_report`` bit for bit.
     """
     spec = model.spec
     items = np.asarray(items, dtype=np.int64)

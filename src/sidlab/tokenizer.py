@@ -132,12 +132,6 @@ def squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.stack([((points - center) ** 2).sum(axis=1) for center in centers], axis=1)
 
 
-def nearest_centroid(centers: np.ndarray, x: np.ndarray) -> int:
-    """Index of the closest center; ties go to the lowest index."""
-    d2 = ((centers - x[None, :]) ** 2).sum(axis=1)
-    return int(d2.argmin())
-
-
 # no exact column value can round to inf while (|x| + |c|)^2 stays below this
 _SCREEN_MAX = 2.0**1000
 

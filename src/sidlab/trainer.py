@@ -96,9 +96,6 @@ class Dataset:
     def __len__(self) -> int:
         return int(self.contexts.shape[0])
 
-    def pairs(self):
-        return zip(self.contexts.tolist(), self.items.tolist())
-
 
 def sample_dataset(world: SyntheticWorld, n_samples: int, seed: int) -> Dataset:
     """Contexts uniform over C, items by inverse CDF from p*(. | h)."""
@@ -122,11 +119,6 @@ class EpochRecord:
     mean_ntp_loss: float
     mean_fv_mle_loss: float
     kl: float
-
-
-@dataclass
-class TrainingTrace:
-    records: list[EpochRecord]
 
 
 def _model_log_probs_flat(model: LogitModel, tmap: TokenMap, h: int) -> np.ndarray:
@@ -181,19 +173,21 @@ def _epoch_metrics(
     """Dataset-mean losses at the current parameters, plus eval KL.
 
     Means are exact: per-(h, i) losses are computed once and weighted by the
-    dataset's (h, i) counts.
+    dataset's (h, i) counts.  Each context's flat log probabilities serve
+    both the flat loss and the KL.
     """
     mean_ntp = 0.0
     mean_fv = 0.0
+    log_q_flat = []
     for h in range(model.C):
         ntp_tab = -_model_log_probs_chain(model, tmap, h)
-        fv_tab = -_model_log_probs_flat(model, tmap, h)
+        log_q_flat.append(_model_log_probs_flat(model, tmap, h))
         w = counts[h]
         mean_ntp += float((w * ntp_tab).sum())
-        mean_fv += float((w * fv_tab).sum())
+        mean_fv += float((w * -log_q_flat[h]).sum())
     mean_ntp /= n
     mean_fv /= n
-    kl = eval_kl(model, tmap, world) if world is not None else float("nan")
+    kl = _forward_kl(world, log_q_flat) if world is not None else float("nan")
     return mean_ntp, mean_fv, kl
 
 
@@ -247,17 +241,19 @@ def train_sgd(
     epochs: int,
     seed: int,
     world: SyntheticWorld | None = None,
-) -> tuple[LogitModel, TrainingTrace]:
-    """Per-sample SGD on the next-token loss; returns (trained copy, trace).
+) -> tuple[LogitModel, list[EpochRecord]]:
+    """Per-sample SGD on the next-token loss; returns (trained copy, records).
 
     Each step updates only the k visited nodes with lr * (softmax - onehot).
-    The trace records the exact dataset-mean next-token and full-vocabulary
-    losses at end-of-epoch parameters, and eval_kl when a world is supplied.
-    The input model is not modified; lr = 0 is allowed and leaves the copy
-    bit-identical.  Epochs run in the compiled kernel when it loads, else in
-    the Python loop; both give the same bits.
+    One record per epoch holds the exact dataset-mean next-token and
+    full-vocabulary losses at end-of-epoch parameters, and eval_kl when a
+    world is supplied.  The input model is not modified; lr = 0 is allowed
+    and leaves the copy bit-identical.  Epochs run in the compiled kernel
+    when it loads, else in the Python loop; both give the same bits.
 
     Raises:
+        ValueError: bad hyperparameters, or a map, dataset or world that
+            does not fit the model.
         DivergenceError: a mean epoch loss went non-finite.
     """
     if lr < 0:
@@ -274,6 +270,11 @@ def train_sgd(
         raise ValueError(f"dataset contexts must lie in [0, {model.C})")
     if not (0 <= data.items.min() and data.items.max() < tmap.n_items):
         raise ValueError(f"dataset items must lie in [0, {tmap.n_items})")
+    if world is not None and world.p_star.shape != (model.C, tmap.n_items):
+        raise ValueError(
+            f"world p_star shape {world.p_star.shape} does not match "
+            f"({model.C}, {tmap.n_items})"
+        )
 
     model = model.copy()
     n = len(data)
@@ -296,4 +297,4 @@ def train_sgd(
         if not np.isfinite(mean_ntp):
             raise DivergenceError(f"mean epoch loss became non-finite at epoch {epoch}")
         records.append(EpochRecord(epoch=epoch, mean_ntp_loss=mean_ntp, mean_fv_mle_loss=mean_fv, kl=kl))
-    return model, TrainingTrace(records=records)
+    return model, records

@@ -10,7 +10,6 @@ merely measured (``probe`` mode).
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
@@ -93,16 +92,6 @@ class CodebookSpec:
         """Encode a full sequence as a base-X integer, first token most significant."""
         return self.prefix_index(seq)
 
-    def index_to_sequence(self, idx: int) -> TokenSeq:
-        """Inverse of :meth:`sequence_to_index`."""
-        if not 0 <= idx < self.sequence_space_size:
-            raise ValueError(f"index {idx} outside [0, {self.sequence_space_size})")
-        digits = []
-        for _ in range(self.k):
-            digits.append(idx % self.X)
-            idx //= self.X
-        return tuple(reversed(digits))
-
     def prefix_index(self, prefix: TokenSeq) -> int:
         """Base-X integer encoding of a (possibly empty) prefix; empty prefix is 0."""
         idx = 0
@@ -110,9 +99,13 @@ class CodebookSpec:
             idx = idx * self.X + t
         return idx
 
-    def iter_sequences(self) -> Iterator[TokenSeq]:
-        """All X**k sequences in lexicographic (base-X counting) order."""
-        return itertools.product(range(self.X), repeat=self.k)
+
+def _json_int(payload: dict, key: str) -> int:
+    """``payload[key]`` read as a JSON integer: a bool, float or string is refused, not cast."""
+    value = payload[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
 
 
 def prefix_index_arrays(spec: CodebookSpec, token_matrix: np.ndarray) -> np.ndarray:
@@ -140,8 +133,8 @@ class TokenMap:
     checks can measure their effect; the inverse of a colliding sequence is
     the lowest colliding item id.
 
-    Use :func:`build_token_map` or :func:`identity_token_map` instead of
-    calling the constructor with raw data.
+    Build one from any (n_items, k) integer table, or take the strict
+    base-X map from :func:`identity_token_map`.
     """
 
     def __init__(self, spec: CodebookSpec, forward: list[TokenSeq] | np.ndarray, mode: str):
@@ -215,7 +208,7 @@ class TokenMap:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TokenMap":
-        spec = CodebookSpec(k=int(payload["k"]), X=int(payload["X"]))
+        spec = CodebookSpec(k=_json_int(payload, "k"), X=_json_int(payload, "X"))
         return cls(spec, payload["forward"], str(payload["mode"]))
 
     def save(self, path) -> None:
@@ -225,33 +218,6 @@ class TokenMap:
     def load(cls, path) -> "TokenMap":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
-
-
-def build_token_map(
-    spec: CodebookSpec,
-    assignments: list[tuple[int, Iterable[int]]],
-    mode: str = "strict",
-) -> TokenMap:
-    """Build a :class:`TokenMap` from explicit (item id, sequence) pairs.
-
-    Item ids must be exactly 0..N-1 with no duplicates; the order of the
-    pairs does not matter.
-
-    Raises:
-        MalformedSequenceError: a sequence fails validation against ``spec``.
-        CollisionError: strict mode and two items share a sequence.
-        CoverageError: strict mode and N != X**k.
-    """
-    n = len(assignments)
-    forward: list[list[int] | None] = [None] * n
-    for item, seq in assignments:
-        item = int(item)
-        if not 0 <= item < n:
-            raise ValueError(f"item id {item} outside [0, {n})")
-        if forward[item] is not None:
-            raise ValueError(f"duplicate assignment for item {item}")
-        forward[item] = list(seq)
-    return TokenMap(spec, forward, mode)
 
 
 def identity_token_map(spec: CodebookSpec) -> TokenMap:

@@ -36,10 +36,8 @@ from sidlab import (
     full_log_partition,
     fv_mle_loss,
     identity_token_map,
-    item_logit,
     measure_lookup_counts,
     mtp_decode,
-    ntp_grad,
     ntp_loss,
     sample_dataset,
     sequence_log_partition,
@@ -49,6 +47,8 @@ from sidlab import (
     train_sgd,
 )
 from sidlab.cli import main as cli_main
+
+from reference import item_logit, ntp_grad
 
 SWEEP = list(itertools.product([1, 2, 3], [2, 3, 4], [1, 2, 4]))  # (k, X, C)
 SIGMA = 0.5
@@ -312,9 +312,11 @@ class TestCriterion6CollisionProbe:
         for cls in (CascadedLogitModel, ParallelLogitModel):
             for seed in range(6):
                 spec = CodebookSpec(k=2, X=3)
-                base = [spec.index_to_sequence(i) for i in range(spec.sequence_space_size)]
+                identity = identity_token_map(spec)
                 dup_item = seed % spec.sequence_space_size
-                probe = TokenMap(spec, base + [spec.index_to_sequence(dup_item)], "probe")
+                probe = TokenMap(
+                    spec, np.vstack([identity.token_matrix, identity.token_matrix[dup_item]]), "probe"
+                )
                 model = cls.random(spec, 2, SIGMA, seed=seed)
                 for h in range(2):
                     n_trials += 1
@@ -350,15 +352,15 @@ def desk_scale_run():
     model = CascadedLogitModel.zeros(spec, 4)
     initial_kl = eval_kl(model, tmap, world)
     t0 = time.perf_counter()
-    trained, trace = train_sgd(
+    trained, records = train_sgd(
         model, tmap, data, lr=0.1, epochs=30, seed=shuffle_seed, world=world
     )
     runtime = time.perf_counter() - t0
     return {
         "initial_kl": initial_kl,
-        "final_kl": trace.records[-1].kl,
+        "final_kl": records[-1].kl,
         "chain_kl": eval_kl_chain(trained, tmap, world),
-        "trace": trace,
+        "records": records,
         "runtime": runtime,
     }
 
@@ -394,9 +396,9 @@ class TestCriterion7DeskScaleConsistency:
         assert record_criterion("criterion 7b (final KL <= 0.25 x initial)", ok, detail), detail
 
     def test_7c_per_epoch_loss_agreement(self, desk_scale_run):
-        trace = desk_scale_run["trace"]
+        records = desk_scale_run["records"]
         worst = max(
-            abs(rec.mean_ntp_loss - rec.mean_fv_mle_loss) for rec in trace.records
+            abs(rec.mean_ntp_loss - rec.mean_fv_mle_loss) for rec in records
         )
         ok = worst <= 1e-9
         detail = (

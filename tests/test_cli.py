@@ -504,6 +504,34 @@ class TestDecodeCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "artifact,key,value",
+        [("checkpoint", "k", 1.9), ("checkpoint", "k", True), ("checkpoint", "X", "2"),
+         ("checkpoint", "C", 1.5), ("token_map", "k", 1.9), ("token_map", "k", True),
+         ("token_map", "X", "2"), ("token_map", "X", 2.0)],
+        ids=["ckpt_k_float", "ckpt_k_bool", "ckpt_X_string", "ckpt_C_float", "map_k_float",
+             "map_k_bool", "map_X_string", "map_X_integral_float"],
+    )
+    @pytest.mark.parametrize("method", ["beam", "exact"])
+    def test_header_that_is_not_a_json_integer_exits_4(
+        self, tmp_path, artifact, key, value, method, capsys
+    ):
+        # each header used to be cast with int(), so k: 1.9 loaded as k=1 and decoded
+        artifacts = {
+            "checkpoint": {"form": "parallel", "k": 1, "X": 2, "C": 1, "params": [[0.1, 0.2]]},
+            "token_map": {"k": 1, "X": 2, "mode": "strict", "forward": [[0], [1]]},
+        }
+        payload = {"context": 0, "method": method, "top_k": 1}
+        for name, doc in artifacts.items():
+            payload[name] = write_config(tmp_path, f"{name}.json", doc)
+        assert run(tmp_path, "decode", payload, "valid_header")[0] == EXIT_OK
+        artifacts[artifact][key] = value
+        write_config(tmp_path, f"{artifact}.json", artifacts[artifact])
+        code, out = run(tmp_path, "decode", payload, "bad_header")
+        assert code == EXIT_CONFIG
+        assert "must be a JSON integer" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_beam_round_over_the_table_cap_exits_4(self, tmp_path, capsys):
         # 3,000 entries per context, but width 10**6 makes the last round 10**9 candidates
         spec = CodebookSpec(k=3, X=1000)

@@ -17,9 +17,9 @@ from sidlab import (
     beam_search,
     exact_topk,
     identity_token_map,
-    item_logit,
     mtp_decode,
 )
+from reference import item_logit
 
 
 def brute_force_ranking(model, h):

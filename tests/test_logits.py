@@ -16,9 +16,7 @@ from sidlab import (
     ParallelLogitModel,
     beam_search,
     decoder,
-    embed_parallel_as_cascaded,
     identity_token_map,
-    item_logit,
     item_logits_all,
     load_model,
     logits,
@@ -30,6 +28,7 @@ from sidlab import (
     save_model,
     table_entry_count,
 )
+from reference import embed_parallel_as_cascaded, item_logit
 
 SPEC = CodebookSpec(k=3, X=3)
 
@@ -38,12 +37,12 @@ class TestConstruction:
     def test_cascaded_table_shapes(self):
         model = CascadedLogitModel.zeros(SPEC, C=2)
         assert [t.shape for t in model.tables] == [(2, 1, 3), (2, 3, 3), (2, 9, 3)]
-        assert model.n_params == 2 * (3 + 9 + 27)
+        assert table_entry_count(SPEC, 2, model.form) == 2 * (3 + 9 + 27)
 
     def test_parallel_table_shapes(self):
         model = ParallelLogitModel.zeros(SPEC, C=2)
         assert [t.shape for t in model.tables] == [(2, 3)] * 3
-        assert model.n_params == 2 * 3 * 3
+        assert table_entry_count(SPEC, 2, model.form) == 2 * 3 * 3
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -70,9 +69,9 @@ class TestConstruction:
         clone.tables[0][0, 0, 0] += 1.0
         assert model.tables[0][0, 0, 0] != clone.tables[0][0, 0, 0]
 
-    def test_zero_like_tables(self):
+    def test_zeros_of_the_same_form_match_the_tables(self):
         model = ParallelLogitModel.random(SPEC, 2, 0.5, seed=1)
-        zeros = model.zero_like_tables()
+        zeros = type(model).zeros(SPEC, 2).tables
         assert all(np.all(z == 0.0) and z.shape == t.shape
                    for z, t in zip(zeros, model.tables))
 
@@ -89,9 +88,9 @@ class TestRowView:
         model = ParallelLogitModel.zeros(SPEC, C=2)
         model.rows(1)[1, 0, 2] = 5.0
         assert model.tables[1][1, 2] == 5.0
-        grads = model.zero_like_tables()
-        model.rows(2, grads)[0, 0] += 1.0
-        assert np.all(grads[2][0] == 1.0) and np.all(grads[2][1] == 0.0)
+        grads = ParallelLogitModel.zeros(SPEC, C=2)
+        grads.rows(2)[0, 0] += 1.0
+        assert np.all(grads.tables[2][0] == 1.0) and np.all(grads.tables[2][1] == 0.0)
 
     def test_node_index(self):
         prefixes = np.array([0, 4, 8])
@@ -166,7 +165,6 @@ class TestNoBuiltinSum:
     right from 0.0."""
 
     ALLOWED = {
-        ("logits.py", "n_params"),
         ("logits.py", "table_entry_count"),
         ("tokenizer.py", "encode_pq"),  # sum(model.subspace_dims)
     }
@@ -230,22 +228,14 @@ class TestLookups:
             model.node_logits(1, ())
         with pytest.raises(ValueError):
             model.node_logits(0, (0, 1, 2))  # full-length prefix has no next position
-        with pytest.raises(ValueError):
-            model.token_logit(0, (), 3)
-
-    def test_token_logit_matches_node_row(self):
-        model = CascadedLogitModel.random(SPEC, 1, 0.5, seed=5)
-        node = model.node_logits(0, (1,))
-        for t in range(3):
-            assert model.token_logit(0, (1,), t) == node[t]
 
     def test_counter_accounting(self):
         model = CascadedLogitModel.zeros(SPEC, 1)
         model.counter = LookupCounter()
         model.node_logits(0, ())
         assert model.counter.entries == 3
-        model.token_logit(0, (), 0)
-        assert model.counter.entries == 4
+        model.node_logits(0, (2,))
+        assert model.counter.entries == 6
         model.counter.reset()
         assert model.counter.entries == 0
 
@@ -259,7 +249,8 @@ class TestItemLogits:
             for item in range(tmap.n_items):
                 seq = tmap.forward(item)
                 expect = sum(
-                    model.token_logit(h, seq[:m], seq[m]) for m in range(SPEC.k)
+                    float(model.rows(m)[h, model.node_index(SPEC.prefix_index(seq[:m])), seq[m]])
+                    for m in range(SPEC.k)
                 )
                 assert item_logit(model, h, tmap, item) == pytest.approx(expect, abs=1e-15)
 
@@ -311,8 +302,8 @@ class TestTableEntryCount:
         spec = CodebookSpec(k=k, X=X)
         casc = CascadedLogitModel.zeros(spec, C)
         par = ParallelLogitModel.zeros(spec, C)
-        assert table_entry_count(spec, C, "cascaded") == casc.n_params
-        assert table_entry_count(spec, C, "parallel") == par.n_params
+        assert table_entry_count(spec, C, "cascaded") == sum(t.size for t in casc.tables)
+        assert table_entry_count(spec, C, "parallel") == sum(t.size for t in par.tables)
 
     def test_unknown_form(self):
         with pytest.raises(FormError):
@@ -365,3 +356,16 @@ class TestSerialization:
         payload = {"form": "parallel", "k": 1, "X": 2, "C": 1, "params": [[1, -2]]}
         (table,) = model_from_json_dict(payload).tables
         assert table.dtype == np.float64 and table.tolist() == [[1.0, -2.0]]
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("k", 1.9), ("k", 1.0), ("k", True), ("X", "2"), ("X", 2.0), ("C", 1.5), ("C", None)],
+        ids=["k_float", "k_integral_float", "k_bool", "X_string", "X_integral_float",
+             "C_float", "C_null"],
+    )
+    def test_headers_must_be_json_integers(self, key, value):
+        payload = {"form": "parallel", "k": 1, "X": 2, "C": 1, "params": [[0.1, 0.2]]}
+        model_from_json_dict(payload)  # the valid header loads
+        payload[key] = value
+        with pytest.raises(ValueError, match="must be a JSON integer"):
+            model_from_json_dict(payload)

@@ -24,12 +24,9 @@ from sidlab import (
     TokenMap,
     check_context,
     full_log_partition,
-    fv_mle_grad,
     fv_mle_loss,
     identity_token_map,
-    item_logit,
     log_sum_exp,
-    ntp_grad,
     ntp_loss,
     sequence_log_partition,
     sequence_log_partition_factored,
@@ -38,6 +35,7 @@ from sidlab import (
     summarize_reports,
     write_csv,
 )
+from reference import composed_report, embed_parallel_as_cascaded, fv_mle_grad, item_logit, ntp_grad
 
 
 def chain_log_prob(model, h, seq):
@@ -63,7 +61,7 @@ def flat_log_partition_oracle(model, h, tmap):
 
 def central_difference(f, model, eps=1e-5):
     """Gradient of f(model) w.r.t. every table entry by central differences."""
-    grads = model.zero_like_tables()
+    grads = type(model).zeros(model.spec, model.C).tables
     for m, table in enumerate(model.tables):
         it = np.nditer(table, flags=["multi_index"])
         for _ in it:
@@ -204,6 +202,31 @@ class TestFlatLoss:
             math.exp(-fv_mle_loss(model, 0, tmap, i)) for i in range(tmap.n_items)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_equals_the_per_item_path_sum_bitwise(self):
+        # one item_logits_all read makes the additions of the per-item path sum
+        rng = np.random.default_rng(7)
+        for cls in (CascadedLogitModel, ParallelLogitModel):
+            for k, X in itertools.product((1, 2, 3), (2, 3, 5)):
+                spec = CodebookSpec(k=k, X=X)
+                identity = identity_token_map(spec)
+                table = identity.token_matrix
+                probe = TokenMap(spec, np.vstack([table, table[-1]]), "probe")
+                model = cls.random(spec, 2, (0.5, 4.0)[k % 2], seed=int(rng.integers(2**31)))
+                for tmap in (identity, probe):
+                    for h in range(2):
+                        log_z = full_log_partition(model, h, tmap)
+                        for i in range(tmap.n_items):
+                            want = -(item_logit(model, h, tmap, i) - log_z)
+                            got = fv_mle_loss(model, h, tmap, i)
+                            assert type(got) is float and got.hex() == want.hex()
+
+    @pytest.mark.parametrize("item", [-1, 9])
+    def test_rejects_items_outside_the_map(self, item):
+        spec = CodebookSpec(k=2, X=3)
+        model = CascadedLogitModel.random(spec, 1, 0.5, seed=3)
+        with pytest.raises(ValueError, match="outside"):
+            fv_mle_loss(model, 0, identity_token_map(spec), item)
 
 
 class TestPartitionRoutes:
@@ -355,8 +378,6 @@ class TestLossIdentityScope:
     def test_cascaded_with_prefix_constant_rows_agrees(self):
         # a cascaded model whose rows do not depend on the prefix is a
         # parallel model in disguise, so the identity must come back
-        from sidlab import embed_parallel_as_cascaded
-
         spec = CodebookSpec(k=3, X=2)
         tmap = identity_token_map(spec)
         par = ParallelLogitModel.random(spec, 1, 1.0, seed=9)
@@ -423,9 +444,9 @@ class TestGradients:
 class TestProbeMaps:
     def test_duplicate_item_shifts_the_partition_by_the_closed_form(self):
         spec = CodebookSpec(k=2, X=3)
-        base = [spec.index_to_sequence(i) for i in range(spec.sequence_space_size)]
+        base = identity_token_map(spec).token_matrix
         dup_item = 4
-        probe = TokenMap(spec, base + [spec.index_to_sequence(dup_item)], "probe")
+        probe = TokenMap(spec, np.vstack([base, base[dup_item]]), "probe")
         for cls in (CascadedLogitModel, ParallelLogitModel):
             model = cls.random(spec, 1, 0.8, seed=14)
             log_z_seq = sequence_log_partition(model, 0)
@@ -490,34 +511,6 @@ class TestEquivalenceReport:
         summary = summarize_reports(reports)
         assert summary["n_reports"] == 4
         assert summary["max_abs_loss_gap"] == max(r.abs_loss_gap for r in reports)
-
-
-def composed_report(model, h, tmap, i_plus):
-    """One item's report composed from the public routines, each of which
-    redoes the context-level work: the reference for :func:`check_context`."""
-    log_zprod = sequence_log_partition(model, h)
-    log_zfull = full_log_partition(model, h, tmap)
-    loss_n = ntp_loss(model, h, tmap, i_plus)
-    loss_f = fv_mle_loss(model, h, tmap, i_plus)
-    g_ntp = ntp_grad(model, h, tmap, i_plus)
-    g_fv = fv_mle_grad(model, h, tmap, i_plus)
-    seq = tmap.forward(i_plus)
-    grad_gap = 0.0
-    for m in range(model.spec.k):
-        node = model.node_index(model.spec.prefix_index(seq[:m]))
-        delta = np.abs(model.rows(m, g_ntp)[h, node] - model.rows(m, g_fv)[h, node]).max()
-        grad_gap = max(grad_gap, float(delta))
-    return EquivalenceReport(
-        context=h,
-        item=i_plus,
-        z_product=float(np.exp(log_zprod)),
-        z_full=float(np.exp(log_zfull)),
-        loss_ntp=loss_n,
-        loss_fv_mle=loss_f,
-        abs_partition_gap=abs(log_zprod - log_zfull),
-        abs_loss_gap=abs(loss_n - loss_f),
-        max_grad_gap=grad_gap,
-    )
 
 
 def typed_fields(report):

@@ -22,7 +22,6 @@ from sidlab import (
     load_embeddings_csv,
     load_tokenizer,
     nearest_centers,
-    nearest_centroid,
     save_embeddings_bin,
     save_embeddings_csv,
     save_tokenizer,
@@ -158,12 +157,12 @@ class TestKmeansCore:
             want = ((pts[:, None, :] - ctr[None, :, :]) ** 2).sum(axis=2)
             assert np.array_equal(squared_distances(pts, ctr), want)
 
-    def test_nearest_centroid_tie_goes_to_lowest_index(self):
+    def test_nearest_centers_tie_goes_to_lowest_index(self):
         centers = np.array([[1.0], [1.0], [3.0]])
-        assert nearest_centroid(centers, np.array([2.0])) == 0
+        assert nearest_centers(np.array([[2.0]]), centers).tolist() == [0]
         # point at 2.0 is also equidistant from centers 1.0 and 3.0
         centers2 = np.array([[3.0], [1.0]])
-        assert nearest_centroid(centers2, np.array([2.0])) == 0
+        assert nearest_centers(np.array([[2.0]]), centers2).tolist() == [0]
 
     def test_separated_blobs_recovered(self):
         centers = [np.array([0.0, 0.0]), np.array([20.0, 0.0]),

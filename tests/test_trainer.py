@@ -167,10 +167,10 @@ class TestTrainSgd:
     def test_lr_zero_leaves_tables_bit_identical(self):
         spec, tmap, world, data = self.small_setup()
         model = CascadedLogitModel.random(spec, 2, 0.5, seed=3)
-        trained, trace = train_sgd(model, tmap, data, lr=0.0, epochs=3, seed=0, world=world)
+        trained, records = train_sgd(model, tmap, data, lr=0.0, epochs=3, seed=0, world=world)
         for a, b in zip(model.tables, trained.tables):
             assert np.array_equal(a, b)
-        assert len({rec.kl for rec in trace.records}) == 1
+        assert len({rec.kl for rec in records}) == 1
 
     def test_input_model_is_not_modified(self):
         spec, tmap, world, data = self.small_setup()
@@ -185,9 +185,9 @@ class TestTrainSgd:
         # equal the plain average of per-sample losses at the initial tables
         spec, tmap, world, data = self.small_setup()
         model = CascadedLogitModel.random(spec, 2, 0.4, seed=4)
-        _, trace = train_sgd(model, tmap, data, lr=0.0, epochs=1, seed=0, world=world)
-        direct = np.mean([ntp_loss(model, h, tmap, i) for h, i in data.pairs()])
-        assert trace.records[0].mean_ntp_loss == pytest.approx(float(direct), abs=1e-12)
+        _, records = train_sgd(model, tmap, data, lr=0.0, epochs=1, seed=0, world=world)
+        direct = np.mean([ntp_loss(model, h, tmap, i) for h, i in zip(data.contexts.tolist(), data.items.tolist())])
+        assert records[0].mean_ntp_loss == pytest.approx(float(direct), abs=1e-12)
 
     def test_training_improves_on_the_zero_init(self):
         # plain constant-lr SGD converges within the first epoch here and then
@@ -196,9 +196,9 @@ class TestTrainSgd:
         model = CascadedLogitModel.zeros(spec, 2)
         loss_at_init = math.log(spec.sequence_space_size)
         kl_at_init = eval_kl(model, tmap, world)
-        _, trace = train_sgd(model, tmap, data, lr=0.1, epochs=8, seed=1, world=world)
-        assert trace.records[-1].mean_ntp_loss < loss_at_init - 0.3
-        assert trace.records[-1].kl < kl_at_init
+        _, records = train_sgd(model, tmap, data, lr=0.1, epochs=8, seed=1, world=world)
+        assert records[-1].mean_ntp_loss < loss_at_init - 0.3
+        assert records[-1].kl < kl_at_init
 
     def test_training_is_seed_deterministic(self):
         spec, tmap, world, data = self.small_setup()
@@ -215,10 +215,10 @@ class TestTrainSgd:
     def test_parallel_form_trains_too(self):
         spec, tmap, world, data = self.small_setup(seed=6, n=800)
         model = ParallelLogitModel.zeros(spec, 2)
-        trained, trace = train_sgd(model, tmap, data, lr=0.1, epochs=6, seed=2, world=world)
-        assert trace.records[-1].mean_ntp_loss < trace.records[0].mean_ntp_loss
+        trained, records = train_sgd(model, tmap, data, lr=0.1, epochs=6, seed=2, world=world)
+        assert records[-1].mean_ntp_loss < records[0].mean_ntp_loss
         # for a parallel model the two mean losses are the same number
-        for rec in trace.records:
+        for rec in records:
             assert rec.mean_ntp_loss == pytest.approx(rec.mean_fv_mle_loss, abs=1e-10)
 
     def test_parallel_training_is_pinned_bit_for_bit(self):
@@ -227,8 +227,8 @@ class TestTrainSgd:
         world = synth_world(2, 27, 0.6, seed=6)
         data = sample_dataset(world, 800, seed=7)
         model = ParallelLogitModel.random(spec, 2, 0.5, seed=3)
-        _, trace = train_sgd(model, tmap, data, lr=0.1, epochs=4, seed=2, world=world)
-        last = trace.records[-1]
+        _, records = train_sgd(model, tmap, data, lr=0.1, epochs=4, seed=2, world=world)
+        last = records[-1]
         assert last.mean_ntp_loss == 3.0419141272121353
         assert last.mean_fv_mle_loss == 3.0419141272121353
         assert last.kl == 0.4650074007004259
@@ -267,24 +267,36 @@ class TestTrainSgd:
             with pytest.raises(ValueError, match="does not match model spec"):
                 train_sgd(model, identity_token_map(other), Dataset([0, 1], [0, 3]), lr=0.1, epochs=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "C,N", [(1, 4), (3, 4), (2, 3), (2, 8)],
+        ids=["fewer_contexts", "more_contexts", "fewer_items", "more_items"],
+    )
+    def test_world_must_match_the_model_and_map(self, C, N):
+        # a world of fewer contexts used to average the KL over those alone
+        spec, tmap, _, data = self.small_setup()
+        model = CascadedLogitModel.zeros(spec, 2)
+        world = synth_world(C, N, 0.6, seed=0)
+        with pytest.raises(ValueError, match="p_star shape"):
+            train_sgd(model, tmap, data, lr=0.1, epochs=1, seed=0, world=world)
+
     def test_kl_is_nan_without_a_world(self):
         spec, tmap, world, data = self.small_setup()
         model = CascadedLogitModel.zeros(spec, 2)
-        _, trace = train_sgd(model, tmap, data, lr=0.1, epochs=2, seed=0)
-        assert all(math.isnan(rec.kl) for rec in trace.records)
+        _, records = train_sgd(model, tmap, data, lr=0.1, epochs=2, seed=0)
+        assert all(math.isnan(rec.kl) for rec in records)
 
     def test_trace_csv_layout(self, tmp_path):
         spec, tmap, world, data = self.small_setup()
         model = CascadedLogitModel.zeros(spec, 2)
-        _, trace = train_sgd(model, tmap, data, lr=0.1, epochs=3, seed=0, world=world)
+        _, records = train_sgd(model, tmap, data, lr=0.1, epochs=3, seed=0, world=world)
         path = tmp_path / "trace.csv"
-        write_csv(path, EpochRecord, trace.records)
+        write_csv(path, EpochRecord, records)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "mean_ntp_loss", "mean_fv_mle_loss", "kl"]
         assert len(rows) == 4
         assert [int(r[0]) for r in rows[1:]] == [1, 2, 3]
-        assert float(rows[3][3]) == pytest.approx(trace.records[-1].kl, abs=1e-15)
+        assert float(rows[3][3]) == pytest.approx(records[-1].kl, abs=1e-15)
 
 
 @pytest.fixture(scope="module")
@@ -300,7 +312,7 @@ def kernel():
 def train_both(monkeypatch, kernel, *args, **kwargs):
     """train_sgd through the kernel, then through the Python loop.
 
-    Each result is (model, trace), or the DivergenceError message.
+    Each result is (model, records), or the DivergenceError message.
     """
     results = []
     for loaded in (kernel, None):
@@ -313,10 +325,10 @@ def train_both(monkeypatch, kernel, *args, **kwargs):
 
 
 def assert_same_training(a, b):
-    model_a, trace_a = a
-    model_b, trace_b = b
+    model_a, records_a = a
+    model_b, records_b = b
     assert all(np.array_equal(x, y) for x, y in zip(model_a.tables, model_b.tables))
-    assert trace_a == trace_b
+    assert records_a == records_b
 
 
 class TestCompiledEpoch:
@@ -410,7 +422,7 @@ class TestCompiledEpoch:
         model = CascadedLogitModel.zeros(spec, 3)
         run = _sgd.epoch(kernel, model, identity_token_map(spec), data, 0.1)
         tables = inspect.getclosurevars(run).nonlocals
-        n_pairs = len(set(data.pairs()))
+        n_pairs = len(set(zip(data.contexts.tolist(), data.items.tolist())))
         assert tables["off"].shape == tables["tok"].shape == (n_pairs, spec.k)
 
     def test_python_fallback_gives_the_pinned_parallel_run(self, monkeypatch):
@@ -420,8 +432,8 @@ class TestCompiledEpoch:
         world = synth_world(2, 27, 0.6, seed=6)
         data = sample_dataset(world, 800, seed=7)
         model = ParallelLogitModel.random(spec, 2, 0.5, seed=3)
-        _, trace = train_sgd(model, tmap, data, lr=0.1, epochs=4, seed=2, world=world)
-        last = trace.records[-1]
+        _, records = train_sgd(model, tmap, data, lr=0.1, epochs=4, seed=2, world=world)
+        last = records[-1]
         assert last.mean_ntp_loss == last.mean_fv_mle_loss == 3.0419141272121353
         assert last.kl == 0.4650074007004259
 

@@ -15,7 +15,6 @@ from sidlab import (
     MalformedSequenceError,
     TokenMap,
     audit_bijection,
-    build_token_map,
     identity_token_map,
     prefix_index_arrays,
 )
@@ -37,48 +36,42 @@ class TestCodebookSpec:
 
     def test_first_token_is_most_significant(self):
         spec = CodebookSpec(k=2, X=4)
-        assert spec.index_to_sequence(7) == (1, 3)
+        rows = identity_token_map(spec).token_matrix.tolist()
+        assert rows[7] == [1, 3]
         assert spec.sequence_to_index((1, 3)) == 7
-        assert spec.index_to_sequence(0) == (0, 0)
-        assert spec.index_to_sequence(15) == (3, 3)
+        assert rows[0] == [0, 0]
+        assert rows[15] == [3, 3]
 
     @pytest.mark.parametrize("k,X", [(1, 2), (2, 3), (3, 4), (4, 2)])
     def test_index_roundtrip_over_full_space(self, k, X):
         spec = CodebookSpec(k=k, X=X)
         seen = set()
-        for idx in range(spec.sequence_space_size):
-            seq = spec.index_to_sequence(idx)
+        for idx, seq in enumerate(map(tuple, identity_token_map(spec).token_matrix.tolist())):
             assert len(seq) == k
             assert all(0 <= t < X for t in seq)
             assert spec.sequence_to_index(seq) == idx
             seen.add(seq)
         assert len(seen) == spec.sequence_space_size
 
-    def test_iter_sequences_is_lexicographic(self):
-        spec = CodebookSpec(k=2, X=3)
-        seqs = list(spec.iter_sequences())
+    def test_identity_rows_are_lexicographic(self):
+        seqs = identity_token_map(CodebookSpec(k=2, X=3)).token_matrix.tolist()
         assert seqs == sorted(seqs)
-        assert seqs[0] == (0, 0)
-        assert seqs[-1] == (2, 2)
+        assert seqs[0] == [0, 0]
+        assert seqs[-1] == [2, 2]
         assert len(seqs) == 9
 
     @pytest.mark.parametrize("k,X", [(1, 2), (1, 5), (2, 3), (3, 4), (4, 2)])
     def test_iter_sequences_matches_index_to_sequence(self, k, X):
+        """Row i of the identity table, which enumerates the sequence space, is
+        the base-X digits of i, first token most significant."""
         spec = CodebookSpec(k=k, X=X)
-        want = [spec.index_to_sequence(i) for i in range(spec.sequence_space_size)]
-        assert list(spec.iter_sequences()) == want
-
-    def test_index_to_sequence_range_check(self):
-        spec = CodebookSpec(k=2, X=3)
-        with pytest.raises(ValueError):
-            spec.index_to_sequence(-1)
-        with pytest.raises(ValueError):
-            spec.index_to_sequence(9)
+        digits = np.unravel_index(np.arange(spec.sequence_space_size), (X,) * k)
+        assert np.array_equal(identity_token_map(spec).token_matrix, np.stack(digits, axis=1))
 
     def test_prefix_index_matches_truncated_encoding(self):
         spec = CodebookSpec(k=3, X=4)
         assert spec.prefix_index(()) == 0
-        for seq in spec.iter_sequences():
+        for seq in map(tuple, identity_token_map(spec).token_matrix.tolist()):
             for m in range(spec.k):
                 prefix = seq[:m]
                 expect = 0
@@ -107,7 +100,8 @@ class TestCodebookSpec:
     def test_roundtrip_property(self, k, X, data):
         spec = CodebookSpec(k=k, X=X)
         idx = data.draw(st.integers(min_value=0, max_value=spec.sequence_space_size - 1))
-        assert spec.sequence_to_index(spec.index_to_sequence(idx)) == idx
+        seq = tuple(identity_token_map(spec).token_matrix[idx].tolist())
+        assert spec.sequence_to_index(seq) == idx
 
 
 class TestTokenMap:
@@ -194,19 +188,6 @@ class TestTokenMap:
         clone = TokenMap.load(path)
         assert [clone.forward(i) for i in range(4)] == [tmap.forward(i) for i in range(4)]
 
-    def test_build_token_map_accepts_any_pair_order(self):
-        spec = CodebookSpec(k=1, X=3)
-        tmap = build_token_map(spec, [(2, (0,)), (0, (2,)), (1, (1,))], "strict")
-        assert tmap.forward(0) == (2,)
-        assert tmap.forward(2) == (0,)
-
-    def test_build_token_map_rejects_bad_item_ids(self):
-        spec = CodebookSpec(k=1, X=2)
-        with pytest.raises(ValueError):
-            build_token_map(spec, [(0, (0,)), (0, (1,))], "probe")
-        with pytest.raises(ValueError):
-            build_token_map(spec, [(0, (0,)), (5, (1,))], "probe")
-
     @pytest.mark.parametrize(
         "forward",
         [[[0, 1], [1, 1.5]], [[0, 1], [1, 1.0]], [[0, 1], [1]], [[0, 1], [1, 0, 1]], [[0, "1"]],
@@ -217,6 +198,18 @@ class TestTokenMap:
     def test_malformed_tables_rejected(self, forward):
         payload = {"k": 2, "X": 2, "mode": "probe", "forward": forward}
         with pytest.raises(MalformedSequenceError):
+            TokenMap.from_json_dict(payload)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("k", 1.9), ("k", True), ("k", 2.0), ("X", "2"), ("X", 2.0), ("X", None)],
+        ids=["k_float", "k_bool", "k_integral_float", "X_string", "X_integral_float", "X_null"],
+    )
+    def test_headers_must_be_json_integers(self, key, value):
+        payload = {"k": 2, "X": 2, "mode": "probe", "forward": [[0, 1], [1, 0]]}
+        TokenMap.from_json_dict(payload)  # the valid header loads
+        payload[key] = value
+        with pytest.raises(ValueError, match="must be a JSON integer"):
             TokenMap.from_json_dict(payload)
 
     def test_items_and_forward_yield_python_ints(self):
@@ -251,7 +244,7 @@ def reference_map(spec, forward, mode):
 def token_maps(draw):
     """(spec, forward, mode) with k <= 3, X <= 4 and up to 2 X**k items."""
     spec = CodebookSpec(k=draw(st.integers(1, 3)), X=draw(st.integers(2, 4)))
-    space = list(spec.iter_sequences())
+    space = list(map(tuple, identity_token_map(spec).token_matrix.tolist()))
     if draw(st.booleans()):
         # a bijection with a few rows overwritten: zero, one or several collision groups
         forward = draw(st.permutations(space))
@@ -281,7 +274,7 @@ class TestTokenMapParity:
             return
         tmap = TokenMap(spec, forward, mode)
         assert list(tmap.items()) == list(enumerate(forward))
-        for seq in spec.iter_sequences():
+        for seq in map(tuple, identity_token_map(spec).token_matrix.tolist()):
             assert tmap.inverse(seq) == inverse.get(seq)
         distinct = len(set(forward))
         utilization = [len({seq[m] for seq in forward}) / spec.X for m in range(spec.k)]
