@@ -64,8 +64,6 @@ from .tokenizer import (
     load_embeddings_csv,
     load_tokenizer,
     nearest_centers,
-    save_embeddings_bin,
-    save_embeddings_csv,
     save_tokenizer,
     synth_embeddings,
 )
@@ -150,9 +148,7 @@ __all__ = [
     "DegenerateInputError",
     "SubspaceSplitError",
     "synth_embeddings",
-    "save_embeddings_csv",
     "load_embeddings_csv",
-    "save_embeddings_bin",
     "load_embeddings_bin",
     "fit_kmeans",
     "nearest_centers",

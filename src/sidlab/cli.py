@@ -436,8 +436,9 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         write_json(path, payload)
 
     checkpoint(model, out_dir / "checkpoint_init.json")
-    initial_kl = eval_kl(model, tmap, world)
-    initial_kl_chain = eval_kl_chain(model, tmap, world)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite KL is write_json's to reject
+        initial_kl = eval_kl(model, tmap, world)
+        initial_kl_chain = eval_kl_chain(model, tmap, world)
     try:
         trained, records = train_sgd(model, tmap, data, lr, epochs, shuffle_seed, world=world)
     except DivergenceError as exc:
@@ -445,6 +446,8 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
         return 1
     checkpoint(trained, out_dir / "checkpoint_final.json")
     write_csv(out_dir / "trace.csv", EpochRecord, records)
+    with np.errstate(over="ignore", invalid="ignore"):
+        final_kl_chain = eval_kl_chain(trained, tmap, world)
     last = records[-1]
     write_json(
         out_dir / "summary.json",
@@ -459,7 +462,7 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
             "initial_kl": initial_kl,
             "initial_kl_chain": initial_kl_chain,
             "final_kl": last.kl,
-            "final_kl_chain": eval_kl_chain(trained, tmap, world),
+            "final_kl_chain": final_kl_chain,
             "final_mean_ntp_loss": last.mean_ntp_loss,
             "final_mean_fv_mle_loss": last.mean_fv_mle_loss,
         },

@@ -70,15 +70,8 @@ def synth_embeddings(n_items: int, dim: int, seed: int) -> ItemEmbeddings:
 # embedding file formats
 
 
-def save_embeddings_csv(emb: ItemEmbeddings, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"dim{j}" for j in range(emb.dim)])
-        for row in emb.values:
-            writer.writerow([repr(v) for v in row.tolist()])
-
-
 def load_embeddings_csv(path) -> ItemEmbeddings:
+    """A ``dim0,dim1,...`` header, then one row of floats per item."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -88,14 +81,8 @@ def load_embeddings_csv(path) -> ItemEmbeddings:
     return ItemEmbeddings(np.asarray(rows))
 
 
-def save_embeddings_bin(emb: ItemEmbeddings, path) -> None:
-    """Raw little-endian float64 rows behind a 16-byte header (magic, n, dim)."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<8sII", _BIN_MAGIC, emb.n_items, emb.dim))
-        fh.write(np.ascontiguousarray(emb.values, dtype="<f8").tobytes())
-
-
 def load_embeddings_bin(path) -> ItemEmbeddings:
+    """Raw little-endian float64 rows behind a 16-byte header (magic, n, dim)."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16:

@@ -17,9 +17,11 @@ used.  The ``_sgd`` module compiles it with ``cc`` on the first
 ``train_sgd`` call of a process (never at import), caches it as
 ``__pycache__/_sgd-<hash>.so`` keyed by source and flags, loads it with
 ctypes, and checks it once against the Python loop on a small case.  That
-Python loop is the reference: the kernel repeats its arithmetic operation
-for operation and so gives the same bits, and it takes over whenever the
-kernel cannot be built, loaded or trusted.
+Python loop is the reference: the kernel matches it value for value and so
+gives the same bits, and it takes over whenever the kernel cannot be built,
+loaded or trusted.  The kernel skips ``exp`` only where a shifted logit is
+exactly 0.0, where ``exp`` returns exactly 1.0: at the row maximum's own
+entry, when that maximum is finite.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ def synth_world(C: int, N: int, alpha: float, seed: int, uniform: bool = False) 
             raise ValueError(f"alpha must be positive, got {alpha}")
         rng = np.random.default_rng(seed)
         g = rng.gamma(alpha, 1.0, size=(C, N))
-        sums = g.sum(axis=1, keepdims=True)
-        if np.any(sums == 0.0):
-            raise ValueError("degenerate Dirichlet draw: a row of Gamma draws summed to zero")
-        p = g / sums
+        with np.errstate(over="ignore", invalid="ignore"):  # SyntheticWorld rejects the inf/NaN rows
+            sums = g.sum(axis=1, keepdims=True)
+            if np.any(sums == 0.0):
+                raise ValueError("degenerate Dirichlet draw: a row of Gamma draws summed to zero")
+            p = g / sums
     return SyntheticWorld(C=C, N=N, p_star=p, seed=seed)
 
 
@@ -179,15 +182,16 @@ def _epoch_metrics(
     mean_ntp = 0.0
     mean_fv = 0.0
     log_q_flat = []
-    for h in range(model.C):
-        ntp_tab = -_model_log_probs_chain(model, tmap, h)
-        log_q_flat.append(_model_log_probs_flat(model, tmap, h))
-        w = counts[h]
-        mean_ntp += float((w * ntp_tab).sum())
-        mean_fv += float((w * -log_q_flat[h]).sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is train_sgd's to reject
+        for h in range(model.C):
+            ntp_tab = -_model_log_probs_chain(model, tmap, h)
+            log_q_flat.append(_model_log_probs_flat(model, tmap, h))
+            w = counts[h]
+            mean_ntp += float((w * ntp_tab).sum())
+            mean_fv += float((w * -log_q_flat[h]).sum())
+        kl = _forward_kl(world, log_q_flat) if world is not None else float("nan")
     mean_ntp /= n
     mean_fv /= n
-    kl = _forward_kl(world, log_q_flat) if world is not None else float("nan")
     return mean_ntp, mean_fv, kl
 
 

@@ -4,8 +4,12 @@ The package computes item logits, gradients and equivalence reports for
 every item of a context at once.  These are the one-item forms of the same
 computations, written over the public row reads (``node_logits`` and
 ``rows``), with the float operations in the order the whole-array routines
-must reproduce bit for bit.
+must reproduce bit for bit.  The two embedding writers at the end make the
+input files ``tokenize`` reads.
 """
+
+import csv
+import struct
 
 import numpy as np
 
@@ -109,3 +113,19 @@ def composed_report(model, h, tmap, i_plus):
         abs_loss_gap=abs(loss_n - loss_f),
         max_grad_gap=grad_gap,
     )
+
+
+def save_embeddings_csv(emb, path):
+    """A ``dim0,dim1,...`` header, then each row's floats by ``repr``, so they read back exactly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"dim{j}" for j in range(emb.dim)])
+        for row in emb.values:
+            writer.writerow([repr(v) for v in row.tolist()])
+
+
+def save_embeddings_bin(emb, path):
+    """Raw little-endian float64 rows behind a 16-byte header (magic, n, dim)."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<8sII", b"SIDEMB64", emb.n_items, emb.dim))
+        fh.write(np.ascontiguousarray(emb.values, dtype="<f8").tobytes())

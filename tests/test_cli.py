@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from sidlab import cli, losses
-from sidlab import TokenMap, load_model, save_embeddings_bin, save_embeddings_csv, synth_embeddings
+from sidlab import TokenMap, load_model, synth_embeddings
 from sidlab import CodebookSpec, ItemEmbeddings, ParallelLogitModel, identity_token_map, save_model
+from reference import save_embeddings_bin, save_embeddings_csv
 from sidlab.cli import (
     EXIT_BIJECTION,
     EXIT_CONFIG,
@@ -382,6 +383,29 @@ class TestTrainCommand:
         assert code == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "over,exit_code,err,written",
+        [
+            ({"lr": 1e308}, 1, "train: mean epoch loss became non-finite at epoch 1\n",
+             ["checkpoint_init.json", "token_map.json"]),
+            ({"world": {"C": 2, "N": 4, "alpha": 1e308}}, EXIT_CONFIG,
+             "config error: p_star rows must sum to 1 within 1e-12\n", []),
+            ({"world": {"C": 2, "N": 4, "alpha": float("inf")}}, EXIT_CONFIG,
+             "config error: p_star rows must sum to 1 within 1e-12\n", []),
+        ],
+        ids=["lr_overflows", "gamma_sum_overflows", "gamma_draws_are_inf"],
+    )
+    def test_overflow_prints_only_the_exit_line(
+        self, tmp_path, capsys, over, exit_code, err, written
+    ):
+        payload = dict(TRAIN_CFG, init={"sigma": 0.3}, n_samples=40, **over)
+        with warnings.catch_warnings():  # a numpy warning raised as an error is a traceback
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "train", payload, "overflow")
+        assert code == exit_code
+        assert capsys.readouterr().err == err
+        assert sorted(p.name for p in out.iterdir()) == written
+
 
 class TestDecodeCommand:
     @pytest.fixture()
@@ -606,6 +630,17 @@ class TestBenchCommand:
         code, out = run(tmp_path, "bench", payload, "times")
         assert code == EXIT_OK
         assert (out / "bench_times.csv").is_file()
+
+    def test_timing_with_overflowing_logits_prints_nothing(self, tmp_path, capsys):
+        # sigma 1e308 draws logits whose shifted values overflow; only times are written
+        payload = {"k_values": [1, 2], "X_values": [2, 4], "include_timing": True,
+                   "repeats": 2, "sigma": 1e308}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, "bench", payload, "times_overflow")
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert len((out / "bench_times.csv").read_text().splitlines()) == 5
 
 
 class TestBadConfigValues:

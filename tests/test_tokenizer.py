@@ -22,11 +22,10 @@ from sidlab import (
     load_embeddings_csv,
     load_tokenizer,
     nearest_centers,
-    save_embeddings_bin,
-    save_embeddings_csv,
     save_tokenizer,
     synth_embeddings,
 )
+from reference import save_embeddings_bin, save_embeddings_csv
 from sidlab import tokenizer
 from sidlab.tokenizer import split_subspace_dims, squared_distances
 

@@ -31,6 +31,7 @@ from sidlab import (
     write_csv,
 )
 from sidlab import _sgd
+from sidlab.trainer import _python_epoch
 
 
 class TestSyntheticWorld:
@@ -410,6 +411,48 @@ class TestCompiledEpoch:
         model = cls.random(spec, 3, 1.0, seed=8)
         a, b = train_both(monkeypatch, kernel, model, tmap, data, 0.3, 3, seed=9, world=world)
         assert_same_training(a, b)
+
+    @pytest.mark.parametrize("form", ["cascaded", "parallel"])
+    @pytest.mark.parametrize("lr", [0.1, 1e308, math.inf])
+    def test_one_epoch_equals_the_python_loop_byte_for_byte(self, kernel, form, lr):
+        # every other row of both positions gets one of the edge rows below;
+        # NaN rows defeat array_equal, so the tables are compared as bytes
+        inf, nan, tiny = math.inf, math.nan, 5e-324
+        edge_rows = [
+            (0.5, 0.5, -1.0, 0.5),  # tied maxima
+            (0.0, -0.0, -0.0, 0.0),  # signed zeros: every shifted logit is +-0.0
+            (-0.0, -1.0, -0.0, -2.0),
+            (tiny, tiny, -tiny, 0.0),  # subnormals
+            (2.2e-308, -tiny, 1e-310, 2.2e-308),
+            (-inf, 1.0, 2.0, 2.0),
+            (-inf, -inf, -inf, -inf),  # inf - inf at every entry
+            (inf, 3.1, 4.3, 4.8),  # the only maximum is +inf
+            (1.0, inf, 0.0, inf),
+            (-inf, inf, 2.0, -inf),
+            (nan, 1.0, 2.0, 3.0),  # NaN first: the maximum is NaN
+            (1.0, nan, 2.0, 0.5),  # NaN later: skipped by the maximum, not by exp
+            (1e308, -1e308, 1e308, 0.0),  # a shifted logit of -inf
+        ]
+        cls = {"cascaded": CascadedLogitModel, "parallel": ParallelLogitModel}[form]
+        spec, C = CodebookSpec(k=2, X=4), len(edge_rows)
+        tmap = identity_token_map(spec)
+        start = cls.random(spec, C, 1.0, seed=11)
+        slots = [(m, h, node) for m in range(spec.k) for h, node in np.ndindex(start.rows(m).shape[:2])]
+        slots = slots[::2][: len(edge_rows)]
+        assert len(slots) == len(edge_rows)
+        for (m, h, node), values in zip(slots, edge_rows):
+            start.rows(m)[h, node] = values
+        rng = np.random.default_rng(12)
+        pairs = np.arange(C * tmap.n_items)  # every (context, item) pair at least once
+        pairs = np.concatenate([pairs, rng.integers(0, len(pairs), 300)])
+        data = Dataset(contexts=pairs // tmap.n_items, items=pairs % tmap.n_items)
+        order = rng.permutation(len(data))
+        py, kern = start.copy(), start.copy()
+        _python_epoch(py, tmap, data, lr)(order)
+        _sgd.epoch(kernel, kern, tmap, data, lr)(order)
+        assert [t.tobytes() for t in kern.tables] == [t.tobytes() for t in py.tables]
+        m, h, node = slots[edge_rows.index((inf, 3.1, 4.3, 4.8))]
+        assert np.isnan(py.rows(m)[h, node]).all()
 
     @pytest.mark.parametrize(
         "contexts,items",
