@@ -36,7 +36,7 @@ from .logits import (
 from .losses import (
     EmptyInputError,
     EquivalenceReport,
-    check_context,
+    check_contexts,
     full_log_partition,
     fv_mle_loss,
     log_sum_exp,
@@ -133,7 +133,7 @@ __all__ = [
     "sequence_log_partition",
     "sequence_log_partition_levelwise",
     "sequence_log_partition_factored",
-    "check_context",
+    "check_contexts",
     "summarize_reports",
     # decoder
     "ScoredSequence",

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -49,7 +50,7 @@ from .logits import (
     model_to_json_dict,
     table_entry_count,
 )
-from .losses import EquivalenceReport, check_context, summarize_reports
+from .losses import EquivalenceReport, check_contexts, summarize_reports
 from .tokenizer import (
     DegenerateInputError,
     FSQModel,
@@ -304,6 +305,21 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
     return code
 
 
+# a verify batch holds at most max(1, this // X**k) contexts: the batch's
+# (contexts, X**k) sequence scores and flat masses then stay near 64 KB each
+_VERIFY_BATCH_SEQUENCES = 2**13
+
+
+def _verify_rows(form: str, sigma: float, drawn: list, members: list[int]):
+    """(trial, context, the context's table rows, its items) of every context
+    of the trials ``members``, building each trial's model once."""
+    for t in members:
+        spec, C, model_seed, _, items = drawn[t]
+        tables = _random_model(form, spec, C, sigma, model_seed).tables
+        for h in range(C):
+            yield t, h, [tab[h] for tab in tables], items[h]
+
+
 def _probe_map_with_duplicate(identity: TokenMap, dup_item: int) -> TokenMap:
     """``identity`` plus one extra item repeating ``dup_item``'s sequence."""
     table = identity.token_matrix
@@ -337,26 +353,48 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
             for C in C_values:
                 _check_table_size(spec, C, form)
 
+    # every draw first, in the trials' order; no model draws from rng
     rng = np.random.default_rng(seed)
-    identities: dict[CodebookSpec, TokenMap] = {}
-    reports = []
-    per_form: dict[str, list] = {form: [] for form in forms}
+    drawn = []  # per trial: (spec, C, model seed, probe duplicate or None, (C, n_pick) items)
+    groups: dict[tuple, list[int]] = {}  # (form, spec, own map or None) -> trials
     for t in range(trials):
         spec = specs[int(rng.choice(k_values)), int(rng.choice(X_values))]
         C = int(rng.choice(C_values))
-        form = forms[t % len(forms)]
-        model = _random_model(form, spec, C, sigma, int(rng.integers(2**31)))
+        model_seed = int(rng.integers(2**31))
+        n_items, dup = spec.sequence_space_size, None
+        if map_mode == "probe_collision":
+            dup = int(rng.integers(n_items))
+            n_items += 1
+        items = np.empty((C, min(items_per_context, n_items)), dtype=np.int64)
+        for h in range(C):
+            items[h] = rng.choice(n_items, size=items.shape[1], replace=False)
+        drawn.append((spec, C, model_seed, dup, items))
+        key = (forms[t % len(forms)], spec, None if dup is None else t)
+        groups.setdefault(key, []).append(t)
+
+    identities: dict[CodebookSpec, TokenMap] = {}
+    by_trial: list[list] = [[] for _ in range(trials)]
+    for (form, spec, own), members in groups.items():
         if spec not in identities:
             identities[spec] = identity_token_map(spec)
         tmap = identities[spec]
-        if map_mode == "probe_collision":
-            tmap = _probe_map_with_duplicate(tmap, int(rng.integers(spec.sequence_space_size)))
-        n_pick = min(items_per_context, tmap.n_items)
-        for h in range(C):
-            items = rng.choice(tmap.n_items, size=n_pick, replace=False)
-            context_reports = check_context(model, h, tmap, items)
-            reports.extend(context_reports)
-            per_form[form].extend(context_reports)
+        if own is not None:
+            tmap = _probe_map_with_duplicate(tmap, drawn[own][3])
+        rows = _verify_rows(form, sigma, drawn, members)
+        cap = max(1, _VERIFY_BATCH_SEQUENCES // spec.sequence_space_size)
+        while batch := list(itertools.islice(rows, cap)):
+            # one model holds the batch's (trial, context) rows, in order
+            tables = [np.stack([tabs[m] for _, _, tabs, _ in batch]) for m in range(spec.k)]
+            items = np.stack([row_items for *_, row_items in batch])
+            got = check_contexts(FORMS[form](spec, len(batch), tables), tmap, items)
+            for r, report in enumerate(got):
+                t, h, _, _ = batch[r // items.shape[1]]
+                report.context = h  # the trial's own context id, not the batch's
+                by_trial[t].append(report)
+    reports = [report for trial in by_trial for report in trial]
+    per_form: dict[str, list] = {form: [] for form in forms}
+    for t, trial in enumerate(by_trial):
+        per_form[forms[t % len(forms)]].extend(trial)
 
     chash = _config_hash(cfg)
     write_csv(out_dir / "equivalence.csv", EquivalenceReport, reports)

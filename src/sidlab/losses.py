@@ -35,16 +35,18 @@ functions to equal Z_full, which holds whenever Z_m does not depend on the
 prefix (parallel models, k = 1, or degenerate tables such as all zeros) and
 fails for generic cascaded tables, where the chained softmax and the flat
 softmax define different distributions over the same items.
-``check_context`` reports both gaps so either regime is measured rather
+``check_contexts`` reports both gaps so either regime is measured rather
 than assumed.
 
 Most of a report is shared by every item of one context: log Z by the
 sequence route, the item logits, log Z_full and the flat softmax.
-``check_context`` computes those once per (model, context) and then, per
-item, only the k visited nodes' log Z, the item's logit and the k visited
-rows of both analytic gradients.  It makes the float operations of the
-per-item routines (the losses here, the gradients in ``tests/reference.py``)
-in their order, so its reports equal theirs bit for bit.
+``check_contexts`` computes those once per checked context, for a whole
+batch of contexts of one model in each numpy pass, and then, per item, only
+the k visited nodes' log Z, the item's logit and the k visited rows of both
+analytic gradients.  Every step is row-wise, so it makes the float
+operations of the per-item routines (the losses here, the gradients in
+``tests/reference.py``) in their order, and its reports equal theirs bit for
+bit however the contexts are batched.
 """
 
 from __future__ import annotations
@@ -177,68 +179,90 @@ class EquivalenceReport:
     max_grad_gap: float
 
 
-def check_context(model: LogitModel, h: int, tmap: TokenMap, items) -> list[EquivalenceReport]:
+def check_contexts(model: LogitModel, tmap: TokenMap, items) -> list[EquivalenceReport]:
     """Compare both losses, both partition routes and both gradients for each
-    of ``items`` under context ``h``, one report per item, in order.
-
+    context h of ``model`` against the items ``items[h]``, an array of shape
+    (C, n_pick).  The reports come in context order, then item order.
     Accepts strict or probe maps; on probe maps the partition gap quantifies
     the effect of collisions and missing coverage instead of vanishing.
 
-    The context's work is done once: log Z by the sequence route, every item
-    logit, log Z_full, the flat softmax p, and per position the flat mass of
-    every (node, token), each item's p added in item order from 0.0.  Each
-    item then reads only its k visited nodes, for all items at once: the
-    node's log Z and softmax row for the chained loss and gradient, the mass
-    row minus the one-hot for the flat gradient.  Every field is made by the
-    float operations that :func:`ntp_loss`, :func:`fv_mle_loss` and the
-    per-item gradient routines of ``tests/reference.py`` make, in the same
-    order, so each report equals that file's ``composed_report`` bit for bit.
+    Each context's shared work is done once, for all contexts in one pass:
+    log Z by the sequence route, every item logit, log Z_full, the flat
+    softmax p, and per position the flat mass of every (node, token), each
+    item's p added in item order from 0.0.  Each item then reads only its k
+    visited nodes: the node's log Z and softmax row for the chained loss and
+    gradient, the mass row minus the one-hot for the flat gradient.  Every
+    step works per context or per element, in the order of :func:`ntp_loss`,
+    :func:`fv_mle_loss` and the per-item gradient routines of
+    ``tests/reference.py``.  So each report equals that file's
+    ``composed_report`` bit for bit, whatever the other contexts.  Adds
+    k * n_items per context to the attached lookup counter, the count of
+    :func:`item_logits_all`.
     """
     spec = model.spec
     items = np.asarray(items, dtype=np.int64)
+    if items.ndim != 2 or items.shape[0] != model.C:
+        raise ValueError(f"need items of shape ({model.C}, n), got {items.shape}")
     if items.size and not (0 <= items.min() and items.max() < tmap.n_items):
         raise ValueError(f"items must lie in [0, {tmap.n_items}), got {items.tolist()}")
-    log_zprod = sequence_log_partition(model, h)
-    logits = item_logits_all(model, h, tmap)
-    log_zfull = log_sum_exp(logits)
+    C, n_pick = items.shape
+    mat = tmap.token_matrix
+    prefixes = tmap.prefix_indices
+
+    # sequence_log_partition per context: 0.0 plus the k logits, lexicographic order
+    scores = np.zeros((C, 1))
+    for m in range(spec.k):
+        scores = (scores[:, :, None] + model.rows(m)).reshape(C, spec.X ** (m + 1))
+    log_zprod = log_sum_exp_rows(scores)
+    # item_logits_all per context; each item reads the flat (node, token) slot of its path
+    slots = [model.node_index(prefixes[m]) * spec.X + mat[:, m] for m in range(spec.k)]
+    logits = np.zeros((C, tmap.n_items))
+    for m in range(spec.k):
+        logits += np.take(model.rows(m).reshape(C, -1), slots[m], axis=1)
+    if model.counter is not None:
+        model.counter.entries += C * spec.k * tmap.n_items
+    log_zfull = log_sum_exp_rows(logits)
     p = softmax(logits)
 
-    pick = np.arange(items.size)
-    loss_ntp = np.zeros(items.size)
-    grad_gap = np.zeros(items.size)
+    h = np.arange(C)[:, None]
+    pick = np.arange(C * n_pick)
+    loss_ntp = np.zeros(C * n_pick)
+    grad_gap = np.zeros(C * n_pick)
     for m in range(spec.k):
-        rows = model.rows(m)[h]
-        slots = model.node_index(tmap.prefix_indices[m]) * spec.X + tmap.token_matrix[:, m]
-        mass = np.bincount(slots, weights=p, minlength=rows.size).reshape(rows.shape)
-        nodes = np.broadcast_to(model.node_index(tmap.prefix_indices[m, items]), items.shape)
-        tokens = tmap.token_matrix[items, m]
-        visited = rows[nodes]
+        node_size = model.rows(m)[0].size
+        # one block of node_size bins per context, so each bin adds only its context's p
+        bins = (slots[m] + h * node_size).ravel()
+        mass = np.bincount(bins, weights=p.ravel(), minlength=C * node_size).reshape(C, -1, spec.X)
+        nodes = np.broadcast_to(model.node_index(prefixes[m, items]), items.shape)
+        tokens = mat[items, m].ravel()
+        visited = model.rows(m)[h, nodes].reshape(-1, spec.X)
         loss_ntp -= visited[pick, tokens] - log_sum_exp_rows(visited)
         g_ntp = softmax(visited)
         g_ntp[pick, tokens] -= 1.0
-        g_fv = mass[nodes]
+        g_fv = mass[h, nodes].reshape(-1, spec.X)
         g_fv[pick, tokens] -= 1.0
         delta = np.abs(g_ntp - g_fv).max(axis=1)
         # builtin max(gap, delta) semantics: a NaN delta never replaces the gap
         grad_gap = np.where(delta > grad_gap, delta, grad_gap)
-    loss_fv = -(logits[items] - log_zfull)
+    loss_fv = -(np.take_along_axis(logits, items, axis=1) - log_zfull[:, None]).ravel()
 
     with np.errstate(over="ignore"):  # an infinite partition is write_csv's to reject
-        z_product = float(np.exp(log_zprod))
-        z_full = float(np.exp(log_zfull))
+        z_product = np.exp(log_zprod)
+        z_full = np.exp(log_zfull)
+    per_item = np.repeat(np.arange(C), n_pick)
     return [
-        EquivalenceReport(
-            context=h,
-            item=int(i),
-            z_product=z_product,
-            z_full=z_full,
-            loss_ntp=float(loss_n),
-            loss_fv_mle=float(loss_f),
-            abs_partition_gap=abs(log_zprod - log_zfull),
-            abs_loss_gap=float(abs(loss_n - loss_f)),
-            max_grad_gap=float(gap),
+        EquivalenceReport(*fields)
+        for fields in zip(
+            per_item.tolist(),
+            items.ravel().tolist(),
+            z_product[per_item].tolist(),
+            z_full[per_item].tolist(),
+            loss_ntp.tolist(),
+            loss_fv.tolist(),
+            np.abs(log_zprod - log_zfull)[per_item].tolist(),
+            np.abs(loss_ntp - loss_fv).tolist(),
+            grad_gap.tolist(),
         )
-        for i, loss_n, loss_f, gap in zip(items, loss_ntp, loss_fv, grad_gap)
     ]
 
 

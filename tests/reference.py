@@ -89,7 +89,7 @@ def embed_parallel_as_cascaded(model):
 def composed_report(model, h, tmap, i_plus):
     """One item's report composed from the public routines and the gradients
     above, each of which redoes the context-level work: the reference for
-    ``check_context``."""
+    ``check_contexts``."""
     log_zprod = sequence_log_partition(model, h)
     log_zfull = full_log_partition(model, h, tmap)
     loss_n = ntp_loss(model, h, tmap, i_plus)

@@ -28,7 +28,7 @@ from sidlab import (
     ParallelLogitModel,
     TokenMap,
     beam_search,
-    check_context,
+    check_contexts,
     count_softmax_ops,
     eval_kl,
     eval_kl_chain,
@@ -318,9 +318,10 @@ class TestCriterion6CollisionProbe:
                     spec, np.vstack([identity.token_matrix, identity.token_matrix[dup_item]]), "probe"
                 )
                 model = cls.random(spec, 2, SIGMA, seed=seed)
+                reports = check_contexts(model, probe, [[dup_item]] * 2)
                 for h in range(2):
                     n_trials += 1
-                    rep = check_context(model, h, probe, [dup_item])[0]
+                    rep = reports[h]
                     log_z_seq = sequence_log_partition(model, h)
                     l_dup = item_logit(model, h, probe, probe.n_items - 1)
                     expected = abs(

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import time
@@ -11,10 +12,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sidlab import cli, losses
-from sidlab import TokenMap, load_model, synth_embeddings
+from sidlab import cli
+from sidlab import EquivalenceReport, TokenMap, check_contexts, load_model, synth_embeddings
+from sidlab import write_csv
 from sidlab import CodebookSpec, ItemEmbeddings, ParallelLogitModel, identity_token_map, save_model
-from reference import save_embeddings_bin, save_embeddings_csv
+from reference import composed_report, save_embeddings_bin, save_embeddings_csv
 from sidlab.cli import (
     EXIT_BIJECTION,
     EXIT_CONFIG,
@@ -911,8 +913,13 @@ class TestArtifactBytes:
          ({"seed": 6, "trials": 10, "map_mode": "probe_collision", "k_values": [1, 2],
            "X_values": [2, 3], "C_values": [1, 2], "items_per_context": 10}, EXIT_OK,
           "673327a6e09e47ae3c83d9b895f8400f50a6bee50acbb0da8eb34e6b63977fe1",
-          "fcfb2539e8ce9d29929891ee6e185ac91fe1eb0fc033d2e92fdfa419340047e9")],
-        ids=["strict", "probe_collision"],
+          "fcfb2539e8ce9d29929891ee6e185ac91fe1eb0fc033d2e92fdfa419340047e9"),
+         # k=3, X=16 caps a batch at two contexts, so these trials split across batches
+         ({"seed": 7, "trials": 6, "k_values": [3], "X_values": [4, 16], "C_values": [3, 4],
+           "items_per_context": 3}, EXIT_EQUIVALENCE,
+          "96f372e5d5dda1ad0e04acea4738e3dcdadfdec842d03298b7c2901bb7c3f8cb",
+          "443687b687055ec6fca600d5e14959b6dc7b5f69154a9edde09b8d366a4452bb")],
+        ids=["strict", "probe_collision", "split_batches"],
     )
     def test_verify(self, tmp_path, payload, exit_code, csv_sha, summary_sha):
         # recorded when every (context, item) report redid the context-level work
@@ -922,34 +929,121 @@ class TestArtifactBytes:
         assert self.sha256(out / "summary.json") == summary_sha
 
 
+def replay_verify(payload):
+    """(form, token map, model, (C, n_pick) items) of every trial that verify
+    draws from ``payload``, whose sweep keys must all be given, in its order."""
+    rng = np.random.default_rng(payload["seed"])
+    trials = []
+    for t in range(payload["trials"]):
+        spec = CodebookSpec(k=int(rng.choice(payload["k_values"])),
+                            X=int(rng.choice(payload["X_values"])))
+        C = int(rng.choice(payload["C_values"]))
+        model_seed = int(rng.integers(2**31))
+        tmap = identity_token_map(spec)
+        if payload["map_mode"] == "probe_collision":
+            dup = tmap.token_matrix[int(rng.integers(tmap.n_items))]
+            tmap = TokenMap(spec, np.vstack([tmap.token_matrix, dup]), "probe")
+        n_pick = min(payload["items_per_context"], tmap.n_items)
+        items = np.array([rng.choice(tmap.n_items, n_pick, replace=False) for _ in range(C)])
+        form = payload["forms"][t % len(payload["forms"])]
+        model = cli.FORMS[form].random(spec, C, payload["sigma"], model_seed)
+        trials.append((form, tmap, model, items.reshape(C, n_pick)))
+    return trials
+
+
 class TestVerifyWork:
-    """verify does a context's shared work once, however many items it checks."""
+    """verify checks each context once, in batches of contexts that share a map."""
+
+    @pytest.fixture()
+    def batches(self, monkeypatch):
+        """Every check_contexts call verify makes: (model, map, items)."""
+        calls = []
+
+        def recorded(model, tmap, items):
+            calls.append((model, tmap, np.asarray(items)))
+            return check_contexts(model, tmap, items)
+
+        monkeypatch.setattr(cli, "check_contexts", recorded)
+        return calls
 
     @pytest.mark.parametrize("map_mode", ["strict", "probe_collision"])
-    def test_once_per_context_and_spec(self, tmp_path, monkeypatch, map_mode):
-        calls = Counter()
+    def test_once_per_context_and_spec(self, tmp_path, monkeypatch, batches, map_mode):
+        built = Counter()
 
-        def count(module, name):
-            fn = getattr(module, name)
+        def counted(spec):
+            built[spec] += 1
+            return identity_token_map(spec)
 
-            def counted(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, counted)
-
-        count(losses, "item_logits_all")
-        count(losses, "sequence_log_partition")
-        count(cli, "identity_token_map")
-        payload = {"seed": 3, "trials": 8, "k_values": [1, 2], "X_values": [2, 3],
-                   "C_values": [2], "items_per_context": 2, "map_mode": map_mode}
+        monkeypatch.setattr(cli, "identity_token_map", counted)
+        # caps of 4, 2, 2 and 1 contexts for X**k = 2, 3, 4 and 9: some trials split
+        monkeypatch.setattr(cli, "_VERIFY_BATCH_SEQUENCES", 8)
+        payload = {"seed": 3, "trials": 8, "forms": ["cascaded", "parallel"], "k_values": [1, 2],
+                   "X_values": [2, 3], "C_values": [2], "items_per_context": 2, "sigma": 0.5,
+                   "map_mode": map_mode}
         code, out = run(tmp_path, "verify", payload, "work")
         assert code in (EXIT_OK, EXIT_EQUIVALENCE)
-        contexts = 8 * 2
-        assert len((out / "equivalence.csv").read_text().splitlines()) == 1 + 2 * contexts
-        assert calls["item_logits_all"] == contexts
-        assert calls["sequence_log_partition"] == contexts
-        assert 1 <= calls["identity_token_map"] <= 4
+        trials = replay_verify(payload)
+        assert len((out / "equivalence.csv").read_text().splitlines()) == 1 + 2 * 8 * 2
+
+        def row(tables, items, h):
+            return tuple(tab[h].tobytes() for tab in tables) + (items[h].tobytes(),)
+
+        # each (trial, context) row goes through exactly one batch, with its items
+        want = Counter(row(model.tables, items, h)
+                       for _, _, model, items in trials for h in range(model.C))
+        seen = Counter(row(model.tables, items, b)
+                       for model, _, items in batches for b in range(model.C))
+        assert seen == want and set(want.values()) == {1}
+        # one batch per cap's worth of contexts that share (form, spec, map)
+        groups = Counter()
+        for t, (form, tmap, model, _) in enumerate(trials):
+            groups[form, tmap.spec, t if tmap.mode == "probe" else None] += model.C
+        assert len(batches) == sum(
+            math.ceil(n / max(1, 8 // spec.sequence_space_size))
+            for (_, spec, _), n in groups.items()
+        ) > len(groups)
+        assert built == Counter({tmap.spec: 1 for _, tmap, _, _ in trials})
+
+    @pytest.mark.parametrize(
+        "budget,sweep",
+        [(20, {"k_values": [2], "X_values": [3], "C_values": [3], "items_per_context": 3}),
+         (20, {"k_values": [3], "X_values": [3], "C_values": [1, 2], "items_per_context": 2}),
+         (8, {"k_values": [1, 2], "X_values": [2, 3], "C_values": [1, 3],
+              "items_per_context": 10, "map_mode": "probe_collision"}),
+         (8, {"k_values": [1, 2], "X_values": [2, 3], "C_values": [2], "items_per_context": 0}),
+         (2**13, {"k_values": [1, 2], "X_values": [2], "C_values": [1, 4],
+                  "items_per_context": 5, "sigma": 0.0})],
+        ids=["trial_split_across_batches", "spec_over_the_cap", "probe_maps",
+             "no_items", "items_above_n_items"],
+    )
+    def test_reports_equal_the_composed_reference_bit_for_bit(
+        self, tmp_path, monkeypatch, budget, sweep
+    ):
+        monkeypatch.setattr(cli, "_VERIFY_BATCH_SEQUENCES", budget)
+        payload = dict({"seed": 11, "trials": 6, "forms": ["cascaded", "parallel"],
+                        "sigma": 1.5, "map_mode": "strict"}, **sweep)
+        code, out = run(tmp_path, "verify", payload, "bits")
+        assert code in (EXIT_OK, EXIT_EQUIVALENCE)
+        want = [composed_report(model, h, tmap, int(i))
+                for _, tmap, model, items in replay_verify(payload)
+                for h in range(model.C) for i in items[h]]
+        write_csv(tmp_path / "want.csv", EquivalenceReport, want)
+        # the CSV cells are repr of each float, so equal bytes are equal bits
+        assert (out / "equivalence.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    def test_no_batch_holds_more_than_the_cap(self, tmp_path, batches):
+        payload = {"seed": 6, "trials": 6, "forms": ["parallel", "cascaded"], "k_values": [2],
+                   "X_values": [2, 100], "C_values": [64], "items_per_context": 2,
+                   "map_mode": "strict"}
+        code, _ = run(tmp_path, "verify", payload, "cap")
+        assert code in (EXIT_OK, EXIT_EQUIVALENCE)
+        sizes = [(model.form, model.spec.sequence_space_size, model.C)
+                 for model, _, _ in batches]
+        assert all(B <= max(1, cli._VERIFY_BATCH_SEQUENCES // n) for _, n, B in sizes)
+        assert sum(B for _, _, B in sizes) == 6 * 64
+        # the parallel X**k = 10**4 spec is over the cap: one context per batch;
+        # the two parallel X**k = 4 trials share one batch
+        assert ("parallel", 10**4, 1) in sizes and ("parallel", 4, 128) in sizes
 
 
 class TestDeterminism:

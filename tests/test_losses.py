@@ -20,9 +20,10 @@ from sidlab import (
     EmptyInputError,
     EquivalenceReport,
     FormError,
+    LookupCounter,
     ParallelLogitModel,
     TokenMap,
-    check_context,
+    check_contexts,
     full_log_partition,
     fv_mle_loss,
     identity_token_map,
@@ -468,7 +469,7 @@ class TestEquivalenceReport:
         spec = CodebookSpec(k=2, X=3)
         tmap = identity_token_map(spec)
         model = ParallelLogitModel.random(spec, 2, 0.5, seed=16)
-        rep = check_context(model, 1, tmap, [3])[0]
+        rep = check_contexts(model, tmap, [[0], [3]])[1]
         assert rep.context == 1 and rep.item == 3
         assert rep.abs_partition_gap < 1e-11
         assert rep.abs_loss_gap < 1e-12
@@ -479,7 +480,7 @@ class TestEquivalenceReport:
         spec = CodebookSpec(k=2, X=3)
         tmap = identity_token_map(spec)
         model = CascadedLogitModel.random(spec, 1, 0.5, seed=0)
-        rep = check_context(model, 0, tmap, [4])[0]
+        rep = check_contexts(model, tmap, [[4]])[0]
         assert rep.abs_partition_gap < 1e-11  # enumeration identity still exact
         assert rep.abs_loss_gap > 1e-3  # chained vs flat distribution differ
 
@@ -487,7 +488,7 @@ class TestEquivalenceReport:
         spec = CodebookSpec(k=1, X=2)
         tmap = identity_token_map(spec)
         model = ParallelLogitModel.random(spec, 1, 0.5, seed=17)
-        reports = [check_context(model, 0, tmap, [i])[0] for i in range(2)]
+        reports = check_contexts(model, tmap, [[0, 1]])
         path = tmp_path / "eq.csv"
         write_csv(path, EquivalenceReport, reports)
         with open(path, newline="") as fh:
@@ -507,14 +508,22 @@ class TestEquivalenceReport:
         spec = CodebookSpec(k=2, X=2)
         tmap = identity_token_map(spec)
         model = CascadedLogitModel.random(spec, 1, 0.5, seed=18)
-        reports = [check_context(model, 0, tmap, [i])[0] for i in range(4)]
+        reports = check_contexts(model, tmap, [[0, 1, 2, 3]])
         summary = summarize_reports(reports)
         assert summary["n_reports"] == 4
         assert summary["max_abs_loss_gap"] == max(r.abs_loss_gap for r in reports)
 
 
 def typed_fields(report):
-    return [(type(v), v) for v in dataclasses.astuple(report)]
+    """Each field's type and repr: unlike ==, a -0.0 or a NaN must match exactly."""
+    return [(type(v), repr(v)) for v in dataclasses.astuple(report)]
+
+
+def random_probe(identity, rng):
+    """``identity`` plus one item repeating a random item's sequence, and that item."""
+    dup = int(rng.integers(identity.n_items))
+    table = identity.token_matrix
+    return TokenMap(identity.spec, np.vstack([table, table[dup]]), "probe"), dup
 
 
 class TestCheckContext:
@@ -525,37 +534,79 @@ class TestCheckContext:
             for k, X in itertools.product((1, 2, 3), range(2, 7)):
                 spec = CodebookSpec(k=k, X=X)
                 identity = identity_token_map(spec)
-                dup = int(rng.integers(identity.n_items))
-                probe = TokenMap(
-                    spec, np.vstack([identity.token_matrix, identity.token_matrix[dup]]), "probe"
-                )
+                probe, dup = random_probe(identity, rng)
                 C = int(rng.integers(1, 4))
                 sigma = (0.0, 0.5, 4.0)[X % 3]
                 model = cls.random(spec, C, sigma, seed=int(rng.integers(2**31)))
                 for tmap in (identity, probe):
-                    for h in range(C):
-                        n_pick = min(4, tmap.n_items)
-                        items = [int(i) for i in rng.choice(tmap.n_items, n_pick, replace=False)]
-                        if tmap is probe:  # both owners of the colliding sequence
-                            items += [dup, tmap.n_items - 1]
-                        got = check_context(model, h, tmap, items)
-                        want = [composed_report(model, h, tmap, i) for i in items]
-                        assert [typed_fields(r) for r in got] == [typed_fields(r) for r in want]
-                        checked += len(items)
+                    n_pick = min(4, tmap.n_items)
+                    items = [rng.choice(tmap.n_items, n_pick, replace=False) for _ in range(C)]
+                    if tmap is probe:  # both owners of the colliding sequence
+                        items = [np.append(row, [dup, tmap.n_items - 1]) for row in items]
+                    # every context of the model in one pass
+                    got = check_contexts(model, tmap, items)
+                    want = [composed_report(model, h, tmap, int(i))
+                            for h in range(C) for i in items[h]]
+                    assert [typed_fields(r) for r in got] == [typed_fields(r) for r in want]
+                    checked += len(got)
         assert checked > 500
+
+    @pytest.mark.parametrize("form", ["cascaded", "parallel"])
+    def test_bits_do_not_depend_on_the_other_contexts(self, form):
+        cls = CascadedLogitModel if form == "cascaded" else ParallelLogitModel
+        rng = np.random.default_rng(7)
+        spec = CodebookSpec(k=3, X=3)
+        model = cls.random(spec, 7, 2.0, seed=8)
+        identity = identity_token_map(spec)
+        probe, dup = random_probe(identity, rng)
+        for tmap in (identity, probe):
+            items = np.stack([rng.choice(tmap.n_items, 5, replace=False) for _ in range(7)])
+            items[0, :2] = dup, tmap.n_items - 1
+            whole = [typed_fields(r) for r in check_contexts(model, tmap, items)]
+            want = [typed_fields(composed_report(model, h, tmap, int(i)))
+                    for h in range(7) for i in items[h]]
+            assert whole == want
+            for cut in (1, 3, 6):  # the same contexts checked as two models
+                parts = [cls(spec, hi - lo, [t[lo:hi] for t in model.tables]) for lo, hi in
+                         ((0, cut), (cut, 7))]
+                got = check_contexts(parts[0], tmap, items[:cut]) + [
+                    dataclasses.replace(r, context=r.context + cut)
+                    for r in check_contexts(parts[1], tmap, items[cut:])
+                ]
+                assert [typed_fields(r) for r in got] == whole
+
+    def test_no_items(self):
+        spec = CodebookSpec(k=2, X=3)
+        model = CascadedLogitModel.random(spec, 2, 0.5, seed=21)
+        assert check_contexts(model, identity_token_map(spec), np.zeros((2, 0))) == []
+
+    def test_counts_k_entries_per_item_and_context(self):
+        spec = CodebookSpec(k=3, X=2)
+        model = ParallelLogitModel.random(spec, 3, 0.5, seed=22)
+        model.counter = LookupCounter()
+        tmap = identity_token_map(spec)
+        check_contexts(model, tmap, [[0], [3], [7]])
+        assert model.counter.entries == 3 * spec.k * tmap.n_items
 
     def test_batch_equals_one_item_calls(self):
         spec = CodebookSpec(k=2, X=3)
         tmap = identity_token_map(spec)
         model = CascadedLogitModel.random(spec, 2, 0.5, seed=19)
-        reports = check_context(model, 1, tmap, [4, 0, 4])
-        assert [r.item for r in reports] == [4, 0, 4]
-        assert reports == [check_context(model, 1, tmap, [i])[0] for i in (4, 0, 4)]
-        assert check_context(model, 1, tmap, []) == []
+        reports = check_contexts(model, tmap, [[1, 1, 1], [4, 0, 4]])[3:]
+        assert [(r.context, r.item) for r in reports] == [(1, 4), (1, 0), (1, 4)]
+        assert reports == [check_contexts(model, tmap, [[1], [i]])[1] for i in (4, 0, 4)]
 
-    @pytest.mark.parametrize("items", [[-1], [0, 9]])
+    @pytest.mark.parametrize("items", [[[-1]], [[0, 9]]])
     def test_rejects_items_outside_the_map(self, items):
         spec = CodebookSpec(k=2, X=3)
         model = CascadedLogitModel.random(spec, 1, 0.5, seed=20)
         with pytest.raises(ValueError):
-            check_context(model, 0, identity_token_map(spec), items)
+            check_contexts(model, identity_token_map(spec), items)
+
+    @pytest.mark.parametrize("items", [[0], [[0], [0]], [[[0]]]],
+                             ids=["one_dimension", "a_row_per_context_more", "three_dimensions"])
+    def test_rejects_items_not_one_row_per_context(self, items):
+        spec = CodebookSpec(k=2, X=3)
+        model = CascadedLogitModel.random(spec, 1, 0.5, seed=20)
+        with pytest.raises(ValueError):
+            check_contexts(model, identity_token_map(spec), items)

@@ -511,6 +511,9 @@ class TestKernelBuild:
 
     @pytest.fixture()
     def source(self, tmp_path, monkeypatch, kernel):
+        # a library cached by an earlier run loads without cc, but these tests build
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
         src = tmp_path / "pkg" / "_sgd.c"
         src.parent.mkdir()
         shutil.copy(_sgd.SOURCE, src)
