@@ -13,11 +13,9 @@ from .artifacts import NonFiniteError, write_csv, write_json
 from .bench import (
     OpsRow,
     SoftmaxOpCount,
-    TimingRow,
     count_softmax_ops,
     measure_lookup_counts,
     ops_sweep,
-    time_losses,
 )
 from .decoder import ScoredSequence, beam_search, exact_topk, mtp_decode
 from .logits import (
@@ -172,9 +170,7 @@ __all__ = [
     # bench
     "SoftmaxOpCount",
     "OpsRow",
-    "TimingRow",
     "count_softmax_ops",
     "measure_lookup_counts",
     "ops_sweep",
-    "time_losses",
 ]

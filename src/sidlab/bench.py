@@ -1,24 +1,19 @@
-"""Operation counting and timing for the two loss formulations.
+"""Operation counting for the two loss formulations.
 
 Counted exponential-unit work is the primary evidence: the next-token path
 evaluates k softmaxes of width X (k * X exp units), the full-vocabulary path
 one softmax over X**k items.  The instrumented lookup counters cross-check
 the table-entry traffic of the actual implementations: the next-token loss
 reads k * X entries, the full partition 's item enumeration reads k entries
-per item (X**k * k total), so counter ratio = ops ratio * k.  Wall-clock
-timing is a secondary illustration with no invariant on absolute values.
+per item (X**k * k total), so counter ratio = ops ratio * k.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from statistics import median
-
-import numpy as np
 
 from .logits import MAX_TABLE_ENTRIES, CascadedLogitModel, LookupCounter, table_entry_count
-from .losses import fv_mle_loss, full_log_partition, ntp_loss
+from .losses import full_log_partition, ntp_loss
 from .vocab import CodebookSpec, identity_token_map
 
 
@@ -88,67 +83,6 @@ def ops_sweep(k_values: list[int], X_values: list[int], C: int = 1) -> list[OpsR
                     fv_entries_counted=None if counted is None else counted[1],
                     ntp_entries_closed=spec.k * spec.X,
                     fv_entries_closed=spec.sequence_space_size * spec.k,
-                )
-            )
-    return rows
-
-
-@dataclass
-class TimingRow:
-    k: int
-    X: int
-    C: int
-    repeats: int
-    ntp_median_s: float
-    ntp_min_s: float
-    ntp_max_s: float
-    fv_median_s: float
-    fv_min_s: float
-    fv_max_s: float
-
-
-def time_losses(
-    k_values: list[int],
-    X_values: list[int],
-    C: int = 1,
-    repeats: int = 5,
-    sigma: float = 0.5,
-    seed: int = 0,
-) -> list[TimingRow]:
-    """Median/min/max wall-clock seconds per single loss call over the sweep.
-
-    Machine-dependent by nature; useful for the shape of the scaling, not the
-    absolute values.
-    """
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    rows = []
-    for k in k_values:
-        for X in X_values:
-            spec = CodebookSpec(k=k, X=X)
-            model = CascadedLogitModel.random(spec, C, sigma, seed)
-            tmap = identity_token_map(spec)
-            ntp_times, fv_times = [], []
-            with np.errstate(over="ignore", invalid="ignore"):  # only the times are kept
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    ntp_loss(model, 0, tmap, 0)
-                    ntp_times.append(time.perf_counter() - t0)
-                    t0 = time.perf_counter()
-                    fv_mle_loss(model, 0, tmap, 0)
-                    fv_times.append(time.perf_counter() - t0)
-            rows.append(
-                TimingRow(
-                    k=k,
-                    X=X,
-                    C=C,
-                    repeats=repeats,
-                    ntp_median_s=median(ntp_times),
-                    ntp_min_s=min(ntp_times),
-                    ntp_max_s=max(ntp_times),
-                    fv_median_s=median(fv_times),
-                    fv_min_s=min(fv_times),
-                    fv_max_s=max(fv_times),
                 )
             )
     return rows

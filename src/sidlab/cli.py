@@ -10,11 +10,14 @@ as: --out-dir flag, then the config's "out_dir", then $SIDLAB_OUT, then
 Exit codes: 0 success; 1 training divergence (the mean epoch loss went
 non-finite); 2 bijection failure (the audit is still written); 3 equivalence
 tolerance exceeded; 4 config or artifact-parse error; 5 missing input
-artifact.  Every config value is read through one typed reader, so a value
-of the wrong JSON type, a non-integral float for an integer key or a
-negative seed exits 4 as well.  So does a checkpoint or token map whose
-``k``, ``X`` or ``C`` header is not a JSON integer (``1.9``, ``true`` or
-``"2"``): headers are read as they are, never cast.
+artifact.  ``main`` reads the whole config through its subcommand's table in
+``TABLES`` before any work.  So these exit 4 too: a key the table does not
+declare, at any depth (a misspelt ``topk``); a value of the wrong JSON type;
+an integer key given anything but a plain JSON integer (``2.0``, ``true``,
+``"2"``); a float key given a string or a bool; a value below its bound.  A
+float key takes any JSON number, ``Infinity`` and ``NaN`` included.  The
+``k``, ``X`` and ``C`` headers of a checkpoint or token map follow the same
+integer rule: they are read as they are, never cast.
 
 Exit 1 means a non-finite mean loss and nothing else: a run whose loss stays
 finite exits 0 however poor the model, as ``train`` with ``lr: 1e6`` does
@@ -35,12 +38,13 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .artifacts import NonFiniteError, write_csv, write_json
-from .bench import OpsRow, TimingRow, count_softmax_ops, ops_sweep, time_losses
+from .bench import OpsRow, count_softmax_ops, ops_sweep
 from .decoder import beam_search, exact_topk, mtp_decode
 from .logits import (
     FORMS,
@@ -103,17 +107,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_config(path: str) -> dict:
+def _load_json(path: str, what: str, missing=FileNotFoundError):
+    """The JSON document at ``path``; ``missing`` is raised when there is none."""
     p = Path(path)
     if not p.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise missing(f"{what} not found: {path}")
     try:
-        payload = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ConfigError("config must be a JSON object")
-    return payload
+        return json.loads(p.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def _config_hash(cfg: dict) -> str:
@@ -121,53 +123,70 @@ def _config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-_REQUIRED = object()
-_JSON_TYPES = {str: "string", bool: "boolean", dict: "object", list: "array"}
+class Key(NamedTuple):
+    """One config key.
 
-
-def _cast(kind, v):
-    if kind in _JSON_TYPES:
-        if not isinstance(v, kind):
-            raise TypeError(f"expected a JSON {_JSON_TYPES[kind]}")
-        return v
-    if kind is int and isinstance(v, float) and not v.is_integer():
-        raise ValueError("not an integer")
-    return kind(v)
-
-
-def _value(cfg: dict, key: str, kind, default=_REQUIRED, many=False, low=None, choices=None):
-    """``cfg[key]`` read as ``kind``, or ``default`` when the key is absent and one is given.
-
-    ``kind`` is ``int`` (a non-integral float is refused, not truncated),
-    ``float``, another cast such as :func:`_float_pair`, or one of the JSON
-    types ``str``, ``bool``, ``dict`` and ``list``, which the value must
-    already be.  ``many`` takes a list and reads each element.  A missing
-    key, a value the read refuses, or one below ``low`` or outside
-    ``choices`` is a ConfigError.
+    ``kind`` is ``int`` (a plain JSON integer: ``2.0``, ``true`` and ``"2"``
+    are refused), ``float`` (any JSON number but a bool), ``str``, ``bool``,
+    ``[kind]`` for an array, or a table for a nested object, whose
+    ``choices`` are the strings that may stand in its place.  ``low`` and
+    ``choices`` bound a number or string, each element of an array.  A
+    ``default`` of ``...`` makes the key required; ``None`` leaves it unset,
+    for a key that one variant alone reads and checks.
     """
-    if default is _REQUIRED and key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    value = cfg.get(key, default)
-    try:
-        if many and not isinstance(value, list):
-            raise TypeError("expected a JSON array")
-        out = [_cast(kind, v) for v in (value if many else [value])]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config key {key!r} has a bad value {value!r}: {exc}") from exc
-    if low is not None and any(v < low for v in out):
-        raise ConfigError(f"config key {key!r} must be >= {low}, got {value!r}")
-    if choices is not None and any(v not in choices for v in out):
-        raise ConfigError(f"config key {key!r} must be one of {list(choices)}, got {value!r}")
-    return out if many else out[0]
+
+    kind: object
+    default: object = ...
+    low: object = None
+    choices: object = None
 
 
-def _seed(cfg: dict) -> int:
-    return _value(cfg, "seed", int, 0, low=0)
+def _missing(where: str) -> ConfigError:
+    return ConfigError(f"config is missing required key {where!r}")
 
 
-def _float_pair(pair) -> tuple[float, float]:
-    lo, hi = pair
-    return float(lo), float(hi)
+def _read(key: Key, value, where: str):
+    """``value`` read as ``key`` declares, or a ConfigError that names ``where``.
+
+    A table takes only the keys it declares, and reads every one of them, an
+    absent key as its default, so a nested table's defaults fill in too.
+    """
+    kind = key.kind
+    if isinstance(kind, dict):
+        if value in (key.choices or ()):
+            return value
+        if not isinstance(value, dict):
+            raise ConfigError(f"config key {where!r} must be a JSON object, got {value!r}")
+        for name in value:
+            if name not in kind:
+                raise ConfigError(f"unknown config key {f'{where}.{name}'!r}")
+        out = {}
+        for name, sub in kind.items():
+            path = f"{where}.{name}"
+            if name in value:
+                out[name] = _read(sub, value[name], path)
+            elif sub.default is ...:
+                raise _missing(path)
+            else:
+                out[name] = None if sub.default is None else _read(sub, sub.default, path)
+        return out
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {where!r} must be a JSON array, got {value!r}")
+        item = key._replace(kind=kind[0])
+        return [_read(item, v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if kind is float and type(value) in (int, float):
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise ConfigError(f"config key {where!r} is too large for a float") from exc
+    elif type(value) is not kind:
+        raise ConfigError(f"config key {where!r} must be a JSON {kind.__name__}, got {value!r}")
+    if key.low is not None and value < key.low:
+        raise ConfigError(f"config key {where!r} must be >= {key.low}, got {value!r}")
+    if key.choices is not None and value not in key.choices:
+        raise ConfigError(f"config key {where!r} must be one of {list(key.choices)}, got {value!r}")
+    return value
 
 
 def _spec(k: int, X: int) -> CodebookSpec:
@@ -175,10 +194,6 @@ def _spec(k: int, X: int) -> CodebookSpec:
         return CodebookSpec(k=k, X=X)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _spec_from(cfg: dict) -> CodebookSpec:
-    return _spec(_value(cfg, "k", int), _value(cfg, "X", int))
 
 
 def _sweep_specs(k_values: list[int], X_values: list[int]) -> dict:
@@ -200,69 +215,130 @@ def _random_model(form: str, spec: CodebookSpec, C: int, sigma: float, seed: int
     return model
 
 
-def _load_artifact_json(path: str) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"input artifact not found: {path}")
-    try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"artifact {path} is not valid JSON: {exc}") from exc
-
-
-def _load_embeddings(cfg: dict, seed: int) -> ItemEmbeddings:
+def _load_embeddings(emb: dict | None, seed: int) -> ItemEmbeddings:
+    if emb is None:
+        raise _missing("tokenize.embeddings")
+    if emb["kind"] == "synth":
+        if emb["n_items"] is None or emb["dim"] is None:
+            raise ConfigError("synth embeddings need 'tokenize.embeddings.n_items' and '.dim'")
+        return synth_embeddings(emb["n_items"], emb["dim"], seed)
+    path = emb["path"]
+    if path is None:
+        raise _missing("tokenize.embeddings.path")
     loaders = {"csv": load_embeddings_csv, "bin": load_embeddings_bin}
-    kind = _value(cfg, "kind", str, choices=("synth", *loaders))
-    if kind == "synth":
-        return synth_embeddings(
-            _value(cfg, "n_items", int, low=1), _value(cfg, "dim", int, low=1), seed
-        )
-    path = _value(cfg, "path", str)
     if not Path(path).is_file():
         raise FileNotFoundError(f"embeddings file not found: {path}")
     try:
-        return loaders[kind](path)
+        return loaders[emb["kind"]](path)
     except ValueError as exc:
         raise ConfigError(f"bad embeddings file: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
+# config tables: main reads the whole config through one of these before any work
+
+_COMMON = {"seed": Key(int, 0, low=0), "out_dir": Key(str, "")}
+_SPEC = {"k": Key(int, low=1), "X": Key(int, low=2)}
+_EMBEDDINGS = {
+    "kind": Key(str, choices=("synth", "csv", "bin")),
+    "n_items": Key(int, None, low=1),  # synth
+    "dim": Key(int, None, low=1),  # synth
+    "path": Key(str, None),  # csv and bin
+}
+_KMEANS = {"max_iters": Key(int, 50, low=1)}
+_FSQ = {"levels": Key([int]), "bounds": Key([[float]], None)}  # unset bounds: [-1, 1] each
+_WORLD = {
+    "C": Key(int, low=1), "N": Key(int), "alpha": Key(float, 1.0), "uniform": Key(bool, False)
+}
+_INIT = {"sigma": Key(float, low=0.0)}
+
+TABLES = {
+    "tokenize": {
+        **_COMMON,
+        "scheme": Key(str, choices=("identity", "rq_kmeans", "pq", "fsq")),
+        **_SPEC,
+        "mode": Key(str, "strict", choices=("strict", "probe")),
+        "collapse_threshold": Key(float, 0.75),
+        "kmeans": Key(_KMEANS, {}),
+        "embeddings": Key(_EMBEDDINGS, None),  # every scheme but identity
+        "fsq": Key(_FSQ, None),  # fsq
+    },
+    "verify": {
+        **_COMMON,
+        "trials": Key(int, 100, low=0),
+        "forms": Key([str], ["cascaded", "parallel"], choices=FORMS),
+        "k_values": Key([int], [1, 2, 3], low=1),
+        "X_values": Key([int], [2, 3, 4], low=2),
+        "C_values": Key([int], [1, 2, 4], low=1),
+        "sigma": Key(float, 0.5, low=0.0),
+        "tolerance": Key(float, 1e-10),
+        "map_mode": Key(str, "strict", choices=("strict", "probe_collision")),
+        "items_per_context": Key(int, 2, low=0),
+    },
+    "train": {
+        **_COMMON,
+        "world": Key(_WORLD),
+        "spec": Key(_SPEC),
+        "form": Key(str, "cascaded", choices=FORMS),
+        "init": Key(_INIT, "zeros", choices=("zeros",)),
+        "lr": Key(float, low=0.0),
+        "epochs": Key(int, low=1),
+        "n_samples": Key(int, low=1),
+    },
+    "decode": {
+        **_COMMON,
+        "checkpoint": Key(str),
+        "token_map": Key(str),
+        "context": Key(int),
+        "method": Key(str, choices=("beam", "exact", "mtp")),
+        "top_k": Key(int, 1, low=1),
+        "beam_width": Key(int, None),  # beam; top_k when unset
+    },
+    "bench": {
+        **_COMMON,
+        "k_values": Key([int], [1, 2, 3, 4], low=1),
+        "X_values": Key([int], [4, 8, 16], low=2),
+        "C": Key(int, 1, low=1),
+    },
+}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
-    seed = _seed(cfg)
-    scheme = _value(cfg, "scheme", str, choices=("identity", "rq_kmeans", "pq", "fsq"))
-    spec = _spec_from(cfg)
-    mode = _value(cfg, "mode", str, "strict", choices=("strict", "probe"))
-    threshold = _value(cfg, "collapse_threshold", float, 0.75)
+def cmd_tokenize(cfg: dict, out_dir: Path, chash: str) -> int:
+    seed, scheme, mode = cfg["seed"], cfg["scheme"], cfg["mode"]
+    spec = _spec(cfg["k"], cfg["X"])
+    threshold = cfg["collapse_threshold"]
     if not 0.0 < threshold <= 1.0:
         raise ConfigError(f"collapse_threshold must be in (0, 1], got {threshold!r}")
-    kmeans_cfg = _value(cfg, "kmeans", dict, {})
-    max_iters = _value(kmeans_cfg, "max_iters", int, 50, low=1)
+    fsq = cfg["fsq"]
+    if scheme == "fsq":
+        if fsq is None:
+            raise _missing("tokenize.fsq")
+        levels = fsq["levels"]
+        if len(levels) != spec.k:
+            raise ConfigError(f"fsq levels must list k={spec.k} entries")
+        if max(levels) > spec.X:
+            raise ConfigError(f"fsq levels {levels} exceed X={spec.X}")
 
     fitted = None
     if scheme == "identity":
         sequences = identity_token_map(spec).token_matrix
     elif scheme in ("rq_kmeans", "pq"):
-        emb = _load_embeddings(_value(cfg, "embeddings", dict), seed)
+        emb = _load_embeddings(cfg["embeddings"], seed)
         fit, encode = (fit_rq_kmeans, encode_rq) if scheme == "rq_kmeans" else (fit_pq, encode_pq)
         try:
-            fitted = fit(emb, spec, max_iters=max_iters, seed=seed)
+            fitted = fit(emb, spec, max_iters=cfg["kmeans"]["max_iters"], seed=seed)
             sequences = encode(fitted, emb)
         except (DegenerateInputError, SubspaceSplitError) as exc:
             raise ConfigError(f"cannot fit {scheme} to these embeddings: {exc}") from exc
     else:  # fsq
-        emb = _load_embeddings(_value(cfg, "embeddings", dict), seed)
-        fsq_cfg = _value(cfg, "fsq", dict)
-        levels = _value(fsq_cfg, "levels", int, many=True)
-        if len(levels) != spec.k:
-            raise ConfigError(f"fsq levels must list k={spec.k} entries")
-        if max(levels) > spec.X:
-            raise ConfigError(f"fsq levels {levels} exceed X={spec.X}")
+        emb = _load_embeddings(cfg["embeddings"], seed)
         if emb.dim < len(levels):
             raise ConfigError(f"embeddings have {emb.dim} dims, fsq levels need {len(levels)}")
-        bounds = _value(fsq_cfg, "bounds", _float_pair, [[-1.0, 1.0]] * spec.k, many=True)
+        bounds = [[-1.0, 1.0]] * spec.k if fsq["bounds"] is None else fsq["bounds"]
         try:
             fitted = FSQModel(levels=levels, per_dim_bounds=bounds)
             sequences = encode_fsq(fitted, emb)
@@ -279,7 +355,6 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
         tmap = TokenMap(spec, sequences, "probe")  # audit the failed assignment
     report = audit_bijection(tmap, collapse_threshold=threshold)
 
-    chash = _config_hash(cfg)
     audit_payload = report.to_json_dict()
     audit_payload.update({"config_sha256": chash, "seed": seed, "scheme": scheme})
     write_json(out_dir / "audit.json", audit_payload)
@@ -287,19 +362,11 @@ def cmd_tokenize(cfg: dict, out_dir: Path) -> int:
         tmap.save(out_dir / "token_map.json")
     if fitted is not None:
         save_tokenizer(fitted, out_dir / "tokenizer.json")
-    write_json(
-        out_dir / "summary.json",
-        {
-            "command": "tokenize",
-            "config_sha256": chash,
-            "seed": seed,
-            "scheme": scheme,
-            "mode": mode,
-            "n_items": tmap.n_items,
-            "status": "ok" if code == EXIT_OK else "bijection_failure",
-            "error": error_message,
-        },
-    )
+    write_json(out_dir / "summary.json", {
+        "command": "tokenize", "config_sha256": chash, "seed": seed, "scheme": scheme,
+        "mode": mode, "n_items": tmap.n_items,
+        "status": "ok" if code == EXIT_OK else "bijection_failure", "error": error_message,
+    })
     if code != EXIT_OK:
         print(f"tokenize: bijection failure: {error_message}", file=sys.stderr)
     return code
@@ -326,22 +393,16 @@ def _probe_map_with_duplicate(identity: TokenMap, dup_item: int) -> TokenMap:
     return TokenMap(identity.spec, np.vstack([table, table[dup_item]]), "probe")
 
 
-def cmd_verify(cfg: dict, out_dir: Path) -> int:
-    seed = _seed(cfg)
-    trials = _value(cfg, "trials", int, 100, low=0)
-    forms = _value(cfg, "forms", str, ["cascaded", "parallel"], many=True, choices=FORMS)
-    k_values = _value(cfg, "k_values", int, [1, 2, 3], many=True, low=1)
-    X_values = _value(cfg, "X_values", int, [2, 3, 4], many=True, low=2)
-    C_values = _value(cfg, "C_values", int, [1, 2, 4], many=True, low=1)
+def cmd_verify(cfg: dict, out_dir: Path, chash: str) -> int:
+    seed, trials, forms = cfg["seed"], cfg["trials"], cfg["forms"]
+    k_values, X_values, C_values = cfg["k_values"], cfg["X_values"], cfg["C_values"]
     if not (forms and k_values and X_values and C_values):
         raise ConfigError("forms, k_values, X_values and C_values must each be non-empty")
-    sigma = _value(cfg, "sigma", float, 0.5, low=0.0)
-    tolerance = _value(cfg, "tolerance", float, 1e-10)
+    sigma, tolerance = cfg["sigma"], cfg["tolerance"]
     if not (np.isfinite(sigma) and np.isfinite(tolerance)):
         # a NaN tolerance would pass every gap, a NaN sigma give NaN gaps that pass it
         raise ConfigError(f"sigma and tolerance must be finite, got {sigma!r} and {tolerance!r}")
-    map_mode = _value(cfg, "map_mode", str, "strict", choices=("strict", "probe_collision"))
-    items_per_context = _value(cfg, "items_per_context", int, 2, low=0)
+    map_mode, items_per_context = cfg["map_mode"], cfg["items_per_context"]
     specs = _sweep_specs(k_values, X_values)
     for spec in specs.values():
         if spec.sequence_space_size > MAX_TABLE_ENTRIES:
@@ -396,20 +457,13 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     for t, trial in enumerate(by_trial):
         per_form[forms[t % len(forms)]].extend(trial)
 
-    chash = _config_hash(cfg)
     write_csv(out_dir / "equivalence.csv", EquivalenceReport, reports)
     summary = summarize_reports(reports)
-    summary.update(
-        {
-            "command": "verify",
-            "config_sha256": chash,
-            "seed": seed,
-            "trials": trials,
-            "map_mode": map_mode,
-            "tolerance": tolerance,
-            "per_form": {form: summarize_reports(rows) for form, rows in per_form.items()},
-        }
-    )
+    summary.update({
+        "command": "verify", "config_sha256": chash, "seed": seed, "trials": trials,
+        "map_mode": map_mode, "tolerance": tolerance,
+        "per_form": {form: summarize_reports(rows) for form, rows in per_form.items()},
+    })
     write_json(out_dir / "summary.json", summary)
 
     if map_mode == "strict" and (
@@ -426,47 +480,32 @@ def cmd_verify(cfg: dict, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def cmd_train(cfg: dict, out_dir: Path) -> int:
-    seed = _seed(cfg)
-    world_cfg = _value(cfg, "world", dict)
-    spec = _spec_from(_value(cfg, "spec", dict))
-    C = _value(world_cfg, "C", int)
-    N = _value(world_cfg, "N", int)
+def cmd_train(cfg: dict, out_dir: Path, chash: str) -> int:
+    seed, form, init = cfg["seed"], cfg["form"], cfg["init"]
+    lr, epochs, n_samples = cfg["lr"], cfg["epochs"], cfg["n_samples"]
+    world_cfg = cfg["world"]
+    spec = _spec(cfg["spec"]["k"], cfg["spec"]["X"])
+    C, N = world_cfg["C"], world_cfg["N"]
     if N != spec.sequence_space_size:
         raise ConfigError(f"world N={N} must equal X**k={spec.sequence_space_size}")
-    form = _value(cfg, "form", str, "cascaded", choices=FORMS)
     _check_table_size(spec, C, form)
-    lr = _value(cfg, "lr", float, low=0.0)
-    epochs = _value(cfg, "epochs", int, low=1)
-    n_samples = _value(cfg, "n_samples", int, low=1)
 
     rng = np.random.default_rng(seed)
     world_seed, data_seed, shuffle_seed, init_seed = (
         int(v) for v in rng.integers(0, 2**31, size=4)
     )
     try:
-        world = synth_world(
-            C,
-            N,
-            _value(world_cfg, "alpha", float, 1.0),
-            world_seed,
-            uniform=_value(world_cfg, "uniform", bool, False),
-        )
+        world = synth_world(C, N, world_cfg["alpha"], world_seed, uniform=world_cfg["uniform"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     data = sample_dataset(world, n_samples, data_seed)
 
-    init_cfg = cfg.get("init", "zeros")
-    if init_cfg == "zeros":
+    if init == "zeros":
         model = FORMS[form].zeros(spec, C)
-    elif isinstance(init_cfg, dict) and "sigma" in init_cfg:
-        model = _random_model(form, spec, C, _value(init_cfg, "sigma", float, low=0.0), init_seed)
     else:
-        raise ConfigError("init must be 'zeros' or an object with a 'sigma' key")
+        model = _random_model(form, spec, C, init["sigma"], init_seed)
     tmap = identity_token_map(spec)
     tmap.save(out_dir / "token_map.json")
-
-    chash = _config_hash(cfg)
 
     def checkpoint(m, path):
         payload = model_to_json_dict(m)
@@ -487,31 +526,22 @@ def cmd_train(cfg: dict, out_dir: Path) -> int:
     with np.errstate(over="ignore", invalid="ignore"):
         final_kl_chain = eval_kl_chain(trained, tmap, world)
     last = records[-1]
-    write_json(
-        out_dir / "summary.json",
-        {
-            "command": "train",
-            "config_sha256": chash,
-            "seed": seed,
-            "form": form,
-            "epochs": epochs,
-            "n_samples": n_samples,
-            "lr": lr,
-            "initial_kl": initial_kl,
-            "initial_kl_chain": initial_kl_chain,
-            "final_kl": last.kl,
-            "final_kl_chain": final_kl_chain,
-            "final_mean_ntp_loss": last.mean_ntp_loss,
-            "final_mean_fv_mle_loss": last.mean_fv_mle_loss,
-        },
-    )
+    write_json(out_dir / "summary.json", {
+        "command": "train", "config_sha256": chash, "seed": seed, "form": form,
+        "epochs": epochs, "n_samples": n_samples, "lr": lr,
+        "initial_kl": initial_kl, "initial_kl_chain": initial_kl_chain,
+        "final_kl": last.kl, "final_kl_chain": final_kl_chain,
+        "final_mean_ntp_loss": last.mean_ntp_loss,
+        "final_mean_fv_mle_loss": last.mean_fv_mle_loss,
+    })
     return EXIT_OK
 
 
-def cmd_decode(cfg: dict, out_dir: Path) -> int:
-    seed = _seed(cfg)
-    checkpoint = _load_artifact_json(_value(cfg, "checkpoint", str))
-    token_map = _load_artifact_json(_value(cfg, "token_map", str))
+def cmd_decode(cfg: dict, out_dir: Path, chash: str) -> int:
+    h, method, top_k = cfg["context"], cfg["method"], cfg["top_k"]
+    width = top_k if cfg["beam_width"] is None else cfg["beam_width"]
+    checkpoint = _load_json(cfg["checkpoint"], "input artifact")
+    token_map = _load_json(cfg["token_map"], "input artifact")
     try:
         model = model_from_json_dict(checkpoint)
         tmap = TokenMap.from_json_dict(token_map)
@@ -521,18 +551,15 @@ def cmd_decode(cfg: dict, out_dir: Path) -> int:
         raise ConfigError(
             f"token map spec {tmap.spec} does not match checkpoint spec {model.spec}"
         )
-    h = _value(cfg, "context", int)
     if not 0 <= h < model.C:
         raise ConfigError(f"context {h} outside [0, {model.C})")
-    method = _value(cfg, "method", str, choices=("beam", "exact", "mtp"))
-    top_k = _value(cfg, "top_k", int, 1)
 
     try:
         if method == "exact":
             hits = [(item, tmap.forward(item), score)
                     for item, score in exact_topk(model, h, tmap, top_k)]
         else:
-            found = (beam_search(model, h, _value(cfg, "beam_width", int, top_k), top_k)
+            found = (beam_search(model, h, width, top_k)
                      if method == "beam" else mtp_decode(model, h, top_k))
             hits = [(tmap.inverse(s.sequence), s.sequence, s.score) for s in found]
     except (FormError, ValueError) as exc:
@@ -544,56 +571,25 @@ def cmd_decode(cfg: dict, out_dir: Path) -> int:
     if not all(np.isfinite(r["score"]) for r in results):
         raise ConfigError("decoded path scores overflow: the checkpoint's logits are too large")
 
-    write_json(
-        out_dir / "decode.json",
-        {
-            "command": "decode",
-            "config_sha256": _config_hash(cfg),
-            "seed": seed,
-            "method": method,
-            "context": h,
-            "results": results,
-        },
-    )
+    write_json(out_dir / "decode.json", {
+        "command": "decode", "config_sha256": chash, "seed": cfg["seed"], "method": method,
+        "context": h, "results": results,
+    })
     return EXIT_OK
 
 
-def cmd_bench(cfg: dict, out_dir: Path) -> int:
-    seed = _seed(cfg)
-    k_values = _value(cfg, "k_values", int, [1, 2, 3, 4], many=True, low=1)
-    X_values = _value(cfg, "X_values", int, [4, 8, 16], many=True, low=2)
-    C = _value(cfg, "C", int, 1, low=1)
-    include_timing = _value(cfg, "include_timing", bool, False)
+def cmd_bench(cfg: dict, out_dir: Path, chash: str) -> int:
+    k_values, X_values = cfg["k_values"], cfg["X_values"]
     _sweep_specs(k_values, X_values)
-    rows = ops_sweep(k_values, X_values, C=C)
+    rows = ops_sweep(k_values, X_values, C=cfg["C"])
     write_csv(out_dir / "bench_ops.csv", OpsRow, rows)
     headline = count_softmax_ops(CodebookSpec(k=3, X=256))
-    chash = _config_hash(cfg)
-    write_json(
-        out_dir / "summary.json",
-        {
-            "command": "bench",
-            "config_sha256": chash,
-            "seed": seed,
-            "n_rows": len(rows),
-            "include_timing": include_timing,
-            "reference_k3_X256": {
-                "ntp_ops": headline.ntp_ops,
-                "full_ops": headline.full_ops,
-                "ratio": headline.ratio,
-            },
-        },
-    )
-    if include_timing:
-        timing = time_losses(
-            k_values,
-            X_values,
-            C=C,
-            repeats=_value(cfg, "repeats", int, 5, low=1),
-            sigma=_value(cfg, "sigma", float, 0.5, low=0.0),
-            seed=seed,
-        )
-        write_csv(out_dir / "bench_times.csv", TimingRow, timing)
+    write_json(out_dir / "summary.json", {
+        "command": "bench", "config_sha256": chash, "seed": cfg["seed"], "n_rows": len(rows),
+        "include_timing": False,  # no longer an option; kept so the pinned bytes hold
+        "reference_k3_X256": {"ntp_ops": headline.ntp_ops, "full_ops": headline.full_ops,
+                              "ratio": headline.ratio},
+    })
     return EXIT_OK
 
 
@@ -621,17 +617,20 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cfg = _load_config(args.config)
+        raw = _load_json(args.config, "config file", ConfigError)
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            raw["seed"] = int(args.seed)
         out_dir = Path(
             args.out_dir
-            or _value(cfg, "out_dir", str, "")
+            or _read(_COMMON["out_dir"], raw.get("out_dir", ""), f"{args.command}.out_dir")
             or os.environ.get(OUT_ENV_VAR)
             or "sidlab_out"
         )
-        out_dir.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)  # so a config error leaves it empty
+        cfg = _read(Key(TABLES[args.command]), raw, args.command)
+        return _COMMANDS[args.command](cfg, out_dir, _config_hash(raw))
     except (ConfigError, NonFiniteError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,4 +1,4 @@
-"""Operation counting: closed forms, instrumented cross-checks, timing."""
+"""Operation counting: closed forms and instrumented cross-checks."""
 
 import csv
 
@@ -7,11 +7,9 @@ import pytest
 from sidlab import (
     CodebookSpec,
     OpsRow,
-    TimingRow,
     count_softmax_ops,
     measure_lookup_counts,
     ops_sweep,
-    time_losses,
     write_csv,
 )
 
@@ -75,18 +73,3 @@ class TestInstrumentedCounts:
         assert parsed[2][6] == "" and parsed[2][7] == ""
         assert parsed[1][6] != ""
 
-
-class TestTiming:
-    def test_smoke_and_ordering(self, tmp_path):
-        rows = time_losses([1, 2], [2], C=1, repeats=3, seed=0)
-        assert len(rows) == 2
-        for row in rows:
-            assert row.repeats == 3
-            assert 0.0 < row.ntp_min_s <= row.ntp_median_s <= row.ntp_max_s
-            assert 0.0 < row.fv_min_s <= row.fv_median_s <= row.fv_max_s
-        path = tmp_path / "times.csv"
-        write_csv(path, TimingRow, rows)
-        with open(path, newline="") as fh:
-            parsed = list(csv.reader(fh))
-        assert parsed[0][0] == "k"
-        assert len(parsed) == 3

@@ -1,13 +1,16 @@
 """Command line driver: exit codes, artifact layout, determinism, overrides."""
 
+import ast
 import hashlib
 import json
 import math
+import re
 import subprocess
 import sys
 import time
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +68,13 @@ class TestConfigHandling:
     def test_unparseable_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{nope")
+        assert main(["verify", "--config", str(bad)]) == EXIT_CONFIG
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_integer_too_long_to_parse(self, tmp_path, capsys):
+        # json.loads refuses an integer of over 4300 digits with a ValueError
+        bad = tmp_path / "long.json"
+        bad.write_text('{"trials": ' + "1" * 5000 + "}")
         assert main(["verify", "--config", str(bad)]) == EXIT_CONFIG
         assert "not valid JSON" in capsys.readouterr().err
 
@@ -627,29 +637,20 @@ class TestBenchCommand:
         lines = (out / "bench_ops.csv").read_text().splitlines()
         assert len(lines) == 7
 
-    def test_timing_opt_in(self, tmp_path):
-        payload = {"k_values": [1], "X_values": [2], "include_timing": True, "repeats": 2}
-        code, out = run(tmp_path, "bench", payload, "times")
-        assert code == EXIT_OK
-        assert (out / "bench_times.csv").is_file()
-
-    def test_timing_with_overflowing_logits_prints_nothing(self, tmp_path, capsys):
-        # sigma 1e308 draws logits whose shifted values overflow; only times are written
-        payload = {"k_values": [1, 2], "X_values": [2, 4], "include_timing": True,
-                   "repeats": 2, "sigma": 1e308}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out = run(tmp_path, "bench", payload, "times_overflow")
-        assert code == EXIT_OK
-        assert capsys.readouterr().err == ""
-        assert len((out / "bench_times.csv").read_text().splitlines()) == 5
-
 
 class TestBadConfigValues:
-    """A config value its cast rejects exits 4 with a config error, never a traceback."""
+    """A config value its table refuses exits 4 with a config error, never a traceback."""
 
     SMALL = {"tokenize": {"scheme": "identity", "k": 2, "X": 2}, "verify": {"trials": 1},
              "train": TRAIN_CFG, "bench": {"k_values": [1], "X_values": [2]}}
+
+    @pytest.fixture
+    def decode_inputs(self, tmp_path):
+        """A valid beam decode config over a freshly trained parallel model."""
+        code, trained = run(tmp_path, "train", dict(TRAIN_CFG, form="parallel"), "for_decode")
+        assert code == EXIT_OK
+        return {"checkpoint": str(trained / "checkpoint_final.json"),
+                "token_map": str(trained / "token_map.json"), "context": 0, "method": "beam"}
 
     def assert_config_error(self, tmp_path, capsys, command, payload):
         code, _ = run(tmp_path, command, payload, "bad_value")
@@ -736,17 +737,8 @@ class TestBadConfigValues:
         "over", [{"context": "first"}, {"top_k": [1]}, {"beam_width": {}}],
         ids=["context", "top_k", "beam_width"],
     )
-    def test_decode(self, tmp_path, capsys, over):
-        code, trained = run(tmp_path, "train", dict(TRAIN_CFG, form="parallel"), "for_decode")
-        assert code == EXIT_OK
-        payload = {
-            "checkpoint": str(trained / "checkpoint_final.json"),
-            "token_map": str(trained / "token_map.json"),
-            "context": 0,
-            "method": "beam",
-            **over,
-        }
-        self.assert_config_error(tmp_path, capsys, "decode", payload)
+    def test_decode(self, tmp_path, capsys, decode_inputs, over):
+        self.assert_config_error(tmp_path, capsys, "decode", dict(decode_inputs, **over))
 
     @pytest.mark.parametrize(
         "over",
@@ -788,12 +780,191 @@ class TestBadConfigValues:
         assert main(["verify", "--config", cfg]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
-    def test_values_that_cast_are_accepted_as_before(self, tmp_path):
-        payload = {"trials": "2", "sigma": "0.5", "k_values": [1, 2.0], "C_values": [True],
-                   "forms": ["parallel"]}
-        code, out = run(tmp_path, "verify", payload, "castable")
+    @pytest.mark.parametrize(
+        "command,over,key",
+        [("verify", {"trials": "2"}, "verify.trials"),
+         ("verify", {"sigma": "0.5"}, "verify.sigma"),
+         ("verify", {"k_values": [1, 2.0]}, "verify.k_values[1]"),
+         ("verify", {"C_values": [True]}, "verify.C_values[0]"),
+         ("verify", {"max_table_entries": 100}, "verify.max_table_entries"),
+         ("train", {"init": {"sigma": 0.3, "sigmaa": 0.3}}, "train.init.sigmaa"),
+         ("train", {"spec": {"k": 2, "X": 2, "x": 2}}, "train.spec.x"),
+         ("bench", {"include_timing": False}, "bench.include_timing"),
+         ("bench", {"C": 1.0}, "bench.C"),
+         ("tokenize", {"collapse_threshold": True}, "tokenize.collapse_threshold")],
+        ids=["trials_string", "sigma_string", "k_values_float", "C_values_bool",
+             "removed_key", "init_sigmaa", "spec_x", "include_timing", "C_float",
+             "threshold_bool"],
+    )
+    def test_values_that_cast_are_refused(self, tmp_path, capsys, command, over, key):
+        # each of these loaded once, cast or ignored; now each exits 4 naming its key
+        code, out = run(tmp_path, command, dict(self.SMALL[command], **over), "castable")
+        assert code == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "over,key",
+        [({"topk": 3}, "decode.topk"), ({"beam_width": True}, "decode.beam_width"),
+         ({"top_k": 2.0}, "decode.top_k")],
+        ids=["topk", "beam_width_bool", "top_k_float"],
+    )
+    def test_decode_values_that_cast_are_refused(self, tmp_path, capsys, decode_inputs, over,
+                                                 key):
+        code, out = run(tmp_path, "decode", dict(decode_inputs, **over), "castable")
+        assert code == EXIT_CONFIG
+        assert repr(key) in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_unused_key_of_another_variant_is_allowed(self, tmp_path, decode_inputs):
+        payload = dict(decode_inputs, method="exact", beam_width=16, top_k=2)
+        code, out = run(tmp_path, "decode", payload, "exact_with_width")
         assert code == EXIT_OK
-        assert read_json(out / "summary.json")["trials"] == 2
+        assert len(read_json(out / "decode.json")["results"]) == 2
+
+    def test_lr_reads_the_infinity_literal(self, tmp_path):
+        # a float key takes any JSON number, Infinity included: the run trains and diverges
+        code, out = run(tmp_path, "train", dict(TRAIN_CFG, lr=float("inf")), "inf_lr")
+        assert code == 1
+        assert (out / "checkpoint_init.json").is_file()
+
+
+class _ConfigReads:
+    """The config reads of one ``cmd_*`` function and of the cli.py helpers it
+    hands parts of its config to, traced through names bound to them.
+
+    ``reads`` collects each key path read; ``problems`` each read of a key
+    its table does not declare, each subscript that is not a string literal,
+    each attribute (``.get`` and the like) and each hand-off to a function
+    outside cli.py.
+    """
+
+    def __init__(self, functions):
+        self.functions = functions
+        self.reads, self.problems, self.seen = set(), set(), set()
+
+    def trace(self, fn, env):
+        key = (fn.name, tuple(sorted((n, path) for n, (_, path) in env.items())))
+        if key in self.seen:
+            return
+        self.seen.add(key)
+        env, before = dict(env), None
+        while env != before:  # until no alias, or alias of an alias, is new
+            before = dict(env)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                    target, value = node.targets[0], node.value
+                    pairs = (zip(target.elts, value.elts) if isinstance(target, ast.Tuple)
+                             and isinstance(value, ast.Tuple) else [(target, value)])
+                    for name, expr in pairs:
+                        found = self.resolve(expr, env, fn)
+                        if isinstance(name, ast.Name) and found:
+                            env[name.id] = found
+        for node in ast.walk(fn):
+            where = f"{fn.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Subscript):
+                self.resolve(node, env, fn)
+            elif isinstance(node, ast.Attribute) and self.resolve(node.value, env, fn):
+                self.problems.add(f"{where} .{node.attr} on the config")
+            elif isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else None
+                for i, arg in enumerate(node.args):
+                    found = self.resolve(arg, env, fn)
+                    if found and callee in self.functions:
+                        param = self.functions[callee].args.args[i].arg
+                        self.trace(self.functions[callee], {param: found})
+                    elif found:
+                        self.problems.add(f"{where} config handed to {ast.unparse(node.func)}")
+                for kw in node.keywords:
+                    if self.resolve(kw.value, env, fn):
+                        self.problems.add(f"{where} config handed over as a keyword")
+
+    def resolve(self, node, env, fn):
+        """(table, key path) of a config object ``node`` names, else None."""
+        if isinstance(node, ast.Name):
+            return env.get(node.id)
+        if not isinstance(node, ast.Subscript):
+            return None
+        outer = self.resolve(node.value, env, fn)
+        if outer is None:
+            return None
+        table, path = outer
+        name = node.slice.value if isinstance(node.slice, ast.Constant) else None
+        if not isinstance(name, str):
+            self.problems.add(f"{fn.name}:{node.lineno} non-literal key {ast.unparse(node)}")
+            return None
+        self.reads.add(path + (name,))
+        if name not in table:
+            dotted = ".".join(path + (name,))
+            self.problems.add(f"{fn.name}:{node.lineno} reads undeclared {dotted}")
+            return None
+        kind = table[name].kind
+        return (kind, path + (name,)) if isinstance(kind, dict) else None
+
+
+def declared_paths(table, path=()):
+    """Every key path of ``table``, nested tables' keys included."""
+    for name, key in table.items():
+        yield path + (name,)
+        if isinstance(key.kind, dict):
+            yield from declared_paths(key.kind, path + (name,))
+
+
+class TestOneConfigReader:
+    """A ``cmd_*`` sees only the values ``main`` read through its table, and
+    reads only keys that table declares: an undeclared read would be a
+    ``KeyError`` traceback, outside the exit contract.  Every declared key
+    is read, so none is accepted and then ignored."""
+
+    def test_commands_read_only_declared_keys(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        assert {name for name in functions if name.startswith("cmd_")} == {
+            f"cmd_{command}" for command in cli.TABLES
+        }
+        for command, table in cli.TABLES.items():
+            fn = functions[f"cmd_{command}"]
+            # the raw config dict is main's alone: no parameter can carry it here
+            assert [arg.arg for arg in fn.args.args] == ["cfg", "out_dir", "chash"]
+            scan = _ConfigReads(functions)
+            scan.trace(fn, {"cfg": (table, ())})
+            assert not scan.problems, f"{command}: {sorted(scan.problems)}"
+            unread = set(declared_paths(table)) - scan.reads - {("out_dir",)}  # main reads it
+            assert not unread, f"{command} declares keys nothing reads: {sorted(unread)}"
+
+
+def kind_text(kind, choices=None):
+    if isinstance(kind, list):
+        return "array of " + kind_text(kind[0])
+    if isinstance(kind, dict):
+        return "object or string" if choices else "object"
+    return kind.__name__
+
+
+def reference_rows(table, path=()):
+    """README's reference rows for ``table``: key path, kind, default, bound."""
+    for name, key in table.items():
+        default = ("required" if key.default is ... else "unset" if key.default is None
+                   else f"`{json.dumps(key.default)}`")
+        bound = [f">= {key.low}"] if key.low is not None else []
+        if key.choices is not None:
+            bound.append("one of " + ", ".join(f"`{json.dumps(c)}`" for c in key.choices))
+        yield (f"| `{'.'.join(path + (name,))}` | {kind_text(key.kind, key.choices)} "
+               f"| {default} | {'; '.join(bound)} |")
+        if isinstance(key.kind, dict):
+            yield from reference_rows(key.kind, path + (name,))
+
+
+class TestConfigReference:
+    """README's config reference for each subcommand lists its table: every
+    key in the table's order, with its kind, default and bound."""
+
+    @pytest.mark.parametrize("command", sorted(cli.TABLES))
+    def test_readme_matches_the_table(self, command):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = re.search(rf"^### {command}\n(.*?)(?=^#)", readme, re.S | re.M).group(1)
+        rows = [line for line in section.splitlines() if line.startswith("| `")]
+        assert rows == list(reference_rows(cli.TABLES[command]))
 
 
 class TestArtifactBytes:

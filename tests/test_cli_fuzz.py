@@ -4,16 +4,22 @@ Each example starts from a valid set of documents for one subcommand (its
 config and, for ``tokenize`` and ``decode``, the files the config names).
 Once or twice it draws one document, then the document itself or a value
 anywhere in it, and deletes or replaces what it drew; then it runs
-``main``.  Drawing the document first keeps a short config from being
-drowned out by the hundreds of values of a checkpoint.
+``main``.  In the config, the draw also reaches every key that the
+subcommand's table in ``cli.TABLES`` declares but the document leaves out,
+and a key no table declares may be inserted into any config object.
+Drawing the document first keeps a short config from being drowned out by
+the hundreds of values of a checkpoint.
 Whatever the input, ``main`` must return a code in 0-5 without raising, and
-every file it writes must be strict JSON or a CSV of finite numbers.
+every file it writes must be strict JSON or a CSV of finite numbers.  A
+config that still holds an undeclared key must exit 4 and write nothing.
 
 Every key that sizes work (k, X, C, N, trials, n_items, ...) only ever gets
-values up to 64, so no example allocates much; huge floats go to float keys
-only.  The decode widths ``beam_width`` and ``top_k`` also get 2**31 and
-2**62: the decode documents are k=2, X=3, so a beam round never holds more
-than 9 candidates whatever its width.
+values up to 64, so no example allocates much: no byte cap bounds their
+product.  Huge floats go only to the keys whose table kind is float, and to
+the float cells of checkpoints and embedding rows.  The decode widths
+``beam_width`` and ``top_k`` also get 2**31 and 2**62: the decode documents
+are k=2, X=3, so a beam round never holds more than 9 candidates whatever
+its width.
 """
 
 import copy
@@ -29,15 +35,16 @@ import pytest
 
 from sidlab import CascadedLogitModel, CodebookSpec, ParallelLogitModel, identity_token_map
 from sidlab import model_to_json_dict
-from sidlab.cli import main
+from sidlab.cli import EXIT_CONFIG, TABLES, main
 
-FLOAT_KEYS = {"sigma", "tolerance", "lr", "alpha", "collapse_threshold", "bounds", "params",
-              "rows"}
+ARTIFACT_FLOAT_KEYS = {"params", "rows"}  # the float cells of checkpoints and embeddings
 ANY_KEY = [None, True, False, "x", "", "2", [], {}, [1], -5, -1, 0, 1, 2, 64, 2.5, -0.5,
            float("nan"), float("inf"), float("-inf")]
 FLOAT_KEY = ANY_KEY + [1e3, 1e308, -1e308]
 WIDTH_KEYS = {"beam_width", "top_k"}
 WIDTH_KEY = ANY_KEY + [2**31, 2**62]
+# keys no table declares: misspellings, removed keys, a case slip
+UNDECLARED = ["topk", "sigmaa", "x", "include_timing", "max_table_entries", ""]
 
 SPEC = CodebookSpec(k=2, X=3)
 EMBEDDINGS = [[0.1 * i, -0.2 * i, (-1.0) ** i] for i in range(12)]
@@ -74,8 +81,7 @@ def base_documents(command, variant):
                            "context": 1, "method": method, "beam_width": 4, "top_k": 3},
                 "checkpoint": checkpoint_doc(form),
                 "token_map": identity_token_map(SPEC).to_json_dict()}
-    return {"config": {"seed": 0, "k_values": [1, 2], "X_values": [2, 4], "C": 1,
-                       "include_timing": variant == "timing", "repeats": 2, "sigma": 0.5}}
+    return {"config": {"seed": 0, "k_values": [1, 2], "X_values": [2, 4], "C": 1}}
 
 
 VARIANTS = {
@@ -83,7 +89,7 @@ VARIANTS = {
     "verify": ["strict", "probe_collision"],
     "train": ["cascaded", "parallel"],
     "decode": ["parallel-beam", "parallel-mtp", "cascaded-exact"],
-    "bench": ["ops", "timing"],
+    "bench": ["ops"],
 }
 
 
@@ -96,18 +102,62 @@ def paths(node, prefix=()):
             yield from paths(child, prefix + (key,))
 
 
+def config_objects(node, table, prefix=("config",)):
+    """(path, object, table) of the config object ``node`` and of each object in it."""
+    yield prefix, node, table
+    for name, key in table.items():
+        if isinstance(key.kind, dict) and isinstance(node.get(name), dict):
+            yield from config_objects(node[name], key.kind, prefix + (name,))
+
+
+def declared_key(command, path):
+    """The table key that declares the config value at ``path``, or None."""
+    key, table = None, TABLES[command]
+    for step in path[1:]:
+        if isinstance(step, int):  # an array element: its array's key declares it
+            continue
+        if table is None or step not in table:
+            return None
+        key = table[step]
+        table = key.kind if isinstance(key.kind, dict) else None
+    return key
+
+
+def pool(command, path):
+    """The values a draw may put at ``path``: by its table kind in a config, else by name."""
+    names = set(map(str, path))
+    if path[0] != "config":
+        return FLOAT_KEY if ARTIFACT_FLOAT_KEYS & names else ANY_KEY
+    if WIDTH_KEYS & names:
+        return WIDTH_KEY
+    key = declared_key(command, path)
+    kind = key.kind if key else None
+    while isinstance(kind, list):
+        kind = kind[0]
+    return FLOAT_KEY if kind is float else ANY_KEY
+
+
+def holds_undeclared_key(command, docs):
+    """Whether the config, or an object nested in it, holds a key its table lacks."""
+    config = docs.get("config")
+    return isinstance(config, dict) and any(
+        name not in table for _, node, table in config_objects(config, TABLES[command])
+        for name in node
+    )
+
+
 DELETE = object()
 
 
 def mutate(docs, path, value):
-    """Replace the value at ``path``, or delete it when ``value`` is ``DELETE``."""
+    """Set the value at ``path``, or delete it (if there) when ``value`` is ``DELETE``."""
     parent = docs
     for key in path[:-1]:
         parent = parent[key]
-    if value is DELETE:
-        del parent[path[-1]]
-    else:
+    if value is not DELETE:
         parent[path[-1]] = copy.deepcopy(value)
+    elif isinstance(parent, list) or path[-1] in parent:
+        del parent[path[-1]]
 
 
 def write_inputs(docs, where):
@@ -151,15 +201,19 @@ def assert_strict(path: Path):
 
 
 def return_code_and_artifacts_hold(command, docs):
-    """Run ``command`` on ``docs``: a code in 0-5, and only strict artifacts."""
+    """Run ``command`` on ``docs``: a code in 0-5, and only strict artifacts.
+
+    Returns the code and the names of the files written."""
     with tempfile.TemporaryDirectory() as tmp:
         where = Path(tmp)
         write_inputs(docs, where)
         out = where / "out"
         code = main([command, "--config", str(where / "config.json"), "--out-dir", str(out)])
         assert code in range(6)
-        for path in out.iterdir() if out.exists() else ():
-            assert_strict(path)
+        written = sorted(path.name for path in out.iterdir()) if out.exists() else []
+        for name in written:
+            assert_strict(out / name)
+    return code, written
 
 
 @pytest.mark.parametrize("command", sorted(VARIANTS))
@@ -167,16 +221,22 @@ def return_code_and_artifacts_hold(command, docs):
 @given(data=st.data())
 def test_any_input_keeps_the_exit_contract(command, data):
     docs = base_documents(command, data.draw(st.sampled_from(VARIANTS[command])))
+    extra = data.draw(st.sampled_from(UNDECLARED))  # the key an insertion adds
     for _ in range(data.draw(st.integers(1, 2))):
         if not docs:  # every document was deleted
             break
         name = data.draw(st.sampled_from(sorted(docs)))
         inside = paths(docs[name], (name,)) if isinstance(docs[name], (dict, list)) else ()
-        path = data.draw(st.sampled_from([(name,), *inside]))
-        keys = set(map(str, path))
-        pool = FLOAT_KEY if FLOAT_KEYS & keys else WIDTH_KEY if WIDTH_KEYS & keys else ANY_KEY
-        mutate(docs, path, data.draw(st.sampled_from([DELETE, *pool])))
-    return_code_and_artifacts_hold(command, docs)
+        targets = [(name,), *inside]
+        if name == "config" and isinstance(docs[name], dict):
+            # the declared keys the config leaves out, and one undeclared key per object
+            for path, node, table in config_objects(docs[name], TABLES[command]):
+                targets += [path + (key,) for key in [*table, extra] if key not in node]
+        path = data.draw(st.sampled_from(targets))
+        mutate(docs, path, data.draw(st.sampled_from([DELETE, *pool(command, path)])))
+    code, written = return_code_and_artifacts_hold(command, docs)
+    if holds_undeclared_key(command, docs):
+        assert (code, written) == (EXIT_CONFIG, [])
 
 
 @pytest.mark.parametrize("value", [2**31, 2**62])
