@@ -14,17 +14,23 @@
  * distinct (context, item) pairs, and order[t] is the pair row of the t-th
  * sample visited: pair row s visits the X-row at tabs[m] + off[s*k + m] and
  * its target token is tok[s*k + m].  es is scratch space for X doubles.
- * Build without fast-math or FP contraction.
+ * Only pair rows in [lo, hi) are trained; the samples of every other pair
+ * row are skipped.  So threads that each own a range of contexts, and so a
+ * range of pair rows and their table rows, can walk one shared order at
+ * once: each context's samples keep their visiting order, and no two
+ * threads touch one row.  Build without fast-math or FP contraction.
  */
 #include <math.h>
 #include <stdint.h>
 
 void sgd_epoch(double *const *tabs, const int64_t *off, const int64_t *tok,
                const int64_t *order, int64_t n, int64_t k, int64_t X,
-               double lr, double *es)
+               double lr, double *es, int64_t lo, int64_t hi)
 {
     for (int64_t t = 0; t < n; t++) {
         int64_t s = order[t];
+        if (s < lo || s >= hi)
+            continue;
         for (int64_t m = 0; m < k; m++) {
             double *row = tabs[m] + off[s * k + m];
             double mx = row[0];

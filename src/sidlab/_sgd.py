@@ -3,9 +3,11 @@
 ``trainer.train_sgd`` imports this module on its first call, so neither the
 compiler nor ctypes is touched when sidlab is imported.  ``load`` compiles the
 kernel with ``cc`` once per process, caches the library as
-``__pycache__/_sgd-<hash>.so`` next to the source, and accepts it only if one
-epoch matches the Python loop bit for bit; otherwise it returns None and the
-Python loop runs.
+``__pycache__/_sgd-<hash>.so`` next to the source, and accepts it only if two
+epochs on two threads match the Python loop bit for bit; otherwise it returns
+None and the Python loop runs.  ``epoch`` runs the kernel on one thread per
+block of contexts, ``workers(C)`` of them: as many as the CPUs the process
+may use, and at most C.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -28,41 +31,107 @@ from .vocab import CodebookSpec, TokenMap, identity_token_map
 
 SOURCE = Path(__file__).with_name("_sgd.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+LINE = 8  # float64 entries in a 64-byte cache line
 
 
-def epoch(kernel, model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
-    """The Python loop's epoch through the kernel, updating ``model.tables`` in place.
+def workers(C: int) -> int:
+    """Threads an epoch of C contexts runs on: one per CPU this process may
+    use, and at most one per context."""
+    return min(len(os.sched_getaffinity(0)), C)
+
+
+def _padded(n: int) -> np.ndarray:
+    """n float64 entries that start a 64-byte cache line and have a spare line
+    after them, so they share no cache line with any other array."""
+    buf = np.empty(n + 2 * LINE)
+    head = -(buf.ctypes.data // 8) % LINE
+    return buf[head : head + n]
+
+
+def epoch(kernel, model: LogitModel, tmap: TokenMap, data: Dataset, lr: float, n_workers: int):
+    """The Python loop's epoch through the kernel on ``n_workers`` threads, as
+    ``(start, finish)``.
+
+    ``start(order)`` sets the epoch that visits the samples in ``order``
+    running and returns at once; ``finish()`` waits for it, raises the first
+    error a thread met, and writes the trained rows to ``model.tables``.  In
+    between, ``model.tables`` hold the last finished epoch, so the caller may
+    read them.  ``finish`` does nothing when no epoch is running.
 
     Every offset and token a sample visits depends only on its (context,
     item) pair, so the index tables hold one row per distinct pair in the
-    data, at most min(len(data), C * n_items) rows, and ``run(order)`` hands
-    the kernel the pair row of each sample in visiting order.  Pair row p
-    visits, at position m, the row at flat offset
-    ``off[p, m] = (h * nodes + node) * X`` of that position's (C, nodes, X)
-    row view, so both forms share one offset scheme.  The tables must be
-    C-contiguous (``LogitModel.copy`` makes them so).
+    data, at most min(len(data), C * n_items) rows, sorted by context, and
+    each epoch hands the kernel the pair row of each sample in visiting
+    order.  The C contexts are split into ``n_workers`` contiguous blocks, so
+    a block's pair rows are one range [lo, hi).  Each thread trains one
+    block, on its own copy of the block's rows of every table and its own
+    ``exp`` scratch, in one buffer that shares no cache line with another
+    thread's; the copies carry the rows from epoch to epoch.  Pair row p
+    visits, at position m, the row at offset
+    ``off[p, m] = ((h - c0) * nodes + node) * X`` of that copy, c0 being its
+    block's first context, so both forms share one offset scheme.  Every
+    thread walks the one shared order and skips the samples of other blocks,
+    so each context's samples keep their visiting order, and no two threads
+    touch one row: the bits are the Python loop's for any ``n_workers``.
     """
-    if not all(t.flags.c_contiguous and t.dtype == np.float64 for t in model.tables):
-        raise ValueError("the SGD kernel needs C-contiguous float64 tables")
-    k, X = model.spec.k, model.spec.X
+    C, k, X = model.C, model.spec.k, model.spec.X
     pairs, visit = np.unique(data.contexts * tmap.n_items + data.items, return_inverse=True)
     h, item = np.divmod(pairs, tmap.n_items)
+    bounds = np.arange(n_workers + 1) * C // n_workers  # block b holds contexts [bounds[b], bounds[b + 1])
+    first = bounds[np.searchsorted(bounds, h, side="right") - 1]
+    ranges = np.searchsorted(h, bounds)  # block b's pair rows: [ranges[b], ranges[b + 1])
+    nodes = [model.rows(m).shape[1] for m in range(k)]
     off = np.empty((len(pairs), k), dtype=np.int64)
     tok = np.empty_like(off)
     for m in range(k):
-        nodes = model.rows(m).shape[1]
         node = np.broadcast_to(model.node_index(tmap.prefix_indices[m]), tmap.n_items)
-        off[:, m] = (h * nodes + node[item]) * X
+        off[:, m] = ((h - first) * nodes[m] + node[item]) * X
         tok[:, m] = tmap.token_matrix[item, m]
-    es = np.empty(X)
+    path = np.empty(len(data), dtype=np.int64)
 
-    def run(order: np.ndarray) -> None:
-        path = np.ascontiguousarray(visit[order], dtype=np.int64)
-        tabs = (ctypes.c_void_p * k)(*(t.ctypes.data for t in model.tables))
-        kernel(tabs, off.ctypes.data, tok.ctypes.data, path.ctypes.data,
-               len(path), k, X, float(lr), es.ctypes.data)
+    blocks, jobs = [], []
+    for b in range(n_workers):
+        c0, c1 = int(bounds[b]), int(bounds[b + 1])
+        cuts = np.cumsum([0] + [(c1 - c0) * nodes[m] * X for m in range(k)])
+        buf = _padded(int(cuts[-1]) + X)
+        rows = [buf[cuts[m] : cuts[m + 1]].reshape(c1 - c0, nodes[m], X) for m in range(k)]
+        for m in range(k):
+            rows[m][...] = model.rows(m)[c0:c1]
+        blocks.append((c0, c1, rows))
+        tabs = (ctypes.c_void_p * k)(*(r.ctypes.data for r in rows))
+        # each array goes in as its .ctypes, which keeps the array alive
+        jobs.append((tabs, off.ctypes, tok.ctypes, path.ctypes, len(path), k, X, float(lr),
+                     buf[cuts[-1] :].ctypes, int(ranges[b]), int(ranges[b + 1])))
+    running, errors = [], []
 
-    return run
+    def work(job) -> None:
+        try:
+            kernel(*job)
+        except BaseException as exc:  # re-raised by finish in the caller's thread
+            errors.append(exc)
+
+    def start(order: np.ndarray) -> None:
+        np.take(visit, order, out=path)
+        for job in jobs:
+            thread = threading.Thread(target=work, args=(job,), name="sidlab-sgd")
+            thread.start()
+            running.append(thread)
+
+    def finish() -> None:
+        if not running:
+            return
+        while running:
+            running[-1].join()
+            running.pop()
+        if errors:
+            exc = errors[0]
+            errors.clear()
+            raise exc
+        for c0, c1, rows in blocks:
+            for m in range(k):
+                model.rows(m)[c0:c1] = rows[m]
+
+    return start, finish
 
 
 def build():
@@ -107,28 +176,38 @@ def build():
     fn.restype = None
     fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)] + [ctypes.c_void_p] * 3 + [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p,
+        ctypes.c_int64, ctypes.c_int64,
     ]
     return fn
 
 
 def matches_python(kernel) -> bool:
-    """One epoch on a small fixed case, both forms, kernel vs Python loop, by bytes.
+    """Two epochs on a small fixed case, both forms, kernel vs Python loop, by bytes.
 
-    One visited row's only maximum is +inf.  The Python loop turns that row
-    to NaN (its shifted maximum is inf - inf), so a kernel that skips the
+    The kernel runs as ``train_sgd`` runs it, through ``epoch`` and its
+    threads, with one worker per context (two) whatever the host's CPU
+    count, so no host trains with a split this check has not seen.  One
+    visited row's only maximum is +inf.  The Python loop turns that row to
+    NaN (its shifted maximum is inf - inf), so a kernel that skips the
     maximum's ``exp`` without checking that the maximum is finite fails.
+    An error in a kernel thread is raised here.
     """
     spec = CodebookSpec(k=2, X=3)
     tmap = identity_token_map(spec)
     rng = np.random.default_rng(0)
     data = Dataset(contexts=rng.integers(0, 2, 50), items=rng.integers(0, tmap.n_items, 50))
-    order = rng.permutation(len(data))
+    orders = [rng.permutation(len(data)) for _ in range(2)]
     for cls in FORMS.values():
-        start = cls.random(spec, 2, 1.0, seed=1)
-        start.rows(1)[1, 0] = (np.inf, 3.1, 4.3)
-        py, kern = start.copy(), start.copy()
-        _python_epoch(py, tmap, data, 0.3)(order)
-        epoch(kernel, kern, tmap, data, 0.3)(order)
+        base = cls.random(spec, 2, 1.0, seed=1)
+        base.rows(1)[1, 0] = (np.inf, 3.1, 4.3)
+        py, kern = base.copy(), base.copy()
+        for begin, finish in (_python_epoch(py, tmap, data, 0.3), epoch(kernel, kern, tmap, data, 0.3, 2)):
+            try:
+                for order in orders:
+                    begin(order)
+                    finish()
+            finally:
+                finish()
         if [t.tobytes() for t in py.tables] != [t.tobytes() for t in kern.tables]:
             return False
     return True

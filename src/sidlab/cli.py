@@ -553,6 +553,8 @@ def cmd_decode(cfg: dict, out_dir: Path, chash: str) -> int:
         )
     if not 0 <= h < model.C:
         raise ConfigError(f"context {h} outside [0, {model.C})")
+    if top_k > tmap.n_items:  # for every method, not only exact's own check
+        raise ConfigError(f"top_k {top_k} exceeds the token map's {tmap.n_items} items")
 
     try:
         if method == "exact":

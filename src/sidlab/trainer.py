@@ -22,6 +22,16 @@ gives the same bits, and it takes over whenever the kernel cannot be built,
 loaded or trusted.  The kernel skips ``exp`` only where a shifted logit is
 exactly 0.0, where ``exp`` returns exactly 1.0: at the row maximum's own
 entry, when that maximum is finite.
+
+Every context owns its own table rows, so an epoch splits into independent
+per-context streams.  The kernel runs one thread per contiguous block of
+contexts, as many as the CPUs the process may use and at most C, each on its
+own copy of its block's rows, all walking the one shuffled order.  Each
+context's samples keep their visiting order and no two threads touch one
+row, so the tables and records have the same bits for any number of
+threads.  While an epoch's threads run, ``train_sgd`` draws the next
+shuffle and then takes the finished epoch's metrics; every thread has ended
+when it returns or raises.
 """
 
 from __future__ import annotations
@@ -196,12 +206,14 @@ def _epoch_metrics(
 
 
 def _python_epoch(model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
-    """One SGD epoch, ``run(order)``, on plain Python floats.
+    """One SGD epoch on plain Python floats, as ``(start, finish)`` like ``_sgd.epoch``.
 
     The oracle the compiled kernel must match bit for bit, and its fallback.
-    Each visited row is shifted by its first maximum, exponentiated with
-    ``math.exp``, summed left to right from 0.0, scaled by lr / sum, and the
-    visited token gains lr.  Tables are written back to the model per epoch.
+    ``start(order)`` only records the order; ``finish()`` runs the epoch,
+    serially, and writes the tables back to the model.  Each visited row is
+    shifted by its first maximum, exponentiated with ``math.exp``, summed
+    left to right from 0.0, scaled by lr / sum, and the visited token gains
+    lr.
     """
     positions = list(range(model.spec.k))
     rows = [model.rows(m) for m in positions]
@@ -214,9 +226,12 @@ def _python_epoch(model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
     ctx_list = data.contexts.tolist()
     item_list = data.items.tolist()
     token_range = list(range(model.spec.X))
+    pending = []
 
-    def run(order: np.ndarray) -> None:
-        for s in order.tolist():
+    def finish() -> None:
+        if not pending:
+            return
+        for s in pending.pop().tolist():
             h = ctx_list[s]
             i = item_list[s]
             for m in positions:
@@ -234,7 +249,7 @@ def _python_epoch(model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
         for m in positions:
             rows[m][...] = np.asarray(tables_py[m])
 
-    return run
+    return pending.append, finish
 
 
 def train_sgd(
@@ -253,7 +268,9 @@ def train_sgd(
     full-vocabulary losses at end-of-epoch parameters, and eval_kl when a
     world is supplied.  The input model is not modified; lr = 0 is allowed
     and leaves the copy bit-identical.  Epochs run in the compiled kernel
-    when it loads, else in the Python loop; both give the same bits.
+    when it loads, on its threads, else in the Python loop; both give the
+    same bits.  Epoch e + 1 runs while epoch e's record is taken, so a
+    divergence at epoch e is raised once epoch e + 1 has run too.
 
     Raises:
         ValueError: bad hyperparameters, or a map, dataset or world that
@@ -287,18 +304,27 @@ def train_sgd(
 
     kernel = _sgd.load()
     if kernel is not None:
-        run_epoch = _sgd.epoch(kernel, model, tmap, data, lr)
+        start, finish = _sgd.epoch(kernel, model, tmap, data, lr, _sgd.workers(model.C))
     else:
-        run_epoch = _python_epoch(model, tmap, data, lr)
+        start, finish = _python_epoch(model, tmap, data, lr)
 
     counts = np.zeros((model.C, tmap.n_items))
     np.add.at(counts, (data.contexts, data.items), 1.0)
 
     records = []
-    for epoch in range(1, epochs + 1):
-        run_epoch(rng.permutation(n))
-        mean_ntp, mean_fv, kl = _epoch_metrics(model, tmap, counts, n, world)
-        if not np.isfinite(mean_ntp):
-            raise DivergenceError(f"mean epoch loss became non-finite at epoch {epoch}")
-        records.append(EpochRecord(epoch=epoch, mean_ntp_loss=mean_ntp, mean_fv_mle_loss=mean_fv, kl=kl))
+    try:
+        start(rng.permutation(n))
+        for epoch in range(1, epochs + 1):
+            # epoch e runs while the next shuffle is drawn, and epoch e + 1
+            # while epoch e's metrics are taken
+            order = rng.permutation(n) if epoch < epochs else None
+            finish()
+            if order is not None:
+                start(order)
+            mean_ntp, mean_fv, kl = _epoch_metrics(model, tmap, counts, n, world)
+            if not np.isfinite(mean_ntp):
+                raise DivergenceError(f"mean epoch loss became non-finite at epoch {epoch}")
+            records.append(EpochRecord(epoch=epoch, mean_ntp_loss=mean_ntp, mean_fv_mle_loss=mean_fv, kl=kl))
+    finally:
+        finish()  # no epoch, and no kernel thread, outlives the call
     return model, records

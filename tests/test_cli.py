@@ -822,6 +822,20 @@ class TestBadConfigValues:
         assert code == EXIT_OK
         assert len(read_json(out / "decode.json")["results"]) == 2
 
+    @pytest.mark.parametrize("method", ["exact", "beam", "mtp"])
+    def test_top_k_over_the_item_count_is_refused_for_every_method(self, tmp_path, capsys,
+                                                                    decode_inputs, method):
+        n_items = TokenMap.from_json_dict(read_json(Path(decode_inputs["token_map"]))).n_items
+        payload = dict(decode_inputs, method=method, top_k=n_items)
+        code, out = run(tmp_path, "decode", payload, "all_items")
+        assert code == EXIT_OK
+        assert len(read_json(out / "decode.json")["results"]) == n_items
+        payload["top_k"] = n_items + 1
+        code, out = run(tmp_path, "decode", payload, "too_many")
+        assert code == EXIT_CONFIG
+        assert f"top_k {n_items + 1} exceeds" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_lr_reads_the_infinity_literal(self, tmp_path):
         # a float key takes any JSON number, Infinity included: the run trains and diverges
         code, out = run(tmp_path, "train", dict(TRAIN_CFG, lr=float("inf")), "inf_lr")

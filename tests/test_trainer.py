@@ -1,12 +1,12 @@
 """Synthetic worlds, sampling, SGD training, and the KL evaluations."""
 
 import csv
-import inspect
 import math
 import os
 import shutil
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -332,6 +332,18 @@ def assert_same_training(a, b):
     assert records_a == records_b
 
 
+def run_epoch(runner, order):
+    """One epoch of an ``(start, finish)`` pair, finished."""
+    start, finish = runner
+    start(order)
+    finish()
+
+
+def splits(C):
+    """The worker counts every split is tested at: 1, 2, 3 and one per context."""
+    return sorted({1, 2, 3, C})
+
+
 class TestCompiledEpoch:
     """The compiled epoch must reproduce the Python loop bit for bit."""
 
@@ -339,22 +351,32 @@ class TestCompiledEpoch:
         assert _sgd.load() is kernel
 
     def test_importing_sidlab_leaves_the_kernel_module_unloaded(self):
-        code = "import sys, sidlab.cli; print('sidlab._sgd' in sys.modules)"
+        # nor does it start a thread or import a pool, which commands that never
+        # train would pay for in start-up time and memory
+        code = ("import sys, threading, sidlab.cli; print('sidlab._sgd' in sys.modules,"
+                " threading.active_count(), 'concurrent.futures' in sys.modules)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert result.stdout.strip() == "False"
+        assert result.stdout.split() == ["False", "1", "False"]
 
     def test_desk_config_two_epochs(self, monkeypatch, kernel):
+        # every split of C contexts into W blocks, C not divisible by W included,
+        # against one Python loop run per form and C
         spec = CodebookSpec(k=3, X=4)
         tmap = identity_token_map(spec)
         rng = np.random.default_rng(0)
         world_seed, data_seed, shuffle_seed, _ = (int(v) for v in rng.integers(0, 2**31, size=4))
-        world = synth_world(4, 64, 0.3, world_seed)
-        data = sample_dataset(world, 100_000, data_seed)
-        model = CascadedLogitModel.zeros(spec, 4)
-        a, b = train_both(
-            monkeypatch, kernel, model, tmap, data, lr=0.1, epochs=2, seed=shuffle_seed, world=world
-        )
-        assert_same_training(a, b)
+        for C in (1, 3, 4, 5):
+            world = synth_world(C, 64, 0.3, world_seed)
+            data = sample_dataset(world, 100_000, data_seed)
+            for cls in (CascadedLogitModel, ParallelLogitModel):
+                model = cls.zeros(spec, C)
+                monkeypatch.setattr(_sgd, "load", lambda: None)
+                want = train_sgd(model, tmap, data, 0.1, 2, shuffle_seed, world=world)
+                monkeypatch.setattr(_sgd, "load", lambda: kernel)
+                for W in splits(C):
+                    monkeypatch.setattr(_sgd, "workers", lambda C, W=W: W)
+                    got = train_sgd(model, tmap, data, 0.1, 2, shuffle_seed, world=world)
+                    assert_same_training(got, want)
 
     @pytest.mark.parametrize("form", ["cascaded", "parallel"])
     @pytest.mark.parametrize("lr", [0.0, 0.1, 3.0])
@@ -447,10 +469,12 @@ class TestCompiledEpoch:
         pairs = np.concatenate([pairs, rng.integers(0, len(pairs), 300)])
         data = Dataset(contexts=pairs // tmap.n_items, items=pairs % tmap.n_items)
         order = rng.permutation(len(data))
-        py, kern = start.copy(), start.copy()
-        _python_epoch(py, tmap, data, lr)(order)
-        _sgd.epoch(kernel, kern, tmap, data, lr)(order)
-        assert [t.tobytes() for t in kern.tables] == [t.tobytes() for t in py.tables]
+        py = start.copy()
+        run_epoch(_python_epoch(py, tmap, data, lr), order)
+        for W in splits(C):
+            kern = start.copy()
+            run_epoch(_sgd.epoch(kernel, kern, tmap, data, lr, W), order)
+            assert [t.tobytes() for t in kern.tables] == [t.tobytes() for t in py.tables]
         m, h, node = slots[edge_rows.index((inf, 3.1, 4.3, 4.8))]
         assert np.isnan(py.rows(m)[h, node]).all()
 
@@ -459,14 +483,23 @@ class TestCompiledEpoch:
         [([0] * 10_000 + [1, 1, 0], [4] * 10_000 + [8, 4, 0]), ([2, 0, 1, 0, 2], [7, 7, 3, 7, 0])],
         ids=["repeated_pair", "sparse_pairs"],
     )
-    def test_index_table_has_one_row_per_distinct_pair(self, kernel, contexts, items):
+    def test_index_table_has_one_row_per_distinct_pair(self, contexts, items):
+        # one worker per context: worker h trains pair rows [lo, hi), one per
+        # distinct pair of context h, and the ranges tile the index tables
         spec = CodebookSpec(k=2, X=3)
         data = Dataset(contexts, items)
         model = CascadedLogitModel.zeros(spec, 3)
-        run = _sgd.epoch(kernel, model, identity_token_map(spec), data, 0.1)
-        tables = inspect.getclosurevars(run).nonlocals
-        n_pairs = len(set(zip(data.contexts.tolist(), data.items.tolist())))
-        assert tables["off"].shape == tables["tok"].shape == (n_pairs, spec.k)
+        calls = []
+
+        def recorder(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
+            calls.append((lo, hi, n))
+
+        run_epoch(_sgd.epoch(recorder, model, identity_token_map(spec), data, 0.1, 3), np.arange(len(data)))
+        pairs = set(zip(data.contexts.tolist(), data.items.tolist()))
+        per_context = [sum(h == c for h, _ in pairs) for c in range(3)]
+        assert sorted(calls) == [
+            (sum(per_context[:c]), sum(per_context[: c + 1]), len(data)) for c in range(3)
+        ]
 
     def test_python_fallback_gives_the_pinned_parallel_run(self, monkeypatch):
         monkeypatch.setattr(_sgd, "load", lambda: None)
@@ -480,17 +513,21 @@ class TestCompiledEpoch:
         assert last.mean_ntp_loss == last.mean_fv_mle_loss == 3.0419141272121353
         assert last.kl == 0.4650074007004259
 
-    def test_kernel_refuses_non_contiguous_tables(self, kernel):
+    def test_strided_tables_train_like_contiguous_ones(self, monkeypatch, kernel):
+        # the kernel trains contiguous copies of the rows, so any layout of
+        # the model's tables gives the Python loop's bits
         spec = CodebookSpec(k=1, X=2)
-        strided = np.zeros((2, 4))[:, ::2]
+        strided = np.arange(8.0).reshape(2, 4)[:, ::2]
         model = ParallelLogitModel(spec, 2, [strided])
-        data = Dataset(contexts=[0, 1], items=[1, 0])
-        with pytest.raises(ValueError, match="contiguous"):
-            _sgd.epoch(kernel, model, identity_token_map(spec), data, 0.1)
+        data = Dataset(contexts=[0, 1, 1, 0], items=[1, 0, 1, 1])
+        world = synth_world(2, 2, 0.5, seed=0)
+        a, b = train_both(monkeypatch, kernel, model, identity_token_map(spec), data, 0.1, 2, seed=0,
+                          world=world)
+        assert_same_training(a, b)
 
     def test_wrong_kernel_fails_the_self_check_and_is_not_used(self, monkeypatch, kernel):
-        def doubled_lr(tabs, off, tok, order, n, k, X, lr, es):
-            kernel(tabs, off, tok, order, n, k, X, 2 * lr, es)
+        def doubled_lr(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
+            kernel(tabs, off, tok, order, n, k, X, 2 * lr, es, lo, hi)
 
         monkeypatch.setattr(_sgd, "build", lambda: doubled_lr)
         with pytest.warns(RuntimeWarning, match="self-check"):
@@ -504,6 +541,78 @@ class TestCompiledEpoch:
             assert _sgd.load.__wrapped__() is None
         monkeypatch.setattr(_sgd, "build", lambda: kernel)
         assert _sgd.load.__wrapped__() is kernel
+
+
+class TestEpochThreads:
+    """Kernel threads end with train_sgd, and their errors reach its caller."""
+
+    def case(self):
+        spec = CodebookSpec(k=2, X=3)
+        tmap = identity_token_map(spec)
+        world = synth_world(3, 9, 0.5, seed=1)
+        return CascadedLogitModel.zeros(spec, 3), tmap, sample_dataset(world, 300, seed=2), world
+
+    @pytest.fixture(autouse=True)
+    def three_workers(self, monkeypatch):
+        monkeypatch.setattr(_sgd, "workers", lambda C: 3)
+
+    def test_no_thread_outlives_a_normal_return(self, monkeypatch, kernel):
+        monkeypatch.setattr(_sgd, "load", lambda: kernel)
+        before = threading.active_count()
+        _, records = train_sgd(*self.case()[:3], lr=0.1, epochs=4, seed=0)
+        assert len(records) == 4
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_divergence(self, monkeypatch, kernel):
+        # epoch 2 is running when epoch 1's loss is found non-finite
+        monkeypatch.setattr(_sgd, "load", lambda: kernel)
+        before = threading.active_count()
+        with pytest.raises(DivergenceError, match="epoch 1"):
+            train_sgd(*self.case()[:3], lr=math.inf, epochs=3, seed=0)
+        assert threading.active_count() == before
+
+    def test_a_kernel_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch, kernel):
+        # one block's thread raises; the others run the real kernel to the end
+        def failing(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
+            if lo == 0:
+                raise ZeroDivisionError("block 0")
+            kernel(tabs, off, tok, order, n, k, X, lr, es, lo, hi)
+
+        monkeypatch.setattr(_sgd, "load", lambda: failing)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="block 0"):
+            train_sgd(*self.case()[:3], lr=0.1, epochs=3, seed=0)
+        assert threading.active_count() == before
+
+    def test_a_raising_kernel_is_refused_at_load_with_its_own_error(self, monkeypatch, kernel):
+        # a kernel of the old signature fails in its threads with a TypeError,
+        # which the warning names, not as a self-check difference
+        def old_signature(tabs, off, tok, order, n, k, X, lr, es):
+            kernel(tabs, off, tok, order, n, k, X, lr, es, 0, 0)
+
+        monkeypatch.setattr(_sgd, "build", lambda: old_signature)
+        before = threading.active_count()
+        with pytest.warns(RuntimeWarning, match="TypeError") as caught:
+            assert _sgd.load.__wrapped__() is None
+        assert "self-check" not in str(caught[0].message)
+        assert threading.active_count() == before
+
+    def test_the_self_check_runs_two_workers_on_any_host(self, monkeypatch, kernel):
+        # one CPU would make train_sgd's split one block; the check still splits in two
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        ranges = set()
+
+        def recording(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
+            ranges.add((lo, hi))
+            kernel(tabs, off, tok, order, n, k, X, lr, es, lo, hi)
+
+        assert _sgd.matches_python(recording)
+        assert len(ranges) == 2 and all(lo < hi for lo, hi in ranges)
+
+    def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
+        monkeypatch.undo()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert [_sgd.workers(C) for C in (1, 2, 3, 8)] == [1, 2, 3, 3]
 
 
 class TestKernelBuild:
