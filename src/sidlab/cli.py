@@ -588,7 +588,6 @@ def cmd_bench(cfg: dict, out_dir: Path, chash: str) -> int:
     headline = count_softmax_ops(CodebookSpec(k=3, X=256))
     write_json(out_dir / "summary.json", {
         "command": "bench", "config_sha256": chash, "seed": cfg["seed"], "n_rows": len(rows),
-        "include_timing": False,  # no longer an option; kept so the pinned bytes hold
         "reference_k3_X256": {"ntp_ops": headline.ntp_ops, "full_ops": headline.full_ops,
                               "ratio": headline.ratio},
     })

@@ -1071,7 +1071,7 @@ class TestArtifactBytes:
             "39a37e369e70175776c3f9f7922ed68092106a28f97814dcb4d2d6aacccc3533"
         )
         assert self.sha256(out / "summary.json") == (
-            "02f0e7a449158d3fb46e07e4826ddf7ff62a7ce1484a36ea5d17747e7a67251b"
+            "58b1604c9c05134bfbf61f51284097ada98d6ff7b4afdff05bc0c7982a7bd3ea"
         )
 
     def test_decode_bytes(self, tmp_path, monkeypatch):
