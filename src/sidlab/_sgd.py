@@ -77,9 +77,10 @@ def epoch(kernel, model: LogitModel, tmap: TokenMap, data: Dataset, lr: float, n
     C, k, X = model.C, model.spec.k, model.spec.X
     pairs, visit = np.unique(data.contexts * tmap.n_items + data.items, return_inverse=True)
     h, item = np.divmod(pairs, tmap.n_items)
-    bounds = np.arange(n_workers + 1) * C // n_workers  # block b holds contexts [bounds[b], bounds[b + 1])
-    first = bounds[np.searchsorted(bounds, h, side="right") - 1]
-    ranges = np.searchsorted(h, bounds)  # block b's pair rows: [ranges[b], ranges[b + 1])
+    # block b holds contexts [bounds[b], bounds[b + 1]) and pair rows [ranges[b], ranges[b + 1])
+    bounds = np.arange(n_workers + 1) * C // n_workers
+    ranges = np.searchsorted(h, bounds)
+    first = bounds[np.searchsorted(bounds, h, side="right") - 1]  # each pair row's block's c0
     nodes = [model.rows(m).shape[1] for m in range(k)]
     off = np.empty((len(pairs), k), dtype=np.int64)
     tok = np.empty_like(off)
@@ -201,7 +202,8 @@ def matches_python(kernel) -> bool:
         base = cls.random(spec, 2, 1.0, seed=1)
         base.rows(1)[1, 0] = (np.inf, 3.1, 4.3)
         py, kern = base.copy(), base.copy()
-        for begin, finish in (_python_epoch(py, tmap, data, 0.3), epoch(kernel, kern, tmap, data, 0.3, 2)):
+        runners = (_python_epoch(py, tmap, data, 0.3), epoch(kernel, kern, tmap, data, 0.3, 2))
+        for begin, finish in runners:
             try:
                 for order in orders:
                     begin(order)
