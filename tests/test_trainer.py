@@ -513,6 +513,10 @@ class TestCompiledEpoch:
         assert last.mean_ntp_loss == last.mean_fv_mle_loss == 3.0419141272121353
         assert last.kl == 0.4650074007004259
 
+    def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert [_sgd.workers(C) for C in (1, 2, 3, 8)] == [1, 2, 3, 3]
+
     def test_strided_tables_train_like_contiguous_ones(self, monkeypatch, kernel):
         # the kernel trains contiguous copies of the rows, so any layout of
         # the model's tables gives the Python loop's bits
@@ -550,7 +554,7 @@ class TestEpochThreads:
         spec = CodebookSpec(k=2, X=3)
         tmap = identity_token_map(spec)
         world = synth_world(3, 9, 0.5, seed=1)
-        return CascadedLogitModel.zeros(spec, 3), tmap, sample_dataset(world, 300, seed=2), world
+        return CascadedLogitModel.zeros(spec, 3), tmap, sample_dataset(world, 300, seed=2)
 
     @pytest.fixture(autouse=True)
     def three_workers(self, monkeypatch):
@@ -559,7 +563,7 @@ class TestEpochThreads:
     def test_no_thread_outlives_a_normal_return(self, monkeypatch, kernel):
         monkeypatch.setattr(_sgd, "load", lambda: kernel)
         before = threading.active_count()
-        _, records = train_sgd(*self.case()[:3], lr=0.1, epochs=4, seed=0)
+        _, records = train_sgd(*self.case(), lr=0.1, epochs=4, seed=0)
         assert len(records) == 4
         assert threading.active_count() == before
 
@@ -568,7 +572,7 @@ class TestEpochThreads:
         monkeypatch.setattr(_sgd, "load", lambda: kernel)
         before = threading.active_count()
         with pytest.raises(DivergenceError, match="epoch 1"):
-            train_sgd(*self.case()[:3], lr=math.inf, epochs=3, seed=0)
+            train_sgd(*self.case(), lr=math.inf, epochs=3, seed=0)
         assert threading.active_count() == before
 
     def test_a_kernel_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch, kernel):
@@ -581,7 +585,7 @@ class TestEpochThreads:
         monkeypatch.setattr(_sgd, "load", lambda: failing)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="block 0"):
-            train_sgd(*self.case()[:3], lr=0.1, epochs=3, seed=0)
+            train_sgd(*self.case(), lr=0.1, epochs=3, seed=0)
         assert threading.active_count() == before
 
     def test_a_raising_kernel_is_refused_at_load_with_its_own_error(self, monkeypatch, kernel):
@@ -608,11 +612,6 @@ class TestEpochThreads:
 
         assert _sgd.matches_python(recording)
         assert len(ranges) == 2 and all(lo < hi for lo, hi in ranges)
-
-    def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
-        monkeypatch.undo()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
-        assert [_sgd.workers(C) for C in (1, 2, 3, 8)] == [1, 2, 3, 3]
 
 
 class TestKernelBuild:
