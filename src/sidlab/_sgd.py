@@ -1,13 +1,15 @@
 """Build, load and check the compiled SGD epoch kernel, ``_sgd.c``.
 
-``trainer.train_sgd`` imports this module on its first call, so neither the
-compiler nor ctypes is touched when sidlab is imported.  ``load`` compiles the
-kernel with ``cc`` once per process, caches the library as
-``__pycache__/_sgd-<hash>.so`` next to the source, and accepts it only if two
-epochs on two threads match the Python loop bit for bit; otherwise it returns
-None and the Python loop runs.  ``epoch`` runs the kernel on one thread per
-block of contexts, ``workers(C)`` of them: as many as the CPUs the process
-may use, and at most C.
+``library`` is the package's one C build step: it also builds the k-means
+kernel, ``_kmeans.c``, for ``tokenizer``.  ``trainer.train_sgd`` and
+``tokenizer.fit_kmeans`` import this module on first use, so the compiler is
+not touched when sidlab is imported.  ``load`` compiles the epoch kernel with
+``cc`` once per process, caches the library as ``__pycache__/_sgd-<hash>.so``
+next to the source, and accepts it only if two epochs on two threads match
+the Python loop bit for bit; otherwise it returns None and the Python loop
+runs.  ``epoch`` runs the kernel on one thread per block of contexts,
+``workers(C)`` of them: as many as the CPUs the process may use, and at
+most C.
 """
 
 from __future__ import annotations
@@ -135,34 +137,34 @@ def epoch(kernel, model: LogitModel, tmap: TokenMap, data: Dataset, lr: float, n
     return start, finish
 
 
-def build():
-    """Compile ``_sgd.c`` with ``cc`` and return its ``sgd_epoch`` through ctypes.
+def library(source: Path) -> ctypes.CDLL:
+    """Compile the C file ``source`` with ``cc`` and load it through ctypes.
 
-    The library is cached as ``__pycache__/_sgd-<hash>.so`` next to the
+    The library is cached as ``__pycache__/<stem>-<hash>.so`` next to the
     source, the hash taken over source and flags, so only a build of the
     current source is ever loaded.  It is written under a temporary name and
     renamed into place, so concurrent builds stay correct.  Without a writable
     ``__pycache__`` it is built in a temporary directory, removed after
     loading.  Raises on any failure.
     """
-    code = SOURCE.read_bytes()
+    code = source.read_bytes()
     tag = hashlib.sha256(code + " ".join(CFLAGS).encode()).hexdigest()[:16]
-    cache = SOURCE.parent / "__pycache__"
+    cache = source.parent / "__pycache__"
     try:
         cache.mkdir(exist_ok=True)
     except OSError:
         pass
     scratch = None
     if not os.access(cache, os.W_OK):
-        cache = scratch = Path(tempfile.mkdtemp(prefix="sidlab-sgd-"))
-    lib_path = cache / f"_sgd-{tag}.so"
+        cache = scratch = Path(tempfile.mkdtemp(prefix=f"sidlab{source.stem}-"))
+    lib_path = cache / f"{source.stem}-{tag}.so"
     try:
         if not lib_path.is_file():
-            fd, tmp = tempfile.mkstemp(prefix=".sgd-", suffix=".so", dir=cache)
+            fd, tmp = tempfile.mkstemp(prefix=f".{source.stem}-", suffix=".so", dir=cache)
             os.close(fd)
             try:
                 subprocess.run(
-                    ["cc", *CFLAGS, "-o", tmp, str(SOURCE), "-lm"],
+                    ["cc", *CFLAGS, "-o", tmp, str(source), "-lm"],
                     check=True, capture_output=True, timeout=120,
                 )
                 os.chmod(tmp, 0o755)
@@ -170,10 +172,15 @@ def build():
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
-        fn = ctypes.CDLL(str(lib_path)).sgd_epoch
+        return ctypes.CDLL(str(lib_path))
     finally:
         if scratch is not None:
             shutil.rmtree(scratch, ignore_errors=True)
+
+
+def build():
+    """``sgd_epoch`` of ``_sgd.c``, built by ``library``, with its ctypes signature."""
+    fn = library(SOURCE).sgd_epoch
     fn.restype = None
     fn.argtypes = [ctypes.POINTER(ctypes.c_void_p)] + [ctypes.c_void_p] * 3 + [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_void_p,

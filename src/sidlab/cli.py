@@ -32,6 +32,7 @@ infinity: a run that would write one exits 4 and leaves that file unwritten.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -603,7 +604,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command line parser, built once per process: building it takes
+    about 1 ms, a parse about 40 us, and a parse leaves the parser as it was."""
     parser = _Parser(prog="sidlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"sidlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

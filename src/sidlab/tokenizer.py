@@ -7,25 +7,35 @@ re-seeded to the point farthest from its own centroid, ties toward the
 lowest centroid index.  Distances are direct (x - c)**2 sums, so exact ties
 stay exact, and every nearest-center decision goes through the exact
 ``nearest_centers``.  Each mean sums its cluster's rows in ascending row
-order.  Float overflow in a fit or an encode raises ``DegenerateInputError``,
-so no inf or nan reaches an artifact.  Inputs are copied to C order first:
-numpy sums the rows of a Fortran-ordered array in another order, to other
-bits.
+order, numpy's order for a masked mean.  A Lloyd iteration takes all its
+means in one pass of the C kernel ``_kmeans.c``, built with ``cc`` by
+``_sgd.library`` on the first fit of a process that needs it (never at
+import), cached under ``__pycache__`` and used only if it matches numpy's
+means by bytes; on one column (numpy sums it pairwise), or without the
+kernel, numpy takes them.  Float overflow in a fit or an encode raises
+``DegenerateInputError``, so no inf or nan reaches an artifact.  Inputs are
+copied to C order first: numpy sums the rows of a Fortran-ordered array in
+another order, to other bits.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
 import struct
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .artifacts import write_json
 from .vocab import CodebookSpec, TokenSeq
 
+_MEANS_SOURCE = Path(__file__).with_name("_kmeans.c")
 _BIN_MAGIC = b"SIDEMB64"  # 8 bytes; header totals 16 with the two uint32 fields
 
 
@@ -132,19 +142,34 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     Each point takes the largest of its bounds, e (|c| -> max |c|): rounding
     is monotone, so that can only add candidates.  A center whose A - e
     exceeds the row's smallest A + e is not the nearest, so a row with one
-    candidate is decided.  Other rows, and rows whose A or e is not finite or
-    so large that D could round to inf, are re-done by ``squared_distances``.
+    candidate is decided, and its index is read off its one candidate flag
+    with a sum, not an argmax.  Other rows, and rows whose A or e is not
+    finite or so large that D could round to inf, are re-done by
+    ``squared_distances``.  A fit takes every |x|^2 once, not once per
+    Lloyd iteration.
 
     A standard-normal RQ fit and encode of 4096 x 32 items (k=3, X=16, seeds
     0-2) re-does none of its 548,864 to 626,688 rows.  With 1e6 added to every
     coordinate, seed 0 re-does 160,210 (29%), as one bound per center did.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
+    return _screened(points, _squared_norms(points), centers)
+
+
+def _squared_norms(points: np.ndarray) -> np.ndarray:
+    """Each row's |x|^2 for ``_screened``; an overflow only sends its point to
+    the exact recheck."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.einsum("ij,ij->i", points, points)
+
+
+def _screened(points: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """``nearest_centers`` of C-contiguous float64 points whose |x|^2 are x2."""
     centers = np.ascontiguousarray(centers, dtype=np.float64)
+    X = len(centers)
     # (X, n) and in place: at n=4096, X=16 each halves the screen's time.
     # An overflow here only sends its point to the exact recheck.
     with np.errstate(over="ignore", invalid="ignore"):
-        x2 = np.einsum("ij,ij->i", points, points)
         c2 = np.einsum("ij,ij->i", centers, centers)
         screen = centers @ points.T
         screen *= -2.0
@@ -158,8 +183,13 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
         best = screen.min(axis=0) + err
         screen -= err
         candidates = screen <= best
-    recheck = unbounded | (candidates.view(np.int8).sum(axis=0, dtype=np.int32) != 1)
-    out = candidates.argmax(axis=0)
+    # sums down the columns in the narrowest dtype that holds them, which
+    # skips a cast per entry: the candidate count, up to X, and the index of
+    # a decided row's one candidate; an undecided row's index may wrap
+    flags = candidates.view(np.uint8)
+    recheck = unbounded | (flags.sum(axis=0, dtype=np.min_scalar_type(X)) != 1)
+    index = np.arange(X, dtype=np.min_scalar_type(X - 1))
+    out = (flags * index[:, None]).sum(axis=0, dtype=index.dtype).astype(np.int64)
     if recheck.any():
         out[recheck] = squared_distances(points[recheck], centers).argmin(axis=1)
     return out
@@ -182,16 +212,86 @@ def _kmeans_pp_seed(points: np.ndarray, X: int, rng: np.random.Generator) -> np.
     return centers
 
 
+def _cluster_means(kernel, points, assign, counts, centers) -> None:
+    """Each non-empty cluster's mean in place of its center, with the bits of
+    ``points[assign == j].mean(axis=0)``: through ``kernel``, the compiled
+    ``cluster_means``, or numpy when it is None.  C-contiguous float64 points
+    and centers, int64 assign and counts."""
+    if kernel is not None:
+        kernel(points.ctypes, assign.ctypes, *points.shape, counts.ctypes, centers.ctypes,
+               len(centers))
+        # the points are finite, so only an overflowing sum leaves the finite range
+        if not np.isfinite(centers).all():
+            raise DegenerateInputError("float64 overflow encountered in a cluster mean")
+        return
+    # a stable sort keeps each cluster's rows in ascending order, as a boolean
+    # mask does; on a narrow key dtype numpy radix-sorts
+    order = np.argsort(assign.astype(np.min_scalar_type(len(centers) - 1)), kind="stable")
+    ends = np.cumsum(counts)
+    for j in np.flatnonzero(counts):
+        centers[j] = points[order[ends[j] - counts[j] : ends[j]]].mean(axis=0)
+
+
+def _means_match_numpy(kernel) -> bool:
+    """The kernel's means against numpy's, by bytes, on a fixed case: entries
+    from 1e-8 to 1e8 in size, so that any other order of addition gives other
+    bits, an empty cluster, and an all -0.0 column, whose mean numpy's sum
+    from +0.0 makes +0.0 and a sum from the first row would leave -0.0."""
+    rng = np.random.default_rng(0)
+    for d in (2, 5):
+        points = rng.standard_normal((60, d)) * 10.0 ** rng.uniform(-8, 8, (60, d))
+        points[:, 1] = -0.0
+        assign = rng.integers(0, 4, 60)  # cluster 4 of 5 stays empty
+        counts = np.bincount(assign, minlength=5)
+        got = rng.standard_normal((5, d))
+        want = got.copy()
+        _cluster_means(kernel, points, assign, counts, got)
+        _cluster_means(None, points, assign, counts, want)
+        if got.tobytes() != want.tobytes():
+            return False
+    return True
+
+
+@functools.cache
+def _means_kernel():
+    """The compiled ``cluster_means`` of ``_kmeans.c``, or None to take numpy's means.
+
+    Built by ``_sgd.library``, loaded and checked against numpy's means on the
+    first fit of the process that needs it, never at import; None, with a
+    warning, when any step fails or the check finds a difference.
+    """
+    from . import _sgd  # the package's C builder, which imports subprocess
+
+    try:
+        kernel = _sgd.library(_MEANS_SOURCE).cluster_means
+        kernel.restype = None
+        kernel.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
+        if _means_match_numpy(kernel):
+            return kernel
+        reason = "its self-check differs from numpy's means"
+    except Exception as exc:  # no compiler, build or load error: fall back
+        reason = repr(exc)
+    warnings.warn(
+        f"k-means kernel unavailable, {reason}; fits take numpy's means",
+        RuntimeWarning, stacklevel=2,
+    )
+    return None
+
+
 @_finite()
 def fit_kmeans(
     points: np.ndarray, X: int, max_iters: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd k-means; returns (centers (X, d), assignments (n,))."""
     points = np.ascontiguousarray(points, dtype=np.float64)
+    # on one column numpy sums pairwise, not row after row as the kernel does
+    kernel = _means_kernel() if points.shape[1] >= 2 else None
+    x2 = _squared_norms(points)
     centers = _kmeans_pp_seed(points, X, rng)
     assign = None
     for _ in range(max_iters):
-        new_assign = nearest_centers(points, centers)
+        new_assign = _screened(points, x2, centers)
         counts = np.bincount(new_assign, minlength=X)
         # a re-seed never empties another cluster: fill the empty ones in order
         for j in np.flatnonzero(counts == 0):
@@ -209,12 +309,7 @@ def fit_kmeans(
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        # a stable sort keeps each cluster's rows in ascending order, as a
-        # boolean mask does; on a narrow key dtype numpy radix-sorts
-        order = np.argsort(assign.astype(np.min_scalar_type(X - 1)), kind="stable")
-        ends = np.cumsum(counts)
-        for j in np.flatnonzero(counts):
-            centers[j] = points[order[ends[j] - counts[j] : ends[j]]].mean(axis=0)
+        _cluster_means(kernel, points, assign, counts, centers)
     return centers, assign
 
 
@@ -251,7 +346,13 @@ def fit_rq_kmeans(
     """
     if emb.n_items < spec.X:
         raise DegenerateInputError(f"need at least X={spec.X} items, got {emb.n_items}")
-    if np.unique(emb.values, axis=0).shape[0] < spec.X:
+    # stops at the X-th distinct row; floats compare as np.unique does, -0.0 == 0.0
+    distinct = set()
+    for row in emb.values:
+        distinct.add(tuple(row.tolist()))
+        if len(distinct) == spec.X:
+            break
+    else:
         raise DegenerateInputError(f"need at least X={spec.X} distinct embedding rows")
     rng = np.random.default_rng(seed)
     residuals = emb.values.copy()

@@ -252,9 +252,13 @@ def audit_bijection(tmap: TokenMap, collapse_threshold: float = 0.75) -> Bijecti
     """Deterministically audit a map for collisions, coverage, and codebook collapse."""
     if not 0.0 < collapse_threshold <= 1.0:
         raise ValueError(f"collapse threshold must be in (0, 1], got {collapse_threshold}")
-    mat = tmap.token_matrix
-    n, distinct = len(mat), len(np.unique(mat, axis=0))
-    utilization = [len(np.unique(column)) / tmap.spec.X for column in mat.T]
+    # distinct values are the changes along a sorted array, plus one: the
+    # sequences' from the inverse's sorted codes, each position's from a sort
+    # of its column (a bincount would allocate X counters, and X may be 2**31)
+    codes, columns = tmap._sorted_codes, np.sort(tmap.token_matrix, axis=0)
+    n, distinct = len(codes), 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
+    used = 1 + np.count_nonzero(columns[1:] != columns[:-1], axis=0)
+    utilization = [u / tmap.spec.X for u in used.tolist()]
     return BijectionReport(
         n_items=n,
         n_distinct_sequences=distinct,

@@ -87,6 +87,34 @@ class TestConfigHandling:
         cfg = write_config(tmp_path, "c.json", {})
         assert main(["frobnicate", "--config", cfg]) == EXIT_CONFIG
 
+    def test_one_parser_parses_every_call_as_a_fresh_one(self, tmp_path, monkeypatch):
+        # main keeps one parser per process; no subcommand, --seed or --out-dir
+        # of one call may reach the next, nor may a call that fails to parse
+        argvs = [
+            ["tokenize", "--config", "a.json", "--seed", "3", "--out-dir", "x"],
+            ["verify", "--config", "b.json"],
+            ["frobnicate", "--config", "c.json"],
+            ["tokenize", "--config", "d.json"],
+            ["bench", "--config", "e.json", "--seed", "-1"],
+            ["train", "--out-dir", "y", "--config", "f.json"],
+            ["decode", "--config", "g.json"],
+        ]
+        parse, parsers, parsed = cli._Parser.parse_args, [], []
+
+        def recorded(parser, args=None, namespace=None):
+            parsers.append(parser)
+            result = parse(parser, args, namespace)
+            parsed.append(vars(result))
+            return result
+
+        monkeypatch.chdir(tmp_path)  # no config exists: every call exits 4
+        monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+        assert [main(argv) for argv in argvs] == [EXIT_CONFIG] * len(argvs)
+        assert len(parsers) == len(argvs) and all(p is cli.build_parser() for p in parsers)
+        fresh = [vars(parse(cli.build_parser.__wrapped__(), argv)) for argv in argvs
+                 if argv[0] != "frobnicate"]
+        assert parsed == fresh
+
     def test_missing_required_key(self, tmp_path):
         code, _ = run(tmp_path, "tokenize", {"k": 2, "X": 2}, "o")  # no scheme
         assert code == EXIT_CONFIG

@@ -1,5 +1,7 @@
 """Embedding tokenizers: k-means core, RQ, PQ, FSQ, and file formats."""
 
+import itertools
+import shutil
 import warnings
 from collections import Counter
 
@@ -26,7 +28,7 @@ from sidlab import (
     synth_embeddings,
 )
 from reference import save_embeddings_bin, save_embeddings_csv
-from sidlab import tokenizer
+from sidlab import _sgd, tokenizer
 from sidlab.tokenizer import split_subspace_dims, squared_distances
 
 
@@ -215,23 +217,23 @@ class TestNearestCenters:
     def test_few_rows_reach_the_exact_recheck(self, monkeypatch):
         # every squared_distances call in a fit and encode is the screen's
         # recheck; a bound loose enough to send every row there fails here
-        rows = {"nearest_centers": 0, "squared_distances": 0}
+        rows = {"_screened": 0, "squared_distances": 0}
 
         def counted(name):
             fn = getattr(tokenizer, name)
 
-            def wrapped(points, centers):
+            def wrapped(points, *rest):
                 rows[name] += len(points)
-                return fn(points, centers)
+                return fn(points, *rest)
 
             monkeypatch.setattr(tokenizer, name, wrapped)
 
-        counted("nearest_centers")
+        counted("_screened")  # every screen, a fit's and nearest_centers'
         counted("squared_distances")
         emb = synth_embeddings(1024, 32, 0)
         encode_rq(fit_rq_kmeans(emb, CodebookSpec(k=3, X=16), seed=0), emb)
-        assert rows["nearest_centers"] >= 3 * 1024
-        assert rows["squared_distances"] <= 0.01 * rows["nearest_centers"]
+        assert rows["_screened"] >= 3 * 1024
+        assert rows["squared_distances"] <= 0.01 * rows["_screened"]
 
 
 class TestResidualKmeans:
@@ -287,6 +289,18 @@ class TestResidualKmeans:
         dup = ItemEmbeddings(np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(DegenerateInputError):
             fit_rq_kmeans(dup, spec)
+
+    def test_distinct_rows_compare_as_floats(self):
+        # -0.0 and 0.0 make one row, as np.unique counts them; X - 1 distinct rows are too few
+        spec = CodebookSpec(k=1, X=3)
+        signed = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 3.0], [2.0, 3.0]])
+        short = np.repeat(np.eye(2), 3, axis=0)
+        for values in (signed, short):
+            assert len(np.unique(values, axis=0)) == spec.X - 1
+            with pytest.raises(DegenerateInputError, match="need at least X=3 distinct"):
+                fit_rq_kmeans(ItemEmbeddings(values), spec)
+        signed[-1] = (5.0, 5.0)  # the X-th distinct row comes last
+        fit_rq_kmeans(ItemEmbeddings(signed), spec)
 
     def test_fit_deterministic(self):
         emb = ItemEmbeddings(blobs(8, [np.zeros(2), np.full(2, 6.0)], 0.4, seed=2))
@@ -353,7 +367,7 @@ class TestMemoryLayout:
             f_emb = ItemEmbeddings(np.asfortranarray(values))
             c_model, f_model = fit(c_emb, spec, seed=0), fit(f_emb, spec, seed=0)
             for c_cb, f_cb in zip(c_model.codebooks, f_model.codebooks):
-                assert np.array_equal(c_cb, f_cb)
+                assert c_cb.tobytes() == f_cb.tobytes()  # np.array_equal takes -0.0 for +0.0
             assert encode(c_model, c_emb) == encode(f_model, f_emb)
 
     def test_fit_kmeans_ignores_layout(self):
@@ -480,36 +494,53 @@ def kmeans_case(seed, X, d):
     return pts
 
 
+@pytest.fixture(scope="module")
+def means_kernel():
+    """The compiled cluster-means kernel; skipped only where there is no C compiler."""
+    loaded = tokenizer._means_kernel()
+    if loaded is None and shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert loaded is not None, "cc is on PATH but the k-means kernel did not load"
+    return loaded
+
+
 class TestGroupedKmeans:
     """fit_kmeans finds empty clusters with one bincount and takes every mean
-    over a slice of one stable sort; both must give the per-cluster bits."""
+    in one compiled pass, or on one column or without the kernel over slices
+    of one stable sort; each must give the per-cluster bits."""
 
     @pytest.mark.parametrize("X", [1, 2, 16, 64, 257, 300])
-    def test_matches_the_per_cluster_loop_bitwise(self, X):
+    def test_matches_the_per_cluster_loop_bitwise(self, X, monkeypatch):
+        # twice: means through the kernel (where it loads), then through numpy
         reseeds = Counter()
-        for seed in range(3):
-            for d in (1, 2, 4, 33):
-                pts = kmeans_case(seed, X, d)
-                got = fit_kmeans(pts, X, max_iters=12, rng=np.random.default_rng(seed))
-                want = fit_kmeans_per_cluster(pts, X, 12, np.random.default_rng(seed), reseeds)
-                assert np.array_equal(got[0], want[0]), (seed, d)
-                assert np.array_equal(got[1], want[1]), (seed, d)
-                assert got[1].dtype == np.int64
+        for kernel in (tokenizer._means_kernel(), None):
+            monkeypatch.setattr(tokenizer, "_means_kernel", lambda: kernel)
+            for seed in range(3):
+                for d in (1, 2, 4, 33):
+                    pts = kmeans_case(seed, X, d)
+                    got = fit_kmeans(pts, X, max_iters=12, rng=np.random.default_rng(seed))
+                    want = fit_kmeans_per_cluster(pts, X, 12, np.random.default_rng(seed), reseeds)
+                    # by bytes: np.array_equal takes -0.0 for +0.0
+                    assert got[0].tobytes() == want[0].tobytes(), (kernel, seed, d)
+                    assert np.array_equal(got[1], want[1]), (kernel, seed, d)
+                    assert got[1].dtype == np.int64
         if X >= 16:
             assert reseeds["stolen"] > 0
 
-    def test_reseed_branches_match_the_per_cluster_loop(self):
+    def test_reseed_branches_match_the_per_cluster_loop(self, monkeypatch):
         reseeds = Counter()
         cases = [
             (np.array([[0.0, 0.0]] * 5 + [[10.0, 10.0]] * 5), 3),  # a copy is stolen
             (np.array([[0.0], [1.0], [5.0]]), 5),  # every cluster a singleton: kept empty
             (np.repeat(np.eye(3), [1, 4, 2], axis=0), 6),  # both, in one iteration
         ]
+        kernels = (tokenizer._means_kernel(), None)  # the kernel where it loads, then numpy
         for pts, X in cases:
-            for seed in range(4):
+            for seed, kernel in itertools.product(range(4), kernels):
+                monkeypatch.setattr(tokenizer, "_means_kernel", lambda: kernel)
                 got = fit_kmeans(pts, X, max_iters=50, rng=np.random.default_rng(seed))
                 want = fit_kmeans_per_cluster(pts, X, 50, np.random.default_rng(seed), reseeds)
-                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
         assert reseeds["stolen"] > 0 and reseeds["kept"] > 0
 
     @pytest.mark.parametrize(
@@ -528,18 +559,60 @@ class TestGroupedKmeans:
         def counted(name):
             fn = getattr(tokenizer, name)
 
-            def wrapped(points, centers):
+            def wrapped(points, *rest):
                 rows[name] += len(points)
-                return fn(points, centers)
+                return fn(points, *rest)
 
             monkeypatch.setattr(tokenizer, name, wrapped)
 
-        counted("nearest_centers")
+        counted("_screened")  # every screen, a fit's and nearest_centers'
         counted("squared_distances")
         emb = ItemEmbeddings(synth_embeddings(4096, 32, seed).values + offset)
         encode_rq(fit_rq_kmeans(emb, CodebookSpec(k=3, X=16), seed=seed), emb)
-        assert rows["nearest_centers"] == screened
+        assert rows["_screened"] == screened
         assert rows["squared_distances"] == rechecked
+
+
+class TestMeansKernel:
+    """The compiled means are used only where they give numpy's bits."""
+
+    def test_kernel_loads_where_cc_exists(self, means_kernel):
+        assert tokenizer._means_kernel() is means_kernel
+
+    @pytest.mark.parametrize(
+        "old,new",
+        [("for (int64_t i = 0; i < n; i++)", "for (int64_t i = n - 1; i >= 0; i--)"),
+         ("centers[j * d + c] = 0.0;", "centers[j * d + c] = -0.0;")],
+        ids=["rows_in_reverse", "sums_from_minus_zero"],
+    )
+    def test_a_kernel_with_other_bits_is_refused_at_load(
+        self, tmp_path, monkeypatch, means_kernel, old, new
+    ):
+        # a sum from -0.0 differs from numpy's sum from +0.0 only on an all
+        # -0.0 column, which the self-check holds
+        code = tokenizer._MEANS_SOURCE.read_text()
+        assert code.count(old) == 1
+        source = tmp_path / "_kmeans.c"
+        source.write_text(code.replace(old, new))
+        monkeypatch.setattr(tokenizer, "_MEANS_SOURCE", source)
+        with pytest.warns(RuntimeWarning, match="k-means kernel unavailable, its self-check"):
+            assert tokenizer._means_kernel.__wrapped__() is None
+
+    def test_without_a_compiler_the_loader_warns_and_returns_none(self, monkeypatch):
+        def no_cc(source):
+            raise FileNotFoundError("cc")
+
+        monkeypatch.setattr(_sgd, "library", no_cc)
+        with pytest.warns(RuntimeWarning, match="k-means kernel unavailable, FileNotFoundError"):
+            assert tokenizer._means_kernel.__wrapped__() is None
+
+    def test_not_loaded_for_one_column(self, monkeypatch):
+        # numpy sums one column pairwise, not row after row
+        def unloadable():
+            raise AssertionError("the kernel was asked for on one column")
+
+        monkeypatch.setattr(tokenizer, "_means_kernel", unloadable)
+        fit_kmeans(kmeans_case(0, 4, 1), 4, max_iters=5, rng=np.random.default_rng(0))
 
 
 def per_center_recheck(points, centers):

@@ -17,6 +17,7 @@ from sidlab import (
     audit_bijection,
     identity_token_map,
     prefix_index_arrays,
+    write_json,
 )
 
 
@@ -337,6 +338,29 @@ class TestAuditBijection:
         report = audit_bijection(tmap)
         assert report.n_distinct_sequences == 2
         assert not report.is_bijective_onto_product
+
+    def test_audit_json_bytes_match_the_unique_counts(self, tmp_path):
+        # probe maps with collisions, and a sparse one over X**k = 2**31 sequences
+        rng = np.random.default_rng(7)
+        maps = [TokenMap(CodebookSpec(k=1, X=2**31), [(2**31 - 1,), (0,), (2**31 - 1,)], "probe")]
+        for _ in range(40):
+            spec = CodebookSpec(k=int(rng.integers(1, 4)), X=int(rng.integers(2, 12)))
+            n = int(rng.integers(1, 2 * spec.sequence_space_size))
+            maps.append(TokenMap(spec, rng.integers(0, spec.X, (n, spec.k)), "probe"))
+        for tmap in maps:
+            mat, X = tmap.token_matrix, tmap.spec.X
+            distinct = len(np.unique(mat, axis=0))
+            utilization = [len(np.unique(column)) / X for column in mat.T]
+            want = BijectionReport(
+                n_items=len(mat), n_distinct_sequences=distinct,
+                collision_count=len(mat) - distinct, per_position_utilization=utilization,
+                collapse_flags=[u < 0.75 for u in utilization],
+                is_bijective_onto_product=len(mat) == distinct == tmap.spec.sequence_space_size,
+            )
+            write_json(tmp_path / "want.json", want.to_json_dict())
+            write_json(tmp_path / "got.json", audit_bijection(tmap).to_json_dict())
+            assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        assert sum(audit_bijection(tmap).collision_count > 0 for tmap in maps) > 30
 
     def test_report_json_dict_is_plain_data(self):
         report = audit_bijection(identity_token_map(CodebookSpec(k=2, X=2)))
