@@ -53,6 +53,7 @@ from .logits import (
     FormError,
     model_from_json_dict,
     model_to_json_dict,
+    parse_checkpoint,
     table_entry_count,
 )
 from .losses import EquivalenceReport, check_contexts, summarize_reports
@@ -108,14 +109,16 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_json(path: str, what: str, missing=FileNotFoundError):
-    """The JSON document at ``path``; ``missing`` is raised when there is none."""
+def _load_json(path: str, what: str, missing=FileNotFoundError, parse=json.loads):
+    """The JSON document at ``path``, read by ``parse``; ``missing`` is raised
+    when there is none."""
     p = Path(path)
     if not p.is_file():
         raise missing(f"{what} not found: {path}")
     try:
-        return json.loads(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+        return parse(p.read_text(encoding="utf-8"))
+    # JSONDecodeError, an integer of over 4300 digits, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
@@ -541,7 +544,9 @@ def cmd_train(cfg: dict, out_dir: Path, chash: str) -> int:
 def cmd_decode(cfg: dict, out_dir: Path, chash: str) -> int:
     h, method, top_k = cfg["context"], cfg["method"], cfg["top_k"]
     width = top_k if cfg["beam_width"] is None else cfg["beam_width"]
-    checkpoint = _load_json(cfg["checkpoint"], "input artifact")
+    # both files are parsed before either is read: a missing token map exits 5
+    # even where the checkpoint parses but does not fit
+    checkpoint = _load_json(cfg["checkpoint"], "input artifact", parse=parse_checkpoint)
     token_map = _load_json(cfg["token_map"], "input artifact")
     try:
         model = model_from_json_dict(checkpoint)

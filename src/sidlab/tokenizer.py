@@ -198,8 +198,14 @@ def _screened(points: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.nda
 def _kmeans_pp_seed(points: np.ndarray, X: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((X, points.shape[1]))
+    diff = np.empty_like(points)  # every round's (points - center) ** 2, in one buffer
+
+    def squared_distances_to(center):
+        np.subtract(points, center, out=diff)
+        return np.multiply(diff, diff, out=diff).sum(axis=1)  # the bits of ** 2
+
     centers[0] = points[int(rng.integers(n))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    d2 = squared_distances_to(centers[0])
     for j in range(1, X):
         total = d2.sum()
         if total > 0.0:
@@ -208,7 +214,7 @@ def _kmeans_pp_seed(points: np.ndarray, X: int, rng: np.random.Generator) -> np.
             # all points coincide with some chosen center; any pick works
             idx = int(rng.integers(n))
         centers[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        np.minimum(d2, squared_distances_to(centers[j]), out=d2)
     return centers
 
 

@@ -1,10 +1,12 @@
 """Command line driver: exit codes, artifact layout, determinism, overrides."""
 
 import ast
+import functools
 import hashlib
 import json
 import math
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -15,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sidlab import cli
+from sidlab import cli, logits
 from sidlab import EquivalenceReport, TokenMap, check_contexts, load_model, synth_embeddings
 from sidlab import write_csv
 from sidlab import CodebookSpec, ItemEmbeddings, ParallelLogitModel, identity_token_map, save_model
@@ -627,6 +629,49 @@ class TestDecodeCommand:
         assert run(tmp_path, "decode", payload, "bad_map")[0] == EXIT_CONFIG
         assert "MalformedSequenceError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("depth", [5_000, 100_000])
+    @pytest.mark.parametrize("artifact", ["config", "checkpoint", "token_map"])
+    def test_json_nested_too_deeply_exits_4(self, tmp_path, trained, artifact, depth, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * depth + "]" * depth)
+        if artifact == "config":
+            code = main(["decode", "--config", str(deep), "--out-dir", str(tmp_path / "o")])
+        else:
+            payload = self.decode_payload(trained, **{artifact: str(deep)})
+            code = run(tmp_path, "decode", payload, "deep")[0]
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_boolean_in_a_checkpoint_table_exits_4(self, tmp_path, capsys):
+        code, out = run(tmp_path, "train", dict(TRAIN_CFG, spec={"k": 2, "X": 3},
+                                             world={"C": 2, "N": 9, "alpha": 0.5}), "k2x3")
+        assert code == EXIT_OK
+        ckpt = read_json(out / "checkpoint_final.json")
+        ckpt["params"][1][4] = True
+        bad = tmp_path / "bool_ckpt.json"
+        bad.write_text(json.dumps(ckpt))
+        payload = self.decode_payload(out, checkpoint=str(bad), method="exact")
+        assert run(tmp_path, "decode", payload, "bool_ckpt")[0] == EXIT_CONFIG
+        assert "holds a boolean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token", ["1", "-0", "true", "null", "NaN", "-Infinity", "+1.0",
+                                       "01.0", "1.", ".5", "0x1p3", "1e400", "[0.5]"])
+    def test_tokens_the_float_reader_declines_exit_as_json_reads_them(
+        self, tmp_path, token, capsys
+    ):
+        TokenMap(CodebookSpec(k=1, X=2), [[0], [1]], "strict").save(tmp_path / "map.json")
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text('{"form": "parallel", "k": 1, "X": 2, "C": 1, "params": [[0.5, %s]]}'
+                        % token)
+        payload = {"checkpoint": str(ckpt), "token_map": str(tmp_path / "map.json"),
+                   "context": 0, "method": "exact", "top_k": 1}
+        # an integer loads as a float; every other token is refused
+        want = EXIT_OK if token in ("1", "-0") else EXIT_CONFIG
+        assert run(tmp_path, "decode", payload, "declined")[0] == want
+        err = capsys.readouterr().err
+        assert err == "" if want == EXIT_OK else err.count("\n") == 1
+
     def test_context_out_of_range(self, tmp_path, trained):
         payload = self.decode_payload(trained, context=99)
         assert run(tmp_path, "decode", payload, "bad_ctx")[0] == EXIT_CONFIG
@@ -1116,6 +1161,33 @@ class TestArtifactBytes:
             "a2f28d605167705c8fff0db9d20735cfcc6e5fbba89901bae1a14a2bcfebabe2"
         )
 
+
+    def test_decode_without_cc_warns_once_and_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        # no compiler and no cached library: checkpoints are read with json.loads
+        code, _ = run(tmp_path, "train", dict(TRAIN_CFG, form="parallel"), "for_decode")
+        assert code == EXIT_OK
+        payload = {"checkpoint": str(tmp_path / "for_decode/checkpoint_final.json"),
+                   "token_map": str(tmp_path / "for_decode/token_map.json"), "context": 1,
+                   "method": "exact", "top_k": 3}
+        code, out = run(tmp_path, "decode", payload, "with_kernel")
+        assert code == EXIT_OK
+        want = (out / "decode.json").read_bytes()
+
+        source = tmp_path / "pkg" / "_floats.c"
+        source.parent.mkdir()
+        shutil.copy(logits._FLOATS_SOURCE, source)
+        monkeypatch.setattr(logits, "_FLOATS_SOURCE", source)
+        monkeypatch.setenv("PATH", str(tmp_path / "no_bin"))
+        monkeypatch.setattr(logits, "_floats_kernel", functools.cache(
+            logits._floats_kernel.__wrapped__))
+        with pytest.warns(RuntimeWarning) as caught:
+            for name in ("without_kernel", "without_kernel_again"):
+                code, out = run(tmp_path, "decode", payload, name)
+                assert code == EXIT_OK
+                assert (out / "decode.json").read_bytes() == want
+        assert [str(w.message).split(",")[0] for w in caught] == [
+            "JSON float kernel unavailable"]
+        assert "FileNotFoundError" in str(caught[0].message)
 
     @pytest.mark.parametrize(
         "payload,exit_code,csv_sha,summary_sha",

@@ -1,7 +1,10 @@
 """Tabular logit models: shapes, lookups, counters, and serialization."""
 
 import ast
+import json
 import math
+import random
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +31,7 @@ from sidlab import (
     save_model,
     table_entry_count,
 )
+from sidlab.logits import parse_checkpoint
 from reference import embed_parallel_as_cascaded, item_logit
 
 SPEC = CodebookSpec(k=3, X=3)
@@ -344,8 +348,9 @@ class TestSerialization:
 
     @pytest.mark.parametrize(
         "params",
-        [[["0.5", True]], [[True, False]], [[0.5, None]], [[0.5, 10**400]]],
-        ids=["string", "bool", "null", "huge_int"],
+        [[["0.5", True]], [[True, False]], [[0.5, True]], [[[0.5, False]]], [[0.5, None]],
+         [[0.5, 10**400]]],
+        ids=["string", "bool", "bool_among_floats", "nested_bool", "null", "huge_int"],
     )
     def test_non_numeric_params_rejected(self, params):
         payload = {"form": "parallel", "k": 1, "X": 2, "C": 1, "params": params}
@@ -369,3 +374,157 @@ class TestSerialization:
         payload[key] = value
         with pytest.raises(ValueError, match="must be a JSON integer"):
             model_from_json_dict(payload)
+
+
+@pytest.fixture(scope="module")
+def floats_kernel():
+    """The compiled JSON float reader; skipped only where there is no C compiler."""
+    loaded = logits._floats_kernel()
+    if loaded is None and shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert loaded is not None, "cc is on PATH but the JSON float kernel did not load"
+    return loaded
+
+
+def plain(value):
+    """``value`` with every float64 array turned back into a list of floats."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    return value
+
+
+# tokens the reader must leave to json: the array that holds one reads as json.loads reads it
+DECLINED = ["1", "-0", "true", "false", "null", "NaN", "Infinity", "-Infinity", "+1.0", "01.0",
+            "-01.5", "1.", ".5", "-.5", "1.e5", "0x1p3", "1e", "1.5e+", "1.5E-", "- 1.5",
+            '"1.5"', "[1.5]", "[]", "{}", "1.5 1.5", "", "\u00e9"]
+
+
+class TestCheckpointReader:
+    """parse_checkpoint reads arrays of JSON floats through the compiled
+    kernel, to the bits of json.loads, and leaves every other array to json."""
+
+    def assert_same_bits(self, tokens, sep=", "):
+        doc = "[" + sep.join(tokens) + "]"
+        got = parse_checkpoint(doc)
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.tobytes() == np.array(json.loads(doc), dtype=np.float64).tobytes()
+
+    def test_kernel_loads_where_cc_exists(self, floats_kernel):
+        assert logits._floats_kernel() is floats_kernel
+
+    def test_random_bit_patterns(self, floats_kernel):
+        rng = np.random.default_rng(0)
+        values = rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64)
+        self.assert_same_bits([repr(v) for v in values[np.isfinite(values)].tolist()])
+
+    def test_gauss_reprs_and_short_exponent_strings(self, floats_kernel):
+        rnd = random.Random(1)
+        values = [rnd.gauss(0.0, 1.0) * 10.0 ** rnd.randint(-300, 300) for _ in range(20_000)]
+        self.assert_same_bits([repr(v) for v in values], sep=",\n      ")
+        for digits in range(0, 21):
+            self.assert_same_bits([f"{v:.{digits}e}" for v in values[:2_000]], sep=" ,\t")
+
+    @pytest.mark.parametrize("token", logits._HARD_FLOATS + (
+        "5e-324", "2.2250738585072011e-308", "1.7976931348623157e308", "1e23",
+        "9007199254740993.0", "-0.0", "1e400", "1e-400", "-1e400", "4.9406564584124654E-324",
+        "0.0e0", "123456789012345678901234567890.5"))
+    def test_hard_cases(self, floats_kernel, token):
+        self.assert_same_bits([token])
+        self.assert_same_bits(["0.5", token, "-2.5"])
+
+    @pytest.mark.parametrize("token", DECLINED)
+    def test_declined_tokens_read_as_json_loads_reads_them(self, floats_kernel, token):
+        for doc in (f"[{token}]", f"[0.5, {token}]", f"[{token}, 0.5]", f"[0.5,{token},]"):
+            try:
+                want = json.loads(doc)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    parse_checkpoint(doc)
+                continue
+            got = parse_checkpoint(doc)
+            assert isinstance(got, list)  # declined: json read the outer array
+            assert repr(plain(got)) == repr(want)
+
+    def test_a_document_that_is_not_ascii_reads_as_json_loads_reads_it(self, floats_kernel):
+        doc = '{"form": "caf\u00e9", "params": [[0.5, 1.5]]}'
+        assert parse_checkpoint(doc) == json.loads(doc)
+
+    @pytest.mark.parametrize("depth", [5_000, 100_000])
+    def test_nesting_too_deep_is_a_value_error(self, floats_kernel, depth):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_checkpoint("[" * depth + "]" * depth)
+
+    @pytest.mark.parametrize("cls", [CascadedLogitModel, ParallelLogitModel])
+    def test_checkpoints_load_to_the_bits_of_json_loads(self, tmp_path, floats_kernel, cls):
+        model = cls.random(SPEC, 3, 2.0, seed=15)
+        model.tables[-1].flat[:6] = (5e-324, -0.0, 1.7976931348623157e308, 1e-300, 0.0, 3.0)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        want = model_from_json_dict(json.loads(path.read_text()))
+        got = load_model(path)
+        assert got.form == want.form and got.C == want.C
+        for a, b in zip(got.tables, want.tables):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_checkpoint_tables_are_kept_without_a_copy(self, floats_kernel):
+        payload = parse_checkpoint(json.dumps(model_to_json_dict(
+            CascadedLogitModel.random(SPEC, 2, 1.0, seed=16))))
+        model = model_from_json_dict(payload)
+        assert all(np.shares_memory(t, p) for t, p in zip(model.tables, payload["params"]))
+
+
+# the kernel with each value built by multiplying digits in double, which
+# does not round correctly, or with integers accepted
+NAIVE_STRTOD = """
+static double naive_strtod(const char *s, char **end)
+{
+    double sign = 1.0, value = 0.0, scale = 1.0;
+    int exp = 0, esign = 1;
+    if (*s == '-') { sign = -1.0; s++; }
+    for (; *s >= '0' && *s <= '9'; s++) value = value * 10.0 + (*s - '0');
+    if (*s == '.')
+        for (s++; *s >= '0' && *s <= '9'; s++) { value = value * 10.0 + (*s - '0'); scale *= 10.0; }
+    if (*s == 'e' || *s == 'E') {
+        s++;
+        if (*s == '+' || *s == '-') esign = *s++ == '-' ? -1 : 1;
+        for (; *s >= '0' && *s <= '9'; s++) exp = exp * 10 + (*s - '0');
+    }
+    for (; exp > 0; exp--) scale = esign > 0 ? scale / 10.0 : scale * 10.0;
+    *end = (char *)s;
+    return sign * value / scale;
+}
+
+"""
+
+
+class TestFloatsKernelLoad:
+    """The kernel is checked at load, and without it checkpoints read as before."""
+
+    @pytest.mark.parametrize(
+        "edits",
+        [[("int64_t read_floats", NAIVE_STRTOD + "int64_t read_floats"),
+          ("strtod(p, &parsed)", "naive_strtod(p, &parsed)")],
+         [("return p == whole ? NULL : p;", "return p;")]],
+        ids=["digits_multiplied_in_double", "integers_accepted"],
+    )
+    def test_a_kernel_with_other_values_is_refused_at_load(
+        self, tmp_path, monkeypatch, floats_kernel, edits
+    ):
+        code = logits._FLOATS_SOURCE.read_text()
+        for old, new in edits:
+            assert code.count(old) == 1
+            code = code.replace(old, new)
+        source = tmp_path / "_floats.c"
+        source.write_text(code)
+        monkeypatch.setattr(logits, "_FLOATS_SOURCE", source)
+        with pytest.warns(RuntimeWarning, match="JSON float kernel unavailable, its self-check"):
+            assert logits._floats_kernel.__wrapped__() is None
+
+    def test_without_a_kernel_checkpoints_read_with_json_loads(self, monkeypatch):
+        monkeypatch.setattr(logits, "_floats_kernel", lambda: None)
+        doc = json.dumps(model_to_json_dict(ParallelLogitModel.random(SPEC, 2, 1.0, seed=17)))
+        assert repr(parse_checkpoint(doc)) == repr(json.loads(doc))
+        with pytest.raises(ValueError, match="nested too deeply"):
+            parse_checkpoint("[" * 100_000 + "]" * 100_000)

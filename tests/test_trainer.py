@@ -352,13 +352,14 @@ class TestCompiledEpoch:
 
     def test_importing_sidlab_leaves_the_kernel_module_unloaded(self):
         # nor does it start a thread, import a pool, or build or load the k-means
-        # kernel, which commands that never train or fit would pay for in
-        # start-up time and memory
+        # kernel or the JSON float reader, which commands that never train, fit
+        # or read a checkpoint would pay for in start-up time and memory
         code = ("import sys, threading, sidlab.cli; print('sidlab._sgd' in sys.modules,"
                 " threading.active_count(), 'concurrent.futures' in sys.modules,"
-                " sidlab.tokenizer._means_kernel.cache_info().currsize)")
+                " sidlab.tokenizer._means_kernel.cache_info().currsize,"
+                " sidlab.logits._floats_kernel.cache_info().currsize)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert result.stdout.split() == ["False", "1", "False", "0"]
+        assert result.stdout.split() == ["False", "1", "False", "0", "0"]
 
     def test_desk_config_two_epochs(self, monkeypatch, kernel):
         # every split of C contexts into W blocks, C not divisible by W included,
