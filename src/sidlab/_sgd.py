@@ -1,10 +1,10 @@
 """Build, load and check the compiled SGD epoch kernel, ``_sgd.c``.
 
 ``library`` is the package's one C build step: it also builds the k-means
-kernel, ``_kmeans.c``, for ``tokenizer``, and the JSON float reader,
-``_floats.c``, for ``logits.parse_checkpoint``.  ``trainer.train_sgd``,
-``tokenizer.fit_kmeans`` and ``logits.parse_checkpoint`` import this module
-on first use, so the compiler is not touched when sidlab is imported.
+kernel, ``_kmeans.c``, for ``tokenizer``, and the JSON array reader,
+``_floats.c``, for ``artifacts.read_json``.  ``trainer.train_sgd``,
+``tokenizer.fit_kmeans`` and ``artifacts.read_json`` import this module on
+first use, so the compiler is not touched when sidlab is imported.
 ``load`` compiles the epoch kernel with ``cc`` once per process, caches the
 library as ``__pycache__/_sgd-<hash>.so`` next to the source, and accepts it
 only if two epochs on two threads match the Python loop bit for bit;

@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .artifacts import NonFiniteError, write_csv, write_json
+from .artifacts import NonFiniteError, read_json, write_csv, write_json
 from .bench import OpsRow, count_softmax_ops, ops_sweep
 from .decoder import beam_search, exact_topk, mtp_decode
 from .logits import (
@@ -53,7 +53,6 @@ from .logits import (
     FormError,
     model_from_json_dict,
     model_to_json_dict,
-    parse_checkpoint,
     table_entry_count,
 )
 from .losses import EquivalenceReport, check_contexts, summarize_reports
@@ -546,8 +545,8 @@ def cmd_decode(cfg: dict, out_dir: Path, chash: str) -> int:
     width = top_k if cfg["beam_width"] is None else cfg["beam_width"]
     # both files are parsed before either is read: a missing token map exits 5
     # even where the checkpoint parses but does not fit
-    checkpoint = _load_json(cfg["checkpoint"], "input artifact", parse=parse_checkpoint)
-    token_map = _load_json(cfg["token_map"], "input artifact")
+    checkpoint = _load_json(cfg["checkpoint"], "input artifact", parse=read_json)
+    token_map = _load_json(cfg["token_map"], "input artifact", parse=read_json)
     try:
         model = model_from_json_dict(checkpoint)
         tmap = TokenMap.from_json_dict(token_map)

@@ -21,21 +21,13 @@ cross-check closed-form operation counts.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import json
-import json.decoder
-import json.scanner
 import math
-import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json
-from .vocab import CodebookSpec, TokenMap, TokenSeq, _json_int
-
-_FLOATS_SOURCE = Path(__file__).with_name("_floats.c")
+from .artifacts import read_json, write_json
+from .vocab import CodebookSpec, TokenMap, TokenSeq, _holds_bool, _json_int
 
 
 class FormError(TypeError):
@@ -192,13 +184,10 @@ def model_to_json_dict(model: LogitModel) -> dict:
     }
 
 
-def _holds_bool(cells: list) -> bool:
-    return any(type(v) is bool or (type(v) is list and _holds_bool(v)) for v in cells)
-
-
 def model_from_json_dict(payload: dict) -> LogitModel:
     """The model of a checkpoint payload.  Tables may arrive as lists or, from
-    ``parse_checkpoint``, as float64 arrays, which are used without a copy."""
+    ``artifacts.read_json``, as float64 arrays, which are used without a copy
+    (integer tables of one length arrive as the rows of one int64 array)."""
     spec = CodebookSpec(k=_json_int(payload, "k"), X=_json_int(payload, "X"))
     C = _json_int(payload, "C")
     form = str(payload["form"])
@@ -221,95 +210,9 @@ def model_from_json_dict(payload: dict) -> LogitModel:
     return FORMS[form](spec, C, tables)
 
 
-# decimal strings that a reader which does not round correctly gets wrong:
-# the subnormal and normal edges, halfway cases, and values past either end
-_HARD_FLOATS = (
-    "5e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
-    "2.2250738585072012e-308", "1.7976931348623157e308", "1.7976931348623158e308",
-    "1e23", "8.98846567431158e307", "9007199254740993.0", "0.1", "-0.0", "1e400",
-    "-1e-400", "1.00000000000000011102230246251565404236316680908203125",
-    "1.00000000000000011102230246251565404236316680908203126", "3.0E-5", "-7.038531e-26",
-)
-
-
-def _floats_match_python(kernel) -> bool:
-    """The kernel's values against ``float()``'s, by bytes, on ``_HARD_FLOATS``,
-    and its end offset; and an array that holds an integer must decline."""
-    text = ("[" + ",\n ".join(_HARD_FLOATS) + " ]").encode("ascii")
-    out = np.empty(len(_HARD_FLOATS))
-    end = ctypes.c_int64()
-    n = kernel(text, 1, out.ctypes.data, len(out), end)
-    want = np.array([float(s) for s in _HARD_FLOATS])
-    return (n == len(out) and end.value == len(text) and out.tobytes() == want.tobytes()
-            and kernel(b"[0.5, 1]", 1, out.ctypes.data, len(out), end) == -1)
-
-
-@functools.cache
-def _floats_kernel():
-    """The compiled ``read_floats`` of ``_floats.c``, or None to read with ``json.loads``.
-
-    Built by ``_sgd.library``, loaded and checked against ``float()`` on the
-    first checkpoint read of the process, never at import; None, with a
-    warning, when any step fails or the check finds a difference.
-    """
-    from . import _sgd  # the package's C builder, which imports subprocess
-
-    try:
-        kernel = _sgd.library(_FLOATS_SOURCE).read_floats
-        kernel.restype = ctypes.c_int64
-        kernel.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64,
-                           ctypes.POINTER(ctypes.c_int64)]
-        if _floats_match_python(kernel):
-            return kernel
-        reason = "its self-check differs from float()"
-    except Exception as exc:  # no compiler, build or load error: fall back
-        reason = repr(exc)
-    warnings.warn(
-        f"JSON float kernel unavailable, {reason}; checkpoints are read with json.loads",
-        RuntimeWarning, stacklevel=2,
-    )
-    return None
-
-
-def parse_checkpoint(text: str):
-    """The JSON document ``text``, as ``json.loads`` reads it, except that every
-    array of JSON floats (each with a fraction or an exponent) is a float64
-    array with the same bits.
-
-    The document goes through ``json``'s pure-Python scanner, which offers
-    each array to the compiled ``read_floats`` first; an array it declines,
-    and a document that is not ASCII, read as ``json.loads`` reads them.
-    Raises ``ValueError`` for text that is not JSON, nested too deeply
-    included.
-    """
-    kernel = _floats_kernel()
-    try:
-        if kernel is None or not text.isascii():
-            return json.loads(text)
-        data = text.encode("ascii")
-        out = np.empty(len(data) // 4 + 1)  # a float token and its separator take 4 bytes or more
-        end = ctypes.c_int64()
-
-        def parse_array(text_and_pos, scan_once):
-            try:
-                n = kernel(data, text_and_pos[1], out.ctypes.data, len(out), end)
-            except ctypes.ArgumentError as exc:  # how ctypes reports a RecursionError here
-                raise RecursionError(str(exc)) from exc
-            if n < 0:
-                return json.decoder.JSONArray(text_and_pos, scan_once)
-            return out[:n].copy(), end.value
-
-        decoder = json.JSONDecoder()
-        decoder.parse_array = parse_array
-        decoder.scan_once = json.scanner.py_make_scanner(decoder)
-        return decoder.decode(text)
-    except RecursionError as exc:
-        raise ValueError("the JSON document is nested too deeply") from exc
-
-
 def save_model(model: LogitModel, path) -> None:
     write_json(path, model_to_json_dict(model))
 
 
 def load_model(path) -> LogitModel:
-    return model_from_json_dict(parse_checkpoint(Path(path).read_text(encoding="utf-8")))
+    return model_from_json_dict(read_json(Path(path).read_text(encoding="utf-8")))

@@ -10,13 +10,13 @@ merely measured (``probe`` mode).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import read_json, write_json
 
 TokenSeq = tuple[int, ...]
 
@@ -106,6 +106,11 @@ def _json_int(payload: dict, key: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
     return value
+
+
+def _holds_bool(cells: list) -> bool:
+    """Whether a JSON array, read as lists, holds a boolean at any depth."""
+    return any(type(v) is bool or (type(v) is list and _holds_bool(v)) for v in cells)
 
 
 def prefix_index_arrays(spec: CodebookSpec, token_matrix: np.ndarray) -> np.ndarray:
@@ -208,16 +213,21 @@ class TokenMap:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "TokenMap":
+        """The map of a token-map payload.  Its rows may arrive as lists or,
+        from ``artifacts.read_json``, as one int64 table."""
         spec = CodebookSpec(k=_json_int(payload, "k"), X=_json_int(payload, "X"))
-        return cls(spec, payload["forward"], str(payload["mode"]))
+        forward = payload["forward"]
+        # np.array casts a boolean among integers to 1 or 0
+        if isinstance(forward, list) and _holds_bool(forward):
+            raise MalformedSequenceError("token map rows must hold integers, not a boolean")
+        return cls(spec, forward, str(payload["mode"]))
 
     def save(self, path) -> None:
         write_json(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path) -> "TokenMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json_dict(json.load(fh))
+        return cls.from_json_dict(read_json(Path(path).read_text(encoding="utf-8")))
 
 
 def identity_token_map(spec: CodebookSpec) -> TokenMap:

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sidlab import cli, logits
+from sidlab import artifacts, cli
 from sidlab import EquivalenceReport, TokenMap, check_contexts, load_model, synth_embeddings
 from sidlab import write_csv
 from sidlab import CodebookSpec, ItemEmbeddings, ParallelLogitModel, identity_token_map, save_model
@@ -655,6 +655,54 @@ class TestDecodeCommand:
         assert run(tmp_path, "decode", payload, "bool_ckpt")[0] == EXIT_CONFIG
         assert "holds a boolean" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "forward",
+        ["[[0, 1], [0, true]]", "[[false, 1], [1, 0]]", "[[0, 1], [1, [true]]]"],
+        ids=["true_in_row_1", "false_in_row_0", "nested_deeper"],
+    )
+    def test_boolean_in_a_token_map_row_exits_4(self, tmp_path, forward, capsys):
+        # [0, true] used to load as [0, 1], and the map decoded
+        spec = CodebookSpec(k=2, X=2)
+        save_model(ParallelLogitModel.random(spec, 1, 1.0, seed=0), tmp_path / "ckpt.json")
+        (tmp_path / "map.json").write_text(
+            '{"k": 2, "X": 2, "mode": "probe", "forward": %s}' % forward)
+        payload = {"checkpoint": str(tmp_path / "ckpt.json"),
+                   "token_map": str(tmp_path / "map.json"), "context": 0,
+                   "method": "exact", "top_k": 1}
+        assert run(tmp_path, "decode", payload, "bool_map")[0] == EXIT_CONFIG
+        assert "not a boolean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "forward,want",
+        [("[[0, 1], [2, 0]]", EXIT_OK), ("[ [0 ,1] ,\n\t[ 2,0 ]\r\n ]", EXIT_OK),
+         ("[[-0, 1], [2, 0]]", EXIT_OK), ("[[0, -1], [2, 0]]", EXIT_CONFIG),
+         ("[[0, 3], [2, 0]]", EXIT_CONFIG), ("[[0, 100000000000000000], [2, 0]]", EXIT_CONFIG),
+         ("[[0, 1000000000000000000], [2, 0]]", EXIT_CONFIG),
+         ("[[0, -9223372036854775809], [2, 0]]", EXIT_CONFIG), ("[[0, 1], [2]]", EXIT_CONFIG),
+         ("[]", EXIT_CONFIG), ("[[]]", EXIT_CONFIG), ("[[0, 1.0], [2, 0]]", EXIT_CONFIG),
+         ("[[0, 1e0], [2, 0]]", EXIT_CONFIG), ("[[0, 01], [2, 0]]", EXIT_CONFIG),
+         ("[[0, 1], [2, 0],]", EXIT_CONFIG), ("[[[0, 1]], [[2, 0]]]", EXIT_CONFIG)],
+        ids=["valid", "whitespace", "minus_zero", "negative", "out_of_range", "digits_18",
+             "digits_19", "digits_19_negative", "ragged", "no_rows", "empty_row", "float_cell",
+             "exponent_cell", "leading_zero", "trailing_comma", "nested_deeper"],
+    )
+    def test_token_map_rows_exit_as_json_reads_them(
+        self, tmp_path, monkeypatch, forward, want, capsys
+    ):
+        # the exit codes of a map read by json.loads alone, and the same messages
+        spec = CodebookSpec(k=2, X=3)
+        save_model(ParallelLogitModel.random(spec, 1, 1.0, seed=0), tmp_path / "ckpt.json")
+        (tmp_path / "map.json").write_text(
+            '{"k": 2, "X": 3, "mode": "probe", "forward": %s}' % forward)
+        payload = {"checkpoint": str(tmp_path / "ckpt.json"),
+                   "token_map": str(tmp_path / "map.json"), "context": 0,
+                   "method": "exact", "top_k": 1}
+        assert run(tmp_path, "decode", payload, "rows")[0] == want
+        err = capsys.readouterr().err
+        monkeypatch.setattr(artifacts, "_floats_kernel", lambda: None)
+        assert run(tmp_path, "decode", payload, "rows_by_json")[0] == want
+        assert capsys.readouterr().err == err
+
     @pytest.mark.parametrize("token", ["1", "-0", "true", "null", "NaN", "-Infinity", "+1.0",
                                        "01.0", "1.", ".5", "0x1p3", "1e400", "[0.5]"])
     def test_tokens_the_float_reader_declines_exit_as_json_reads_them(
@@ -1175,11 +1223,11 @@ class TestArtifactBytes:
 
         source = tmp_path / "pkg" / "_floats.c"
         source.parent.mkdir()
-        shutil.copy(logits._FLOATS_SOURCE, source)
-        monkeypatch.setattr(logits, "_FLOATS_SOURCE", source)
+        shutil.copy(artifacts._FLOATS_SOURCE, source)
+        monkeypatch.setattr(artifacts, "_FLOATS_SOURCE", source)
         monkeypatch.setenv("PATH", str(tmp_path / "no_bin"))
-        monkeypatch.setattr(logits, "_floats_kernel", functools.cache(
-            logits._floats_kernel.__wrapped__))
+        monkeypatch.setattr(artifacts, "_floats_kernel", functools.cache(
+            artifacts._floats_kernel.__wrapped__))
         with pytest.warns(RuntimeWarning) as caught:
             for name in ("without_kernel", "without_kernel_again"):
                 code, out = run(tmp_path, "decode", payload, name)

@@ -1,10 +1,13 @@
 """Tabular logit models: shapes, lookups, counters, and serialization."""
 
 import ast
+import gc
 import json
 import math
 import random
 import shutil
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,7 @@ from sidlab import (
     LogitModel,
     LookupCounter,
     ParallelLogitModel,
+    TokenMap,
     beam_search,
     decoder,
     identity_token_map,
@@ -31,7 +35,8 @@ from sidlab import (
     save_model,
     table_entry_count,
 )
-from sidlab.logits import parse_checkpoint
+from sidlab import artifacts
+from sidlab.artifacts import read_json
 from reference import embed_parallel_as_cascaded, item_logit
 
 SPEC = CodebookSpec(k=3, X=3)
@@ -379,7 +384,7 @@ class TestSerialization:
 @pytest.fixture(scope="module")
 def floats_kernel():
     """The compiled JSON float reader; skipped only where there is no C compiler."""
-    loaded = logits._floats_kernel()
+    loaded = artifacts._floats_kernel()
     if loaded is None and shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert loaded is not None, "cc is on PATH but the JSON float kernel did not load"
@@ -401,18 +406,36 @@ DECLINED = ["1", "-0", "true", "false", "null", "NaN", "Infinity", "-Infinity", 
             '"1.5"', "[1.5]", "[]", "{}", "1.5 1.5", "", "\u00e9"]
 
 
+def near_halfway_strings(count: int, seed: int) -> list[str]:
+    """``count`` strings w * 10^q with 19 digits in w and |q| <= 27, each off the
+    halfway point between two doubles by less than half a 64-bit ulp.  The
+    long double value of each rounds onto the halfway point, and rounding that
+    to double goes to the even neighbour, whichever side the string lies on."""
+    rnd = random.Random(seed)
+    found = []
+    while len(found) < count:
+        value = rnd.uniform(1.0, 10.0) * 10.0 ** rnd.randint(-8, 45)
+        ulp = Fraction(math.ulp(value))
+        halfway = Fraction(value) + ulp / 2
+        q = math.floor(math.log10(value)) - 18
+        w = round(halfway / Fraction(10) ** q)
+        if 10**18 <= w < 10**19 and 0 < abs(w * Fraction(10) ** q - halfway) < ulp / 2**12:
+            found.append(f"{w}e{q}")
+    return found
+
+
 class TestCheckpointReader:
-    """parse_checkpoint reads arrays of JSON floats through the compiled
+    """read_json reads arrays of JSON floats through the compiled
     kernel, to the bits of json.loads, and leaves every other array to json."""
 
     def assert_same_bits(self, tokens, sep=", "):
         doc = "[" + sep.join(tokens) + "]"
-        got = parse_checkpoint(doc)
+        got = read_json(doc)
         assert isinstance(got, np.ndarray) and got.dtype == np.float64
         assert got.tobytes() == np.array(json.loads(doc), dtype=np.float64).tobytes()
 
     def test_kernel_loads_where_cc_exists(self, floats_kernel):
-        assert logits._floats_kernel() is floats_kernel
+        assert artifacts._floats_kernel() is floats_kernel
 
     def test_random_bit_patterns(self, floats_kernel):
         rng = np.random.default_rng(0)
@@ -426,7 +449,19 @@ class TestCheckpointReader:
         for digits in range(0, 21):
             self.assert_same_bits([f"{v:.{digits}e}" for v in values[:2_000]], sep=" ,\t")
 
-    @pytest.mark.parametrize("token", logits._HARD_FLOATS + (
+    def test_values_the_long_double_path_reads(self, floats_kernel):
+        # at most 19 significant digits times 10^q, |q| <= 27; nine in ten
+        # random bit patterns fall outside that and go to strtod
+        rnd = random.Random(2)
+        values = [rnd.gauss(0.0, 1.0) * 10.0 ** rnd.randint(-12, 12) for _ in range(100_000)]
+        self.assert_same_bits([repr(v) for v in values])
+        for digits in range(20):
+            self.assert_same_bits([f"{v:.{digits}e}" for v in values[:5_000]])
+
+    def test_strings_within_half_a_long_double_ulp_of_a_halfway_point(self, floats_kernel):
+        self.assert_same_bits(near_halfway_strings(3_000, seed=3))
+
+    @pytest.mark.parametrize("token", artifacts._HARD_FLOATS + (
         "5e-324", "2.2250738585072011e-308", "1.7976931348623157e308", "1e23",
         "9007199254740993.0", "-0.0", "1e400", "1e-400", "-1e400", "4.9406564584124654E-324",
         "0.0e0", "123456789012345678901234567890.5"))
@@ -441,20 +476,20 @@ class TestCheckpointReader:
                 want = json.loads(doc)
             except ValueError:
                 with pytest.raises(ValueError):
-                    parse_checkpoint(doc)
+                    read_json(doc)
                 continue
-            got = parse_checkpoint(doc)
+            got = read_json(doc)
             assert isinstance(got, list)  # declined: json read the outer array
             assert repr(plain(got)) == repr(want)
 
     def test_a_document_that_is_not_ascii_reads_as_json_loads_reads_it(self, floats_kernel):
         doc = '{"form": "caf\u00e9", "params": [[0.5, 1.5]]}'
-        assert parse_checkpoint(doc) == json.loads(doc)
+        assert read_json(doc) == json.loads(doc)
 
     @pytest.mark.parametrize("depth", [5_000, 100_000])
     def test_nesting_too_deep_is_a_value_error(self, floats_kernel, depth):
         with pytest.raises(ValueError, match="nested too deeply"):
-            parse_checkpoint("[" * depth + "]" * depth)
+            read_json("[" * depth + "]" * depth)
 
     @pytest.mark.parametrize("cls", [CascadedLogitModel, ParallelLogitModel])
     def test_checkpoints_load_to_the_bits_of_json_loads(self, tmp_path, floats_kernel, cls):
@@ -469,14 +504,96 @@ class TestCheckpointReader:
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_checkpoint_tables_are_kept_without_a_copy(self, floats_kernel):
-        payload = parse_checkpoint(json.dumps(model_to_json_dict(
+        payload = read_json(json.dumps(model_to_json_dict(
             CascadedLogitModel.random(SPEC, 2, 1.0, seed=16))))
         model = model_from_json_dict(payload)
         assert all(np.shares_memory(t, p) for t, p in zip(model.tables, payload["params"]))
 
 
-# the kernel with each value built by multiplying digits in double, which
-# does not round correctly, or with integers accepted
+# arrays of equal-length rows of JSON integers, which read_rows reads to the table of json.loads
+ROWS_READ = ["[[0, 1], [2, 0], [2, 0]]", "[ [0 ,1] ,\n\t[ 2,0 ]\r\n, [-0, 2]]", "[[5]]",
+             "[[0, -1, 999999999999999999], [-999999999999999999, 7, 3]]"]
+# and arrays it declines, which read as json.loads reads them
+ROWS_DECLINED = ["[[0, 1], [2]]", "[]", "[[]]", "[[], []]", "[[0, 1.0]]", "[[0, 1e0]]",
+                 "[[0, 1000000000000000000]]", "[[0, -1000000000000000000]]", "[[0, true]]",
+                 "[[false, 1]]", "[[0, [1]]]", "[[[0, 1]], [[2, 0]]]", "[[0, null]]", '[[0, "1"]]',
+                 "[[0, 1], 2]", "[0, [1, 2]]"]
+
+
+class TestTableReader:
+    """read_json reads an array of equal-length rows of JSON integers into one
+    int64 table, and leaves every other array to json."""
+
+    @pytest.mark.parametrize("doc", ROWS_READ)
+    def test_rows_read_to_the_table_of_json_loads(self, floats_kernel, doc):
+        got = read_json(doc)
+        want = np.array(json.loads(doc))
+        assert got.dtype == np.int64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("doc", ROWS_DECLINED)
+    def test_declined_rows_read_as_json_loads_reads_them(self, floats_kernel, doc):
+        got = read_json(doc)
+        assert isinstance(got, list)
+        assert repr(plain(got)) == repr(json.loads(doc))
+
+    @pytest.mark.parametrize("spec", [CodebookSpec(k=1, X=2), CodebookSpec(k=3, X=16),
+                                      CodebookSpec(k=2, X=100)], ids=str)
+    def test_token_maps_read_to_the_table_of_json_loads(self, tmp_path, floats_kernel, spec):
+        identity = identity_token_map(spec)
+        table = identity.token_matrix
+        rng = np.random.default_rng(spec.X)
+        # a probe map whose rows repeat other rows
+        probe = TokenMap(spec, np.vstack([table, table[rng.integers(0, len(table), 7)]]), "probe")
+        for tmap in (identity, probe):
+            path = tmp_path / "map.json"
+            tmap.save(path)
+            text = path.read_text()
+            got = read_json(text)["forward"]
+            want = np.array(json.loads(text)["forward"])
+            assert got.dtype == want.dtype == np.int64 and got.tobytes() == want.tobytes()
+            loaded = TokenMap.load(path)
+            assert loaded.token_matrix.tobytes() == tmap.token_matrix.tobytes()
+            assert loaded.mode == tmap.mode
+
+    @pytest.mark.parametrize("form", ["parallel", "cascaded"])
+    def test_integer_checkpoint_rows_load_to_the_tables_of_json_loads(self, floats_kernel, form):
+        # a parallel checkpoint's tables have one length each, so read_rows reads "params"
+        params = [[1, -2, 0], [3, 4, -5]] if form == "parallel" else [[1, -2], [3, 4, -5, 6]]
+        doc = json.dumps({"form": form, "k": 2, "X": 2 if form == "cascaded" else 3, "C": 1,
+                          "params": params})
+        got, want = model_from_json_dict(read_json(doc)), model_from_json_dict(json.loads(doc))
+        for a, b in zip(got.tables, want.tables):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_no_buffer_outlives_a_parse(self, tmp_path, floats_kernel):
+        # the scanner's closure refers to itself, so each parse leaves a cycle
+        # that only the garbage collector frees; it must not hold the buffers
+        spec = CodebookSpec(k=3, X=16)  # the sizes of the decode-mix benchmark's inputs
+        save_model(CascadedLogitModel.random(spec, 8, 1.0, seed=18), tmp_path / "model.json")
+        identity_token_map(spec).save(tmp_path / "map.json")
+        texts = [(tmp_path / name).read_text() for name in ("model.json", "map.json")]
+        for text in texts:
+            read_json(text)
+        enabled = gc.isenabled()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(50):
+                for text in texts:
+                    read_json(text)
+            grown = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+            if enabled:
+                gc.enable()
+        assert grown < 2 * 2**20
+
+
+# the kernel with each value that strtod reads built by multiplying digits in
+# double, which does not round correctly, with integers accepted, or with every
+# long double result rounded to double, halfway points included
 NAIVE_STRTOD = """
 static double naive_strtod(const char *s, char **end)
 {
@@ -504,27 +621,28 @@ class TestFloatsKernelLoad:
 
     @pytest.mark.parametrize(
         "edits",
-        [[("int64_t read_floats", NAIVE_STRTOD + "int64_t read_floats"),
-          ("strtod(p, &parsed)", "naive_strtod(p, &parsed)")],
-         [("return p == whole ? NULL : p;", "return p;")]],
-        ids=["digits_multiplied_in_double", "integers_accepted"],
+        [[("static const char *number", NAIVE_STRTOD + "static const char *number"),
+          ("strtod(start, &parsed)", "naive_strtod(start, &parsed)")],
+         [("if (p == whole)", "if (0)")],
+         [("(significand & 0x7ff) != 0x400", "1")]],
+        ids=["digits_multiplied_in_double", "integers_accepted", "halfway_points_rounded_twice"],
     )
     def test_a_kernel_with_other_values_is_refused_at_load(
         self, tmp_path, monkeypatch, floats_kernel, edits
     ):
-        code = logits._FLOATS_SOURCE.read_text()
+        code = artifacts._FLOATS_SOURCE.read_text()
         for old, new in edits:
             assert code.count(old) == 1
             code = code.replace(old, new)
         source = tmp_path / "_floats.c"
         source.write_text(code)
-        monkeypatch.setattr(logits, "_FLOATS_SOURCE", source)
+        monkeypatch.setattr(artifacts, "_FLOATS_SOURCE", source)
         with pytest.warns(RuntimeWarning, match="JSON float kernel unavailable, its self-check"):
-            assert logits._floats_kernel.__wrapped__() is None
+            assert artifacts._floats_kernel.__wrapped__() is None
 
     def test_without_a_kernel_checkpoints_read_with_json_loads(self, monkeypatch):
-        monkeypatch.setattr(logits, "_floats_kernel", lambda: None)
+        monkeypatch.setattr(artifacts, "_floats_kernel", lambda: None)
         doc = json.dumps(model_to_json_dict(ParallelLogitModel.random(SPEC, 2, 1.0, seed=17)))
-        assert repr(parse_checkpoint(doc)) == repr(json.loads(doc))
+        assert repr(read_json(doc)) == repr(json.loads(doc))
         with pytest.raises(ValueError, match="nested too deeply"):
-            parse_checkpoint("[" * 100_000 + "]" * 100_000)
+            read_json("[" * 100_000 + "]" * 100_000)

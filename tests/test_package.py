@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import sidlab
-from sidlab import _sgd, logits, tokenizer
+from sidlab import _sgd, artifacts, tokenizer
 
 
 def test_all_lists_every_public_name_once():
@@ -27,5 +27,5 @@ def test_every_c_source_is_package_data():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     globs = tomllib.loads(pyproject.read_text())["tool"]["setuptools"]["package-data"]["sidlab"]
     sources = {path.name for path in Path(sidlab.__file__).parent.glob("*.c")}
-    assert {_sgd.SOURCE.name, tokenizer._MEANS_SOURCE.name, logits._FLOATS_SOURCE.name} <= sources
+    assert {_sgd.SOURCE.name, tokenizer._MEANS_SOURCE.name, artifacts._FLOATS_SOURCE.name} <= sources
     assert all(any(fnmatch.fnmatch(name, glob) for glob in globs) for name in sources)

@@ -357,7 +357,7 @@ class TestCompiledEpoch:
         code = ("import sys, threading, sidlab.cli; print('sidlab._sgd' in sys.modules,"
                 " threading.active_count(), 'concurrent.futures' in sys.modules,"
                 " sidlab.tokenizer._means_kernel.cache_info().currsize,"
-                " sidlab.logits._floats_kernel.cache_info().currsize)")
+                " sidlab.artifacts._floats_kernel.cache_info().currsize)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert result.stdout.split() == ["False", "1", "False", "0", "0"]
 
