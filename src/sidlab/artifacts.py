@@ -20,13 +20,18 @@ import json
 import json.decoder
 import json.scanner
 import math
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 _FLOATS_SOURCE = Path(__file__).with_name("_floats.c")
+_I64, _OUT_I64 = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)
+# read_floats(text, pos, out, cap, end) and read_rows(text, pos, out, cap, width, end)
+_FLOATS_SIGNATURES = {
+    "read_floats": (_I64, [ctypes.c_char_p, _I64, ctypes.c_void_p, _I64, _OUT_I64]),
+    "read_rows": (_I64, [ctypes.c_char_p, _I64, ctypes.c_void_p, _I64, _OUT_I64, _OUT_I64]),
+}
 
 
 class NonFiniteError(ValueError):
@@ -157,25 +162,11 @@ def _kernel_matches_python(kernel) -> bool:
 def _floats_kernel():
     """The compiled ``_floats.c``, or None to read with ``json.loads``.
 
-    Built by ``_sgd.library``, loaded and checked against ``float()`` on the
-    first artifact read of the process, never at import; None, with a
-    warning, when any step fails or the check finds a difference.
+    Built by ``_native.load`` on the first artifact read of the process,
+    never at import, and checked against ``float()`` by
+    ``_kernel_matches_python``.
     """
-    from . import _sgd  # the package's C builder, which imports subprocess
+    from . import _native  # the package's C builder, which imports subprocess
 
-    try:
-        kernel = _sgd.library(_FLOATS_SOURCE)
-        i64, out_i64 = ctypes.c_int64, ctypes.POINTER(ctypes.c_int64)
-        kernel.read_floats.restype = kernel.read_rows.restype = i64
-        kernel.read_floats.argtypes = [ctypes.c_char_p, i64, ctypes.c_void_p, i64, out_i64]
-        kernel.read_rows.argtypes = [ctypes.c_char_p, i64, ctypes.c_void_p, i64, out_i64, out_i64]
-        if _kernel_matches_python(kernel):
-            return kernel
-        reason = "its self-check differs from float()"
-    except Exception as exc:  # no compiler, build or load error: fall back
-        reason = repr(exc)
-    warnings.warn(
-        f"JSON float kernel unavailable, {reason}; artifacts are read with json.loads",
-        RuntimeWarning, stacklevel=2,
-    )
-    return None
+    return _native.load(_FLOATS_SOURCE, _FLOATS_SIGNATURES, _kernel_matches_python,
+                        ("JSON float", "float()", "artifacts are read with json.loads"))

@@ -8,14 +8,13 @@ lowest centroid index.  Distances are direct (x - c)**2 sums, so exact ties
 stay exact, and every nearest-center decision goes through the exact
 ``nearest_centers``.  Each mean sums its cluster's rows in ascending row
 order, numpy's order for a masked mean.  A Lloyd iteration takes all its
-means in one pass of the C kernel ``_kmeans.c``, built with ``cc`` by
-``_sgd.library`` on the first fit of a process that needs it (never at
-import), cached under ``__pycache__`` and used only if it matches numpy's
-means by bytes; on one column (numpy sums it pairwise), or without the
-kernel, numpy takes them.  Float overflow in a fit or an encode raises
-``DegenerateInputError``, so no inf or nan reaches an artifact.  Inputs are
-copied to C order first: numpy sums the rows of a Fortran-ordered array in
-another order, to other bits.
+means in one pass of the C kernel ``_kmeans.c``, built by ``_native`` on
+the first fit of a process that needs it (never at import) and used only
+if it matches numpy's means by bytes; on one column (numpy sums it
+pairwise), or without the kernel, numpy takes them.  Float overflow in a
+fit or an encode raises ``DegenerateInputError``, so no inf or nan reaches
+an artifact.  Inputs are copied to C order first: numpy sums the rows of a
+Fortran-ordered array in another order, to other bits.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import ctypes
 import functools
 import json
 import struct
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +34,11 @@ from .artifacts import write_json
 from .vocab import CodebookSpec, TokenSeq
 
 _MEANS_SOURCE = Path(__file__).with_name("_kmeans.c")
+# cluster_means(points, assign, n, d, counts, centers, X)
+_MEANS_SIGNATURES = {"cluster_means": (None, [
+    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+    ctypes.c_void_p, ctypes.c_int64,
+])}
 _BIN_MAGIC = b"SIDEMB64"  # 8 bytes; header totals 16 with the two uint32 fields
 
 
@@ -262,27 +265,16 @@ def _means_match_numpy(kernel) -> bool:
 def _means_kernel():
     """The compiled ``cluster_means`` of ``_kmeans.c``, or None to take numpy's means.
 
-    Built by ``_sgd.library``, loaded and checked against numpy's means on the
-    first fit of the process that needs it, never at import; None, with a
-    warning, when any step fails or the check finds a difference.
+    Built by ``_native.load`` on the first fit of the process that needs it,
+    never at import, and checked against numpy's means by
+    ``_means_match_numpy``.
     """
-    from . import _sgd  # the package's C builder, which imports subprocess
+    from . import _native  # the package's C builder, which imports subprocess
 
-    try:
-        kernel = _sgd.library(_MEANS_SOURCE).cluster_means
-        kernel.restype = None
-        kernel.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                           ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-        if _means_match_numpy(kernel):
-            return kernel
-        reason = "its self-check differs from numpy's means"
-    except Exception as exc:  # no compiler, build or load error: fall back
-        reason = repr(exc)
-    warnings.warn(
-        f"k-means kernel unavailable, {reason}; fits take numpy's means",
-        RuntimeWarning, stacklevel=2,
-    )
-    return None
+    lib = _native.load(_MEANS_SOURCE, _MEANS_SIGNATURES,
+                       lambda lib: _means_match_numpy(lib.cluster_means),
+                       ("k-means", "numpy's means", "fits take numpy's means"))
+    return None if lib is None else lib.cluster_means
 
 
 @_finite()

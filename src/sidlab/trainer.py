@@ -13,15 +13,14 @@ what next-token training actually fits; for parallel models the two coincide,
 for cascaded models they generally do not (see the losses module docstring).
 
 The per-sample SGD epoch runs in a C kernel, ``_sgd.c``, when one can be
-used.  The ``_sgd`` module compiles it with ``cc`` on the first
-``train_sgd`` call of a process (never at import), caches it as
-``__pycache__/_sgd-<hash>.so`` keyed by source and flags, loads it with
-ctypes, and checks it once against the Python loop on a small case.  That
-Python loop is the reference: the kernel matches it value for value and so
-gives the same bits, and it takes over whenever the kernel cannot be built,
-loaded or trusted.  The kernel skips ``exp`` only where a shifted logit is
-exactly 0.0, where ``exp`` returns exactly 1.0: at the row maximum's own
-entry, when that maximum is finite.
+used.  ``_sgd_kernel`` builds it through ``_native`` on the first
+``train_sgd`` call of a process (never at import), and accepts it only if two
+epochs on two threads match the Python loop by bytes.  That Python loop is
+the reference: the kernel matches it value for value and so gives the same
+bits, and it takes over whenever the kernel cannot be built, loaded or
+trusted.  The kernel skips ``exp`` only where a shifted logit is exactly 0.0,
+where ``exp`` returns exactly 1.0: at the row maximum's own entry, when that
+maximum is finite.
 
 Every context owns its own table rows, so an epoch splits into independent
 per-context streams.  The kernel runs one thread per contiguous block of
@@ -36,14 +35,19 @@ when it returns or raises.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 from math import exp
+from pathlib import Path
 
 import numpy as np
 
-from .logits import LogitModel, item_logits_all
+from .logits import FORMS, LogitModel, item_logits_all
 from .losses import log_sum_exp, log_sum_exp_rows
-from .vocab import TokenMap
+from .vocab import CodebookSpec, TokenMap, identity_token_map
 
 
 class DivergenceError(RuntimeError):
@@ -206,7 +210,7 @@ def _epoch_metrics(
 
 
 def _python_epoch(model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
-    """One SGD epoch on plain Python floats, as ``(start, finish)`` like ``_sgd.epoch``.
+    """One SGD epoch on plain Python floats, as ``(start, finish)`` like ``_epoch``.
 
     The oracle the compiled kernel must match bit for bit, and its fallback.
     ``start(order)`` only records the order; ``finish()`` runs the epoch,
@@ -250,6 +254,164 @@ def _python_epoch(model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
             rows[m][...] = np.asarray(tables_py[m])
 
     return pending.append, finish
+
+
+_SGD_SOURCE = Path(__file__).with_name("_sgd.c")
+# sgd_epoch(tabs, off, tok, order, n, k, X, lr, es, lo, hi)
+_SGD_SIGNATURES = {"sgd_epoch": (None, [
+    ctypes.POINTER(ctypes.c_void_p), *[ctypes.c_void_p] * 3, *[ctypes.c_int64] * 3,
+    ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+])}
+_LINE = 8  # float64 entries in a 64-byte cache line
+
+
+def _workers(C: int) -> int:
+    """Threads an epoch of C contexts runs on: one per CPU this process may
+    use, and at most one per context."""
+    return min(len(os.sched_getaffinity(0)), C)
+
+
+def _padded(n: int) -> np.ndarray:
+    """n float64 entries that start a 64-byte cache line and have a spare line
+    after them, so they share no cache line with any other array."""
+    buf = np.empty(n + 2 * _LINE)
+    head = -(buf.ctypes.data // 8) % _LINE
+    return buf[head : head + n]
+
+
+def _epoch(kernel, model: LogitModel, tmap: TokenMap, data: Dataset, lr: float, n_workers: int):
+    """The Python loop's epoch through the kernel on ``n_workers`` threads, as
+    ``(start, finish)``.
+
+    ``start(order)`` sets the epoch that visits the samples in ``order``
+    running and returns at once; ``finish()`` waits for it, raises the first
+    error a thread met, and writes the trained rows to ``model.tables``.  In
+    between, ``model.tables`` hold the last finished epoch, so the caller may
+    read them.  ``finish`` does nothing when no epoch is running.
+
+    Every offset and token a sample visits depends only on its (context,
+    item) pair, so the index tables hold one row per distinct pair in the
+    data, at most min(len(data), C * n_items) rows, sorted by context, and
+    each epoch hands the kernel the pair row of each sample in visiting
+    order.  The C contexts are split into ``n_workers`` contiguous blocks, so
+    a block's pair rows are one range [lo, hi).  Each thread trains one
+    block, on its own copy of the block's rows of every table and its own
+    ``exp`` scratch, in one buffer that shares no cache line with another
+    thread's; the copies carry the rows from epoch to epoch.  Pair row p
+    visits, at position m, the row at offset
+    ``off[p, m] = ((h - c0) * nodes + node) * X`` of that copy, c0 being its
+    block's first context, so both forms share one offset scheme.  Every
+    thread walks the one shared order and skips the samples of other blocks,
+    so each context's samples keep their visiting order, and no two threads
+    touch one row: the bits are the Python loop's for any ``n_workers``.
+    """
+    C, k, X = model.C, model.spec.k, model.spec.X
+    pairs, visit = np.unique(data.contexts * tmap.n_items + data.items, return_inverse=True)
+    h, item = np.divmod(pairs, tmap.n_items)
+    # block b holds contexts [bounds[b], bounds[b + 1]) and pair rows [ranges[b], ranges[b + 1])
+    bounds = np.arange(n_workers + 1) * C // n_workers
+    ranges = np.searchsorted(h, bounds)
+    first = bounds[np.searchsorted(bounds, h, side="right") - 1]  # each pair row's block's c0
+    nodes = [model.rows(m).shape[1] for m in range(k)]
+    off = np.empty((len(pairs), k), dtype=np.int64)
+    tok = np.empty_like(off)
+    for m in range(k):
+        node = np.broadcast_to(model.node_index(tmap.prefix_indices[m]), tmap.n_items)
+        off[:, m] = ((h - first) * nodes[m] + node[item]) * X
+        tok[:, m] = tmap.token_matrix[item, m]
+    path = np.empty(len(data), dtype=np.int64)
+
+    blocks, jobs = [], []
+    for b in range(n_workers):
+        c0, c1 = int(bounds[b]), int(bounds[b + 1])
+        cuts = np.cumsum([0] + [(c1 - c0) * nodes[m] * X for m in range(k)])
+        buf = _padded(int(cuts[-1]) + X)
+        rows = [buf[cuts[m] : cuts[m + 1]].reshape(c1 - c0, nodes[m], X) for m in range(k)]
+        for m in range(k):
+            rows[m][...] = model.rows(m)[c0:c1]
+        blocks.append((c0, c1, rows))
+        tabs = (ctypes.c_void_p * k)(*(r.ctypes.data for r in rows))
+        # each array goes in as its .ctypes, which keeps the array alive
+        jobs.append((tabs, off.ctypes, tok.ctypes, path.ctypes, len(path), k, X, float(lr),
+                     buf[cuts[-1] :].ctypes, int(ranges[b]), int(ranges[b + 1])))
+    running, errors = [], []
+
+    def work(job) -> None:
+        try:
+            kernel(*job)
+        except BaseException as exc:  # re-raised by finish in the caller's thread
+            errors.append(exc)
+
+    def start(order: np.ndarray) -> None:
+        np.take(visit, order, out=path)
+        for job in jobs:
+            thread = threading.Thread(target=work, args=(job,), name="sidlab-sgd")
+            thread.start()
+            running.append(thread)
+
+    def finish() -> None:
+        if not running:
+            return
+        while running:
+            running[-1].join()
+            running.pop()
+        if errors:
+            exc = errors[0]
+            errors.clear()
+            raise exc
+        for c0, c1, rows in blocks:
+            for m in range(k):
+                model.rows(m)[c0:c1] = rows[m]
+
+    return start, finish
+
+
+def _matches_python(kernel) -> bool:
+    """Two epochs on a small fixed case, both forms, kernel vs Python loop, by bytes.
+
+    The kernel runs as ``train_sgd`` runs it, through ``_epoch`` and its
+    threads, with one worker per context (two) whatever the host's CPU
+    count, so no host trains with a split this check has not seen.  One
+    visited row's only maximum is +inf.  The Python loop turns that row to
+    NaN (its shifted maximum is inf - inf), so a kernel that skips the
+    maximum's ``exp`` without checking that the maximum is finite fails.
+    An error in a kernel thread is raised here.
+    """
+    spec = CodebookSpec(k=2, X=3)
+    tmap = identity_token_map(spec)
+    rng = np.random.default_rng(0)
+    data = Dataset(contexts=rng.integers(0, 2, 50), items=rng.integers(0, tmap.n_items, 50))
+    orders = [rng.permutation(len(data)) for _ in range(2)]
+    for cls in FORMS.values():
+        base = cls.random(spec, 2, 1.0, seed=1)
+        base.rows(1)[1, 0] = (np.inf, 3.1, 4.3)
+        py, kern = base.copy(), base.copy()
+        runners = (_python_epoch(py, tmap, data, 0.3), _epoch(kernel, kern, tmap, data, 0.3, 2))
+        for begin, finish in runners:
+            try:
+                for order in orders:
+                    begin(order)
+                    finish()
+            finally:
+                finish()
+        if [t.tobytes() for t in py.tables] != [t.tobytes() for t in kern.tables]:
+            return False
+    return True
+
+
+@functools.cache
+def _sgd_kernel():
+    """The compiled ``sgd_epoch`` of ``_sgd.c``, or None to run the Python loop.
+
+    Built by ``_native.load`` on the first ``train_sgd`` of the process,
+    never at import, and checked against the Python loop by
+    ``_matches_python``.
+    """
+    from . import _native  # the package's C builder, which imports subprocess
+
+    lib = _native.load(_SGD_SOURCE, _SGD_SIGNATURES, lambda lib: _matches_python(lib.sgd_epoch),
+                       ("SGD", "the Python loop", "training runs the Python loop"))
+    return None if lib is None else lib.sgd_epoch
 
 
 def train_sgd(
@@ -300,11 +462,9 @@ def train_sgd(
     model = model.copy()
     n = len(data)
     rng = np.random.default_rng(seed)
-    from . import _sgd  # built and loaded on first use, never at import
-
-    kernel = _sgd.load()
+    kernel = _sgd_kernel()
     if kernel is not None:
-        start, finish = _sgd.epoch(kernel, model, tmap, data, lr, _sgd.workers(model.C))
+        start, finish = _epoch(kernel, model, tmap, data, lr, _workers(model.C))
     else:
         start, finish = _python_epoch(model, tmap, data, lr)
 

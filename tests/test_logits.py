@@ -136,6 +136,32 @@ class _BuiltinSums(_Finder):
         self.generic_visit(node)
 
 
+class _KernelPlumbing(_Finder):
+    """An import of ``subprocess`` or ``tempfile``, the name ``CDLL``, a
+    ``warn`` call, and the text of a kernel's fallback warning."""
+
+    def visit_Import(self, node):
+        if any(alias.name in ("subprocess", "tempfile") for alias in node.names):
+            self.found.append((node.lineno, self.func))
+
+    def visit_ImportFrom(self, node):
+        if node.module in ("subprocess", "tempfile"):
+            self.found.append((node.lineno, self.func))
+
+    def visit_Name(self, node):
+        if node.id in ("CDLL", "warn"):
+            self.found.append((node.lineno, self.func))
+
+    def visit_Attribute(self, node):
+        if node.attr in ("CDLL", "warn"):
+            self.found.append((node.lineno, self.func))
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and "kernel unavailable" in node.value:
+            self.found.append((node.lineno, self.func))
+
+
 def scan_package(finder, allowed, skip=()):
     """Sites ``finder`` picks in src/sidlab outside ``allowed`` (file, function)
     pairs, and the allowed pairs it did see."""
@@ -165,6 +191,18 @@ class TestOneFormSwitch:
         offenders, allowed_seen = scan_package(_FormCompares, self.ALLOWED, skip={"logits.py"})
         assert not offenders, f".form compared outside logits.py: {offenders}"
         assert allowed_seen == self.ALLOWED  # the scan does see real comparisons
+
+
+class TestOneKernelLoader:
+    """Only ``_native.py`` runs the compiler, loads a library or warns that a
+    kernel is unavailable; each kernel's user calls its ``load``."""
+
+    ALLOWED = {("_native.py", "<module>"), ("_native.py", "library"), ("_native.py", "load")}
+
+    def test_only_native_builds_loads_or_warns(self):
+        offenders, allowed_seen = scan_package(_KernelPlumbing, self.ALLOWED)
+        assert not offenders, f"kernel build, load or warning outside _native.py: {offenders}"
+        assert allowed_seen == self.ALLOWED  # the scan does see the real sites
 
 
 class TestNoBuiltinSum:

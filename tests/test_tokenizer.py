@@ -28,7 +28,7 @@ from sidlab import (
     synth_embeddings,
 )
 from reference import save_embeddings_bin, save_embeddings_csv
-from sidlab import _sgd, tokenizer
+from sidlab import _native, tokenizer
 from sidlab.tokenizer import split_subspace_dims, squared_distances
 
 
@@ -602,7 +602,7 @@ class TestMeansKernel:
         def no_cc(source):
             raise FileNotFoundError("cc")
 
-        monkeypatch.setattr(_sgd, "library", no_cc)
+        monkeypatch.setattr(_native, "library", no_cc)
         with pytest.warns(RuntimeWarning, match="k-means kernel unavailable, FileNotFoundError"):
             assert tokenizer._means_kernel.__wrapped__() is None
 

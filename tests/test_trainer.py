@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from sidlab import (
     train_sgd,
     write_csv,
 )
-from sidlab import _sgd
+from sidlab import _native, trainer
 from sidlab.trainer import _python_epoch
 
 
@@ -303,11 +304,16 @@ class TestTrainSgd:
 @pytest.fixture(scope="module")
 def kernel():
     """The compiled epoch kernel; skipped only where there is no C compiler."""
-    loaded = _sgd.load()
+    loaded = trainer._sgd_kernel()
     if loaded is None and shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     assert loaded is not None, "cc is on PATH but the SGD kernel did not load"
     return loaded
+
+
+def library_of(sgd_epoch):
+    """A stand-in for ``_native.library`` whose every library holds ``sgd_epoch``."""
+    return lambda source: types.SimpleNamespace(sgd_epoch=sgd_epoch)
 
 
 def train_both(monkeypatch, kernel, *args, **kwargs):
@@ -317,7 +323,7 @@ def train_both(monkeypatch, kernel, *args, **kwargs):
     """
     results = []
     for loaded in (kernel, None):
-        monkeypatch.setattr(_sgd, "load", lambda loaded=loaded: loaded)
+        monkeypatch.setattr(trainer, "_sgd_kernel", lambda loaded=loaded: loaded)
         try:
             results.append(train_sgd(*args, **kwargs))
         except DivergenceError as exc:
@@ -348,18 +354,20 @@ class TestCompiledEpoch:
     """The compiled epoch must reproduce the Python loop bit for bit."""
 
     def test_kernel_loads_where_cc_exists(self, kernel):
-        assert _sgd.load() is kernel
+        assert trainer._sgd_kernel() is kernel
 
     def test_importing_sidlab_leaves_the_kernel_module_unloaded(self):
-        # nor does it start a thread, import a pool, or build or load the k-means
-        # kernel or the JSON float reader, which commands that never train, fit
-        # or read a checkpoint would pay for in start-up time and memory
-        code = ("import sys, threading, sidlab.cli; print('sidlab._sgd' in sys.modules,"
-                " threading.active_count(), 'concurrent.futures' in sys.modules,"
+        # nor does it start a thread, import a pool, or build or load any of the
+        # three kernels, which commands that never train, fit or read a
+        # checkpoint would pay for in start-up time and memory
+        code = ("import sys, threading, sidlab.cli; print('sidlab._native' in sys.modules,"
+                " 'subprocess' in sys.modules, threading.active_count(),"
+                " 'concurrent.futures' in sys.modules,"
+                " sidlab.trainer._sgd_kernel.cache_info().currsize,"
                 " sidlab.tokenizer._means_kernel.cache_info().currsize,"
                 " sidlab.artifacts._floats_kernel.cache_info().currsize)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert result.stdout.split() == ["False", "1", "False", "0", "0"]
+        assert result.stdout.split() == ["False", "False", "1", "False", "0", "0", "0"]
 
     def test_desk_config_two_epochs(self, monkeypatch, kernel):
         # every split of C contexts into W blocks, C not divisible by W included,
@@ -373,11 +381,11 @@ class TestCompiledEpoch:
             data = sample_dataset(world, 100_000, data_seed)
             for cls in (CascadedLogitModel, ParallelLogitModel):
                 model = cls.zeros(spec, C)
-                monkeypatch.setattr(_sgd, "load", lambda: None)
+                monkeypatch.setattr(trainer, "_sgd_kernel", lambda: None)
                 want = train_sgd(model, tmap, data, 0.1, 2, shuffle_seed, world=world)
-                monkeypatch.setattr(_sgd, "load", lambda: kernel)
+                monkeypatch.setattr(trainer, "_sgd_kernel", lambda: kernel)
                 for W in splits(C):
-                    monkeypatch.setattr(_sgd, "workers", lambda C, W=W: W)
+                    monkeypatch.setattr(trainer, "_workers", lambda C, W=W: W)
                     got = train_sgd(model, tmap, data, 0.1, 2, shuffle_seed, world=world)
                     assert_same_training(got, want)
 
@@ -476,7 +484,7 @@ class TestCompiledEpoch:
         run_epoch(_python_epoch(py, tmap, data, lr), order)
         for W in splits(C):
             kern = start.copy()
-            run_epoch(_sgd.epoch(kernel, kern, tmap, data, lr, W), order)
+            run_epoch(trainer._epoch(kernel, kern, tmap, data, lr, W), order)
             assert [t.tobytes() for t in kern.tables] == [t.tobytes() for t in py.tables]
         m, h, node = slots[edge_rows.index((inf, 3.1, 4.3, 4.8))]
         assert np.isnan(py.rows(m)[h, node]).all()
@@ -497,7 +505,8 @@ class TestCompiledEpoch:
         def recorder(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
             calls.append((lo, hi, n))
 
-        run_epoch(_sgd.epoch(recorder, model, identity_token_map(spec), data, 0.1, 3), np.arange(len(data)))
+        runner = trainer._epoch(recorder, model, identity_token_map(spec), data, 0.1, 3)
+        run_epoch(runner, np.arange(len(data)))
         pairs = set(zip(data.contexts.tolist(), data.items.tolist()))
         per_context = [sum(h == c for h, _ in pairs) for c in range(3)]
         assert sorted(calls) == [
@@ -505,7 +514,7 @@ class TestCompiledEpoch:
         ]
 
     def test_python_fallback_gives_the_pinned_parallel_run(self, monkeypatch):
-        monkeypatch.setattr(_sgd, "load", lambda: None)
+        monkeypatch.setattr(trainer, "_sgd_kernel", lambda: None)
         spec = CodebookSpec(k=3, X=3)
         tmap = identity_token_map(spec)
         world = synth_world(2, 27, 0.6, seed=6)
@@ -518,7 +527,7 @@ class TestCompiledEpoch:
 
     def test_worker_count_follows_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
-        assert [_sgd.workers(C) for C in (1, 2, 3, 8)] == [1, 2, 3, 3]
+        assert [trainer._workers(C) for C in (1, 2, 3, 8)] == [1, 2, 3, 3]
 
     def test_strided_tables_train_like_contiguous_ones(self, monkeypatch, kernel):
         # the kernel trains contiguous copies of the rows, so any layout of
@@ -536,18 +545,11 @@ class TestCompiledEpoch:
         def doubled_lr(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
             kernel(tabs, off, tok, order, n, k, X, 2 * lr, es, lo, hi)
 
-        monkeypatch.setattr(_sgd, "build", lambda: doubled_lr)
+        monkeypatch.setattr(_native, "library", library_of(doubled_lr))
         with pytest.warns(RuntimeWarning, match="self-check"):
-            assert _sgd.load.__wrapped__() is None
-
-        def broken():
-            raise OSError("cc: not found")
-
-        monkeypatch.setattr(_sgd, "build", broken)
-        with pytest.warns(RuntimeWarning, match="cc: not found"):
-            assert _sgd.load.__wrapped__() is None
-        monkeypatch.setattr(_sgd, "build", lambda: kernel)
-        assert _sgd.load.__wrapped__() is kernel
+            assert trainer._sgd_kernel.__wrapped__() is None
+        monkeypatch.setattr(_native, "library", library_of(kernel))
+        assert trainer._sgd_kernel.__wrapped__() is kernel
 
 
 class TestEpochThreads:
@@ -561,10 +563,10 @@ class TestEpochThreads:
 
     @pytest.fixture(autouse=True)
     def three_workers(self, monkeypatch):
-        monkeypatch.setattr(_sgd, "workers", lambda C: 3)
+        monkeypatch.setattr(trainer, "_workers", lambda C: 3)
 
     def test_no_thread_outlives_a_normal_return(self, monkeypatch, kernel):
-        monkeypatch.setattr(_sgd, "load", lambda: kernel)
+        monkeypatch.setattr(trainer, "_sgd_kernel", lambda: kernel)
         before = threading.active_count()
         _, records = train_sgd(*self.case(), lr=0.1, epochs=4, seed=0)
         assert len(records) == 4
@@ -572,7 +574,7 @@ class TestEpochThreads:
 
     def test_no_thread_outlives_a_divergence(self, monkeypatch, kernel):
         # epoch 2 is running when epoch 1's loss is found non-finite
-        monkeypatch.setattr(_sgd, "load", lambda: kernel)
+        monkeypatch.setattr(trainer, "_sgd_kernel", lambda: kernel)
         before = threading.active_count()
         with pytest.raises(DivergenceError, match="epoch 1"):
             train_sgd(*self.case(), lr=math.inf, epochs=3, seed=0)
@@ -585,7 +587,7 @@ class TestEpochThreads:
                 raise ZeroDivisionError("block 0")
             kernel(tabs, off, tok, order, n, k, X, lr, es, lo, hi)
 
-        monkeypatch.setattr(_sgd, "load", lambda: failing)
+        monkeypatch.setattr(trainer, "_sgd_kernel", lambda: failing)
         before = threading.active_count()
         with pytest.raises(ZeroDivisionError, match="block 0"):
             train_sgd(*self.case(), lr=0.1, epochs=3, seed=0)
@@ -597,10 +599,10 @@ class TestEpochThreads:
         def old_signature(tabs, off, tok, order, n, k, X, lr, es):
             kernel(tabs, off, tok, order, n, k, X, lr, es, 0, 0)
 
-        monkeypatch.setattr(_sgd, "build", lambda: old_signature)
+        monkeypatch.setattr(_native, "library", library_of(old_signature))
         before = threading.active_count()
         with pytest.warns(RuntimeWarning, match="TypeError") as caught:
-            assert _sgd.load.__wrapped__() is None
+            assert trainer._sgd_kernel.__wrapped__() is None
         assert "self-check" not in str(caught[0].message)
         assert threading.active_count() == before
 
@@ -613,47 +615,53 @@ class TestEpochThreads:
             ranges.add((lo, hi))
             kernel(tabs, off, tok, order, n, k, X, lr, es, lo, hi)
 
-        assert _sgd.matches_python(recording)
+        assert trainer._matches_python(recording)
         assert len(ranges) == 2 and all(lo < hi for lo, hi in ranges)
 
 
 class TestKernelBuild:
-    """Where the kernel library is built and which one is loaded."""
+    """Where ``_native.library`` builds a kernel library and which one it loads."""
 
     @pytest.fixture()
-    def source(self, tmp_path, monkeypatch, kernel):
+    def source(self, tmp_path, kernel):
         # a library cached by an earlier run loads without cc, but these tests build
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on PATH")
         src = tmp_path / "pkg" / "_sgd.c"
         src.parent.mkdir()
-        shutil.copy(_sgd.SOURCE, src)
-        monkeypatch.setattr(_sgd, "SOURCE", src)
+        shutil.copy(trainer._SGD_SOURCE, src)
         return src
 
+    @staticmethod
+    def built_epoch(source):
+        """``sgd_epoch`` of the library built from ``source``, with its signature."""
+        fn = _native.library(source).sgd_epoch
+        fn.restype, fn.argtypes = trainer._SGD_SIGNATURES["sgd_epoch"]
+        return fn
+
     def test_built_once_under_the_hash_of_source_and_flags(self, source):
-        assert _sgd.matches_python(_sgd.build())
+        assert trainer._matches_python(self.built_epoch(source))
         (lib,) = (source.parent / "__pycache__").iterdir()
         assert lib.name.startswith("_sgd-") and lib.suffix == ".so"
         assert len(lib.stem) == len("_sgd-") + 16
         built = lib.stat().st_mtime_ns
-        _sgd.build()
+        _native.library(source)
         assert [p.name for p in lib.parent.iterdir()] == [lib.name]
         assert lib.stat().st_mtime_ns == built
         # an edited source never loads the old library
         source.write_text(source.read_text() + "/* edited */\n")
-        _sgd.build()
+        _native.library(source)
         names = sorted(p.name for p in lib.parent.iterdir())
         assert len(names) == 2 and lib.name in names
 
     def test_unwritable_cache_builds_in_a_temporary_directory(self, source, monkeypatch):
         monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
-        assert _sgd.matches_python(_sgd.build())
+        assert trainer._matches_python(self.built_epoch(source))
         cache = source.parent / "__pycache__"
         assert not cache.exists() or not any(cache.iterdir())
 
     def test_build_failure_raises(self, source):
         source.write_text("this is not C\n")
         with pytest.raises(Exception):
-            _sgd.build()
+            _native.library(source)
         assert not any((source.parent / "__pycache__").iterdir())
