@@ -33,9 +33,10 @@ def library(source: Path) -> ctypes.CDLL:
     The library is cached as ``__pycache__/<stem>-<hash>.so`` next to the
     source, the hash taken over source and flags, so only a build of the
     current source is ever loaded.  It is written under a temporary name and
-    renamed into place, so concurrent builds stay correct.  Without a writable
-    ``__pycache__`` it is built in a temporary directory, removed after
-    loading.  Raises on any failure.
+    renamed into place, so concurrent builds stay correct; then the other
+    ``<stem>-*.so`` files, builds of an older source or other flags, are
+    removed.  Without a writable ``__pycache__`` it is built in a temporary
+    directory, removed after loading.  Raises on any failure.
     """
     code = source.read_bytes()
     tag = hashlib.sha256(code + " ".join(CFLAGS).encode()).hexdigest()[:16]
@@ -62,6 +63,9 @@ def library(source: Path) -> ctypes.CDLL:
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            for stale in cache.glob(f"{source.stem}-*.so"):
+                if stale != lib_path:
+                    stale.unlink(missing_ok=True)  # another build may have removed it
         return ctypes.CDLL(str(lib_path))
     finally:
         if scratch is not None:

@@ -6,8 +6,8 @@ trailing newline.  A CSV artifact is a header of a dataclass's field names
 and one row per instance, in the ``csv`` module's default dialect, where
 ``None`` is an empty cell.  Neither ever holds NaN or an infinity: a
 non-finite float raises :class:`NonFiniteError` and leaves no file behind.
-``read_json`` reads a JSON artifact back, handing its arrays of floats and
-its tables of integers to the C kernel ``_floats.c``.
+``read_json`` reads a JSON artifact's bytes back, handing its arrays of
+floats and its tables of integers to the C kernel ``_floats.c``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json.decoder
 import json.scanner
 import math
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,36 +51,134 @@ def _new_file(path):
         raise
 
 
+# json's C encoder, which runs only without an indent, and its Python one
+_FLAT = json.JSONEncoder(allow_nan=False)
+_INDENTED = json.JSONEncoder(sort_keys=True, indent=2, allow_nan=False)
+# the numbers one call of the C encoder takes at most, so that no long list
+# stands in memory as one text
+_BATCH = 1024
+_CONTAINERS = (list, tuple, dict, str)
+
+
 def write_json(path, payload) -> None:
-    """Stream ``payload`` to ``path`` chunk by chunk, as strict JSON."""
+    """``payload`` as strict JSON: the bytes of ``json.dump(payload,
+    sort_keys=True, indent=2)`` and a newline.
+
+    Number lists and number tables go through json's C encoder, at most
+    ``_BATCH`` numbers a call, and are re-indented (``_write_node``).
+    """
     with _new_file(path) as fh:
         try:
-            json.dump(payload, fh, sort_keys=True, indent=2, allow_nan=False)
+            _write_node(payload, "\n", fh.write)
         except ValueError as exc:
             raise NonFiniteError(f"{Path(path).name} would hold a non-finite number") from exc
         fh.write("\n")
 
 
-def read_json(text: str):
-    """The JSON document ``text``, as ``json.loads`` reads it, except for two
-    kinds of array, which read to arrays with the same values:
+def _write_node(node, pad: str, write) -> None:
+    """``node`` through ``write`` as ``json.dumps(node, sort_keys=True,
+    indent=2, allow_nan=False)`` gives it where its lines start with
+    ``pad``, a newline and the indent.
+
+    A dict with string keys, and a list that is neither a list of scalars
+    (numbers, booleans, nulls) nor a table of rows of one width, are written
+    here, item by item; those lists and tables go to ``_write_batches``.  A
+    scalar or an empty container is the same text with or without an
+    indent: an int or a finite float is its ``repr``, as in both encoders,
+    and the C encoder writes the others; other dicts go to the Python
+    encoder.
+    """
+    inner = pad + "  "
+    if isinstance(node, dict) and node:
+        if not all(type(key) is str for key in node):  # json converts and sorts these
+            write(_INDENTED.encode(node).replace("\n", pad))
+            return
+        opening = "{"
+        for key in sorted(node):
+            write(f"{opening}{inner}{_FLAT.encode(key)}: ")
+            _write_node(node[key], inner, write)
+            opening = ","
+        write(pad + "}")
+        return
+    if isinstance(node, (list, tuple)) and node:
+        if not any(map(isinstance, node, repeat(_CONTAINERS))):
+            _write_batches(node, pad, write, 0)
+            return
+        first = node[0]
+        width = len(first) if isinstance(first, (list, tuple)) else 0
+        # a list of tables goes item by item, without a wasted encoding
+        if (0 < width <= _BATCH and not isinstance(first[0], _CONTAINERS)
+                and all(map(isinstance, node, repeat((list, tuple))))
+                and set(map(len, node)) == {width}):
+            _write_batches(node, pad, write, width)
+            return
+        opening = "["
+        for item in node:
+            write(opening + inner)
+            _write_node(item, inner, write)
+            opening = ","
+        write(pad + "]")
+        return
+    kind = type(node)
+    if kind is int:  # the common scalars without a call of the encoder
+        write(int.__repr__(node))
+    elif kind is float and math.isfinite(node):
+        write(float.__repr__(node))
+    else:
+        write(_FLAT.encode(node))
+
+
+def _write_batches(items, pad: str, write, width: int) -> None:
+    """The non-empty list ``items`` for ``_write_node``: scalars (width 0),
+    or rows of ``width`` items, through the C encoder in batches of at most
+    ``_BATCH`` numbers.  In the flat text, ``", "`` separates items and
+    ``"], ["`` rows, and become the indented separators; that holds where
+    the text has no string and each row is one list, and a batch of rows
+    that fails it is written item by item."""
+    inner = pad + "  "
+    cell = inner + "  "
+    opening = "["
+    step = _BATCH // max(width, 1)
+    for start in range(0, len(items), step):
+        batch = items[start : start + step]
+        text = _FLAT.encode(batch)
+        if not width:
+            write(opening + inner + text[1:-1].replace(", ", "," + inner))
+        elif text.count("[") == len(batch) + 1 and '"' not in text and "{" not in text:
+            body = text[2:-2].replace(", ", "," + cell)
+            body = body.replace("]," + cell + "[", inner + "]," + inner + "[" + cell)
+            write(opening + inner + "[" + cell + body + inner + "]")
+        else:
+            for row in batch:
+                write(opening + inner)
+                _write_node(row, inner, write)
+                opening = ","
+        opening = ","
+    write(pad + "]")
+
+
+def read_json(data: bytes):
+    """The JSON document in the UTF-8 bytes ``data``, as ``json.loads`` reads
+    their text, except for two kinds of array, which read to arrays with the
+    same values:
 
     * an array of JSON floats (each with a fraction or an exponent) is a
       float64 array with the bits of ``json.loads``;
     * an array of equal-length, non-empty arrays of JSON integers of at most
       18 digits is an (n_rows, width) int64 array.
 
-    The document goes through ``json``'s pure-Python scanner, which offers
-    each array to the compiled ``read_floats``, then to ``read_rows``; an
-    array both decline, and a document that is not ASCII, read as
-    ``json.loads`` reads them.  Raises ``ValueError`` for text that is not
-    JSON, nested too deeply included.
+    Their ASCII text goes through ``json``'s pure-Python scanner, which
+    offers each array to the compiled ``read_floats``, then to ``read_rows``,
+    both reading the bytes as they are; an array both decline, and bytes
+    that are not ASCII, read as ``json.loads`` reads them.  Raises
+    ``ValueError`` for bytes that are not UTF-8 or not JSON, nested too
+    deeply included.
     """
     kernel = _floats_kernel()
     try:
-        if kernel is None or not text.isascii():
-            return json.loads(text)
-        data = text.encode("ascii")
+        if kernel is None or not data.isascii():
+            return json.loads(data.decode("utf-8"))
+        text = data.decode("ascii")
         floats = np.empty(len(data) // 4 + 1)  # a float token and its separator take 4 bytes or more
         cells = np.empty(len(data) // 2 + 1, dtype=np.int64)  # an integer cell and its separator, 2
         end, width = ctypes.c_int64(), ctypes.c_int64()

@@ -108,14 +108,23 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _load_json(path: str, what: str, missing=FileNotFoundError, parse=json.loads):
-    """The JSON document at ``path``, read by ``parse``; ``missing`` is raised
-    when there is none."""
+def _config_json(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def _artifact_json(path: Path):
+    return read_json(path.read_bytes())
+
+
+def _load_json(path: str, what: str, missing=FileNotFoundError, read=_config_json):
+    """The JSON document at ``path``, read by ``read``: a config as text by
+    ``json.loads``, an artifact as bytes by ``read_json``.  ``missing`` is
+    raised when there is none."""
     p = Path(path)
     if not p.is_file():
         raise missing(f"{what} not found: {path}")
     try:
-        return parse(p.read_text(encoding="utf-8"))
+        return read(p)
     # JSONDecodeError, an integer of over 4300 digits, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
@@ -545,8 +554,8 @@ def cmd_decode(cfg: dict, out_dir: Path, chash: str) -> int:
     width = top_k if cfg["beam_width"] is None else cfg["beam_width"]
     # both files are parsed before either is read: a missing token map exits 5
     # even where the checkpoint parses but does not fit
-    checkpoint = _load_json(cfg["checkpoint"], "input artifact", parse=read_json)
-    token_map = _load_json(cfg["token_map"], "input artifact", parse=read_json)
+    checkpoint = _load_json(cfg["checkpoint"], "input artifact", read=_artifact_json)
+    token_map = _load_json(cfg["token_map"], "input artifact", read=_artifact_json)
     try:
         model = model_from_json_dict(checkpoint)
         tmap = TokenMap.from_json_dict(token_map)

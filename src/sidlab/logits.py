@@ -215,4 +215,4 @@ def save_model(model: LogitModel, path) -> None:
 
 
 def load_model(path) -> LogitModel:
-    return model_from_json_dict(read_json(Path(path).read_text(encoding="utf-8")))
+    return model_from_json_dict(read_json(Path(path).read_bytes()))

@@ -7,14 +7,15 @@ re-seeded to the point farthest from its own centroid, ties toward the
 lowest centroid index.  Distances are direct (x - c)**2 sums, so exact ties
 stay exact, and every nearest-center decision goes through the exact
 ``nearest_centers``.  Each mean sums its cluster's rows in ascending row
-order, numpy's order for a masked mean.  A Lloyd iteration takes all its
-means in one pass of the C kernel ``_kmeans.c``, built by ``_native`` on
-the first fit of a process that needs it (never at import) and used only
-if it matches numpy's means by bytes; on one column (numpy sums it
-pairwise), or without the kernel, numpy takes them.  Float overflow in a
-fit or an encode raises ``DegenerateInputError``, so no inf or nan reaches
-an artifact.  Inputs are copied to C order first: numpy sums the rows of a
-Fortran-ordered array in another order, to other bits.
+order, numpy's order for a masked mean.  Each k-means++ round, each Lloyd
+screen and each Lloyd iteration's means take one pass of the C kernel
+``_kmeans.c``, built by ``_native`` on the first fit or encode of a process
+(never at import) and used only if it matches numpy's bits and decisions;
+on one column (numpy sums a mean's column pairwise), or without the kernel,
+a fit runs on numpy.  Float overflow in a fit or an encode raises
+``DegenerateInputError``, so no inf or nan reaches an artifact.  Inputs are
+copied to C order first: numpy sums the rows of a Fortran-ordered array in
+another order, to other bits.
 """
 
 from __future__ import annotations
@@ -34,11 +35,15 @@ from .artifacts import write_json
 from .vocab import CodebookSpec, TokenSeq
 
 _MEANS_SOURCE = Path(__file__).with_name("_kmeans.c")
-# cluster_means(points, assign, n, d, counts, centers, X)
-_MEANS_SIGNATURES = {"cluster_means": (None, [
-    ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-    ctypes.c_void_p, ctypes.c_int64,
-])}
+_P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+# cluster_means(points, assign, n, d, counts, centers, X),
+# seed_round(points, n, d, center, d2) and
+# screen(product, x2, c2, n, X, c_norm, scale, limit, out)
+_MEANS_SIGNATURES = {
+    "cluster_means": (None, [_P, _P, _I64, _I64, _P, _P, _I64]),
+    "seed_round": (_I64, [_P, _I64, _I64, _P, _P]),
+    "screen": (None, [_P, _P, _P, _I64, _I64, _F64, _F64, _F64, _P]),
+}
 _BIN_MAGIC = b"SIDEMB64"  # 8 bytes; header totals 16 with the two uint32 fields
 
 
@@ -145,18 +150,22 @@ def nearest_centers(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     Each point takes the largest of its bounds, e (|c| -> max |c|): rounding
     is monotone, so that can only add candidates.  A center whose A - e
     exceeds the row's smallest A + e is not the nearest, so a row with one
-    candidate is decided, and its index is read off its one candidate flag
-    with a sum, not an argmax.  Other rows, and rows whose A or e is not
-    finite or so large that D could round to inf, are re-done by
-    ``squared_distances``.  A fit takes every |x|^2 once, not once per
-    Lloyd iteration.
+    candidate is decided.  Other rows, and rows whose A holds a NaN or whose
+    e is not finite or so large that D could round to inf, are re-done by
+    ``squared_distances``.  After the product, the screen is one pass of the
+    compiled ``screen`` of ``_kmeans.c`` (see ``_means_kernel``), or, without
+    the kernel, numpy's passes, which read a decided row's index off its one
+    candidate flag with a sum, not an argmax.  On the same products both
+    decide the same rows, and any sound screen decides only true argmins, so
+    the result does not depend on which runs.  A fit takes every |x|^2 once,
+    not once per Lloyd iteration.
 
     A standard-normal RQ fit and encode of 4096 x 32 items (k=3, X=16, seeds
     0-2) re-does none of its 548,864 to 626,688 rows.  With 1e6 added to every
     coordinate, seed 0 re-does 160,210 (29%), as one bound per center did.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
-    return _screened(points, _squared_norms(points), centers)
+    return _screened(points, _squared_norms(points), centers, _means_kernel())
 
 
 def _squared_norms(points: np.ndarray) -> np.ndarray:
@@ -166,49 +175,66 @@ def _squared_norms(points: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", points, points)
 
 
-def _screened(points: np.ndarray, x2: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """``nearest_centers`` of C-contiguous float64 points whose |x|^2 are x2."""
+def _screened(points: np.ndarray, x2: np.ndarray, centers: np.ndarray, kernel) -> np.ndarray:
+    """``nearest_centers`` of C-contiguous float64 points whose |x|^2 are x2,
+    screened by ``kernel``, the compiled ``_kmeans.c``, or by numpy when it
+    is None."""
     centers = np.ascontiguousarray(centers, dtype=np.float64)
-    X = len(centers)
-    # (X, n) and in place: at n=4096, X=16 each halves the screen's time.
-    # An overflow here only sends its point to the exact recheck.
+    n, d = points.shape
+    # an overflow here only sends its point to the exact recheck
     with np.errstate(over="ignore", invalid="ignore"):
         c2 = np.einsum("ij,ij->i", centers, centers)
-        screen = centers @ points.T
-        screen *= -2.0
-        screen += c2[:, None]
-        screen += x2
-        err = (np.sqrt(x2) + np.sqrt(c2.max())) ** 2
-        # also true for a point or center holding a nan or inf
-        unbounded = ~(err < _SCREEN_MAX)
-        err *= 2.0 * (points.shape[1] + 2) * np.finfo(np.float64).eps
-        err += 1e-300
-        best = screen.min(axis=0) + err
-        screen -= err
-        candidates = screen <= best
-    # sums down the columns in the narrowest dtype that holds them, which
-    # skips a cast per entry: the candidate count, up to X, and the index of
-    # a decided row's one candidate; an undecided row's index may wrap
-    flags = candidates.view(np.uint8)
-    recheck = unbounded | (flags.sum(axis=0, dtype=np.min_scalar_type(X)) != 1)
-    index = np.arange(X, dtype=np.min_scalar_type(X - 1))
-    out = (flags * index[:, None]).sum(axis=0, dtype=index.dtype).astype(np.int64)
+        c_norm = float(np.sqrt(c2.max()))
+        scale = 2.0 * (d + 2) * float(np.finfo(np.float64).eps)
+        if kernel is None:
+            # (X, n) and in place: at n=4096, X=16 each halves numpy's time
+            out = _numpy_screen(centers @ points.T, x2, c2, c_norm, scale)
+        else:
+            # (n, X): the kernel reads each point's products in one row
+            product = points @ centers.T
+            out = np.empty(n, dtype=np.int64)
+            kernel.screen(product.ctypes.data, x2.ctypes.data, c2.ctypes.data, n, len(centers),
+                          c_norm, scale, _SCREEN_MAX, out.ctypes.data)
+    recheck = out < 0
     if recheck.any():
         out[recheck] = squared_distances(points[recheck], centers).argmin(axis=1)
     return out
 
 
-def _kmeans_pp_seed(points: np.ndarray, X: int, rng: np.random.Generator) -> np.ndarray:
+def _numpy_screen(screen, x2, c2, c_norm, scale) -> np.ndarray:
+    """The compiled ``screen``'s decisions in numpy, from the (X, n) products
+    x.c in ``screen``, which it overwrites: each point's one candidate, or -1."""
+    X = len(c2)
+    screen *= -2.0
+    screen += c2[:, None]
+    screen += x2
+    err = (np.sqrt(x2) + c_norm) ** 2
+    # also true for a point or center holding a nan or inf
+    unbounded = ~(err < _SCREEN_MAX)
+    err *= scale
+    err += 1e-300
+    best = screen.min(axis=0) + err
+    screen -= err
+    candidates = screen <= best
+    # sums down the columns in the narrowest dtype that holds them, which
+    # skips a cast per entry: the candidate count, up to X, and the index of
+    # a decided row's one candidate; an undecided row's index may wrap
+    flags = candidates.view(np.uint8)
+    index = np.arange(X, dtype=np.min_scalar_type(X - 1))
+    out = (flags * index[:, None]).sum(axis=0, dtype=index.dtype).astype(np.int64)
+    out[unbounded | (flags.sum(axis=0, dtype=np.min_scalar_type(X)) != 1)] = -1
+    return out
+
+
+def _kmeans_pp_seed(points: np.ndarray, X: int, rng: np.random.Generator,
+                    kernel=None) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((X, points.shape[1]))
-    diff = np.empty_like(points)  # every round's (points - center) ** 2, in one buffer
-
-    def squared_distances_to(center):
-        np.subtract(points, center, out=diff)
-        return np.multiply(diff, diff, out=diff).sum(axis=1)  # the bits of ** 2
-
+    # numpy's every round's (points - center) ** 2, in one buffer
+    scratch = np.empty_like(points) if kernel is None else None
+    d2 = np.full(n, np.inf)
     centers[0] = points[int(rng.integers(n))]
-    d2 = squared_distances_to(centers[0])
+    _seed_round(kernel, points, centers[0], d2, scratch)
     for j in range(1, X):
         total = d2.sum()
         if total > 0.0:
@@ -217,18 +243,31 @@ def _kmeans_pp_seed(points: np.ndarray, X: int, rng: np.random.Generator) -> np.
             # all points coincide with some chosen center; any pick works
             idx = int(rng.integers(n))
         centers[j] = points[idx]
-        np.minimum(d2, squared_distances_to(centers[j]), out=d2)
+        _seed_round(kernel, points, centers[j], d2, scratch)
     return centers
+
+
+def _seed_round(kernel, points, center, d2, scratch) -> None:
+    """``d2 = minimum(d2, ((points - center) ** 2).sum(axis=1))`` in place,
+    with numpy's bits: through ``kernel``, the compiled ``_kmeans.c``, or
+    numpy in ``scratch``, a buffer shaped as the points, when it is None.
+    C-contiguous float64 arrays."""
+    if kernel is None:
+        np.subtract(points, center, out=scratch)
+        np.minimum(d2, np.multiply(scratch, scratch, out=scratch).sum(axis=1), out=d2)
+    # the points are finite, so only an overflow leaves a distance not finite
+    elif kernel.seed_round(points.ctypes.data, *points.shape, center.ctypes.data, d2.ctypes.data):
+        raise DegenerateInputError("float64 overflow encountered in a k-means++ distance")
 
 
 def _cluster_means(kernel, points, assign, counts, centers) -> None:
     """Each non-empty cluster's mean in place of its center, with the bits of
     ``points[assign == j].mean(axis=0)``: through ``kernel``, the compiled
-    ``cluster_means``, or numpy when it is None.  C-contiguous float64 points
+    ``_kmeans.c``, or numpy when it is None.  C-contiguous float64 points
     and centers, int64 assign and counts."""
     if kernel is not None:
-        kernel(points.ctypes, assign.ctypes, *points.shape, counts.ctypes, centers.ctypes,
-               len(centers))
+        kernel.cluster_means(points.ctypes.data, assign.ctypes.data, *points.shape,
+                             counts.ctypes.data, centers.ctypes.data, len(centers))
         # the points are finite, so only an overflowing sum leaves the finite range
         if not np.isfinite(centers).all():
             raise DegenerateInputError("float64 overflow encountered in a cluster mean")
@@ -241,11 +280,20 @@ def _cluster_means(kernel, points, assign, counts, centers) -> None:
         centers[j] = points[order[ends[j] - counts[j] : ends[j]]].mean(axis=0)
 
 
-def _means_match_numpy(kernel) -> bool:
-    """The kernel's means against numpy's, by bytes, on a fixed case: entries
-    from 1e-8 to 1e8 in size, so that any other order of addition gives other
-    bits, an empty cluster, and an all -0.0 column, whose mean numpy's sum
-    from +0.0 makes +0.0 and a sum from the first row would leave -0.0."""
+def _kernel_matches_numpy(kernel) -> bool:
+    """Each function of the compiled ``_kmeans.c`` against its numpy code, on
+    fixed cases.
+
+    * ``cluster_means``, by bytes: entries from 1e-8 to 1e8 in size, so that
+      any other order of addition gives other bits, an empty cluster, and an
+      all -0.0 column, whose mean numpy's sum from +0.0 makes +0.0 and a sum
+      from the first row would leave -0.0;
+    * ``seed_round``, by bytes, on such entries in 3, 9 and 130 columns, one
+      of each of numpy's three ways to sum a row, and its overflow count;
+    * ``screen``, by decisions on the same products: integer points and a
+      duplicated center, so exact ties that must go to the recheck, a point
+      holding a NaN and one too large to bound.
+    """
     rng = np.random.default_rng(0)
     for d in (2, 5):
         points = rng.standard_normal((60, d)) * 10.0 ** rng.uniform(-8, 8, (60, d))
@@ -258,23 +306,49 @@ def _means_match_numpy(kernel) -> bool:
         _cluster_means(None, points, assign, counts, want)
         if got.tobytes() != want.tobytes():
             return False
-    return True
+    for d in (3, 9, 130):
+        points = rng.standard_normal((20, d)) * 10.0 ** rng.uniform(-8, 8, (20, d))
+        center = rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 8, d)
+        got = np.where(np.arange(20) % 3 == 0, 0.0, np.inf)  # rows a round must keep
+        want = got.copy()
+        _seed_round(None, points, center, want, np.empty_like(points))
+        if kernel.seed_round(points.ctypes.data, 20, d, center.ctypes.data, got.ctypes.data) != 0:
+            return False
+        if got.tobytes() != want.tobytes():
+            return False
+    # the first row's difference overflows, the second's is 1
+    points, center = np.array([[1e308, 0.0], [-1e308, 1.0]]), np.array([-1e308, 0.0])
+    d2 = np.full(2, np.inf)
+    if kernel.seed_round(points.ctypes.data, 2, 2, center.ctypes.data, d2.ctypes.data) != 1:
+        return False
+    points = rng.integers(-2, 3, (64, 5)).astype(float)
+    centers = rng.integers(-2, 3, (6, 5)).astype(float)
+    centers[-1] = centers[0]
+    points[-2, 0], points[-1] = np.nan, 1e160
+    with np.errstate(over="ignore", invalid="ignore"):
+        x2 = np.einsum("ij,ij->i", points, points)
+        c2 = np.einsum("ij,ij->i", centers, centers)
+        c_norm, scale = float(np.sqrt(c2.max())), 2.0 * (5 + 2) * float(np.finfo(np.float64).eps)
+        product = points @ centers.T
+        got = np.zeros(64, dtype=np.int64)
+        kernel.screen(product.ctypes.data, x2.ctypes.data, c2.ctypes.data, 64, 6, c_norm, scale,
+                      _SCREEN_MAX, got.ctypes.data)
+        want = _numpy_screen(product.T.copy(), x2, c2, c_norm, scale)
+    return np.array_equal(got, want)
 
 
 @functools.cache
 def _means_kernel():
-    """The compiled ``cluster_means`` of ``_kmeans.c``, or None to take numpy's means.
+    """The compiled ``_kmeans.c``, whose ``seed_round``, ``screen`` and
+    ``cluster_means`` fits and encodes run, or None to run numpy's code.
 
-    Built by ``_native.load`` on the first fit of the process that needs it,
-    never at import, and checked against numpy's means by
-    ``_means_match_numpy``.
+    Built by ``_native.load`` on the first fit or encode of the process,
+    never at import, and checked against numpy by ``_kernel_matches_numpy``.
     """
     from . import _native  # the package's C builder, which imports subprocess
 
-    lib = _native.load(_MEANS_SOURCE, _MEANS_SIGNATURES,
-                       lambda lib: _means_match_numpy(lib.cluster_means),
-                       ("k-means", "numpy's means", "fits take numpy's means"))
-    return None if lib is None else lib.cluster_means
+    return _native.load(_MEANS_SOURCE, _MEANS_SIGNATURES, _kernel_matches_numpy,
+                        ("k-means", "numpy", "fits and encodes run on numpy"))
 
 
 @_finite()
@@ -283,13 +357,14 @@ def fit_kmeans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd k-means; returns (centers (X, d), assignments (n,))."""
     points = np.ascontiguousarray(points, dtype=np.float64)
-    # on one column numpy sums pairwise, not row after row as the kernel does
+    # on one column numpy sums the means pairwise, not row after row as the
+    # kernel does, so a fit there runs wholly on numpy
     kernel = _means_kernel() if points.shape[1] >= 2 else None
     x2 = _squared_norms(points)
-    centers = _kmeans_pp_seed(points, X, rng)
+    centers = _kmeans_pp_seed(points, X, rng, kernel)
     assign = None
     for _ in range(max_iters):
-        new_assign = _screened(points, x2, centers)
+        new_assign = _screened(points, x2, centers, kernel)
         counts = np.bincount(new_assign, minlength=X)
         # a re-seed never empties another cluster: fill the empty ones in order
         for j in np.flatnonzero(counts == 0):

@@ -227,7 +227,7 @@ class TokenMap:
 
     @classmethod
     def load(cls, path) -> "TokenMap":
-        return cls.from_json_dict(read_json(Path(path).read_text(encoding="utf-8")))
+        return cls.from_json_dict(read_json(Path(path).read_bytes()))
 
 
 def identity_token_map(spec: CodebookSpec) -> TokenMap:

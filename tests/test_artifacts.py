@@ -1,10 +1,15 @@
 """The one artifact writer: its byte layout, and no file for a non-finite value."""
 
+import json
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
-from sidlab import NonFiniteError, write_csv, write_json
+from sidlab import NonFiniteError, artifacts, write_csv, write_json
 
 
 @dataclass
@@ -36,6 +41,61 @@ def test_json_refuses_non_finite_and_leaves_no_file(tmp_path, bad):
     with pytest.raises(NonFiniteError):
         # the list is long enough that chunks reach the file before the bad value
         write_json(path, {"a": list(range(10_000)), "b": [0.5, bad]})
+    assert not path.exists()
+
+
+FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.225073858507201e-308, 1e308, -1.7976931348623157e308, 1e16, 1e-7])
+SCALARS = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | FLOATS
+STRINGS = st.text(max_size=6) | st.sampled_from(["a, b", "[1, 2]", "], [", '"', "\n"])
+# rows of one width, which take json's C encoder unless a cell is not a scalar
+TABLES = st.integers(1, 3).flatmap(lambda width: st.lists(
+    st.lists(SCALARS | STRINGS | st.lists(SCALARS, max_size=2), min_size=width, max_size=width),
+    max_size=5))
+# nested documents: number lists and tables, strings that look like the
+# separators the C encoder's text is re-indented at, and empty containers
+DOCUMENTS = st.recursive(
+    SCALARS | STRINGS | TABLES,
+    lambda inner: st.lists(inner, max_size=4) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(payload=DOCUMENTS)
+def test_json_bytes_are_json_dump_sorted_and_indented(payload):
+    want = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.json"
+        write_json(path, payload)
+        assert path.read_bytes() == want
+
+
+def test_json_bytes_of_lists_longer_than_one_encoder_call(tmp_path):
+    n = artifacts._BATCH
+    mixed = [[i, i / 7] for i in range(n)]  # two batches of rows, the second not all numbers
+    mixed[-3][1] = "a, b"
+    payload = {
+        "list": [i / 3 for i in range(2 * n + 1)],
+        "table": [[i, -i, 0.5] for i in range(n)],
+        "mixed": mixed,
+        "long_rows": [[0.25] * (n + 1), [-0.0] * (n + 1)],
+        "ragged": [[1.5] * 3, [2.5] * (n - 1)],
+    }
+    path = tmp_path / "a.json"
+    write_json(path, payload)
+    assert path.read_bytes() == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["list", "table", "nested", "scalar"])
+def test_json_refuses_non_finite_wherever_it_sits(tmp_path, bad, where):
+    payload = {"list": [0.5, bad], "table": [[1.0, 2.0], [bad, 3.0]],
+               "nested": {"x": [[0.5], {"y": bad}]}, "scalar": bad}[where]
+    path = tmp_path / "a.json"
+    with pytest.raises(NonFiniteError):
+        write_json(path, {"a": [[1, 2]] * 100, "b": payload})
     assert not path.exists()
 
 

@@ -36,10 +36,14 @@ from sidlab import (
     table_entry_count,
 )
 from sidlab import artifacts
-from sidlab.artifacts import read_json
 from reference import embed_parallel_as_cascaded, item_logit
 
 SPEC = CodebookSpec(k=3, X=3)
+
+
+def read_json(text: str):
+    """``artifacts.read_json`` of the document's UTF-8 bytes, as a file holds them."""
+    return artifacts.read_json(text.encode("utf-8"))
 
 
 class TestConstruction:

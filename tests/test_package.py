@@ -140,20 +140,40 @@ world = synth_world(3, 9, 0.5, seed=1)
 train_sgd(CascadedLogitModel.zeros(spec, 3), identity_token_map(spec),
           sample_dataset(world, 300, seed=2), lr=0.1, epochs=2, seed=0)
 fit_kmeans(np.random.default_rng(0).standard_normal((200, 4)), 8, 10, np.random.default_rng(1))
+
+# k-means kernels on arrays of exactly the sizes they are given: a seeding
+# round on one column and on 129 (two halves), a screen of 300 centers
+means = tokenizer._means_kernel()
+rng = np.random.default_rng(2)
+for d in (1, 129):
+    points, center, d2 = rng.standard_normal((5, d)), rng.standard_normal(d), np.full(5, np.inf)
+    assert means.seed_round(points.ctypes.data, 5, d, center.ctypes.data, d2.ctypes.data) == 0
+    assert d2.tobytes() == ((points - center) ** 2).sum(axis=1).tobytes()
+points, centers = rng.standard_normal((7, 3)), rng.standard_normal((300, 3))
+x2, c2 = (points**2).sum(axis=1), (centers**2).sum(axis=1)
+product, out = points @ centers.T, np.empty(7, dtype=np.int64)
+means.screen(product.ctypes.data, x2.ctypes.data, c2.ctypes.data, 7, 300, float(np.sqrt(c2.max())),
+             2.0 * 5 * np.finfo(float).eps, 2.0**1000, out.ctypes.data)
+nearest = tokenizer.squared_distances(points, centers).argmin(axis=1)
+assert ((out == -1) | (out == nearest)).all() and (out >= 0).any()
 """
 
 
-def test_kernels_run_clean_under_address_and_undefined_behaviour_sanitizers():
+def test_kernels_run_clean_under_address_and_undefined_behaviour_sanitizers(tmp_path):
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
     libasan = subprocess.run(["cc", "-print-file-name=libasan.so"], capture_output=True,
                              text=True).stdout.strip()
     if not os.path.isfile(libasan):
         pytest.skip("no AddressSanitizer runtime")
-    src = str(Path(sidlab.__file__).resolve().parents[1])
+    # a copy of the package, so the sanitized builds never replace the
+    # package's own in its __pycache__
+    src = tmp_path / "src"
+    shutil.copytree(Path(sidlab.__file__).parent, src / "sidlab",
+                    ignore=shutil.ignore_patterns("__pycache__"))
     env = dict(os.environ, LD_PRELOAD=libasan, PYTHONMALLOC="malloc",
                ASAN_OPTIONS="detect_leaks=0",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", SANITIZED_RUN], env=env, capture_output=True,
                             text=True, timeout=300)
     assert result.returncode == 0, result.stderr

@@ -582,14 +582,20 @@ class TestMeansKernel:
     @pytest.mark.parametrize(
         "old,new",
         [("for (int64_t i = 0; i < n; i++)", "for (int64_t i = n - 1; i >= 0; i--)"),
-         ("centers[j * d + c] = 0.0;", "centers[j * d + c] = -0.0;")],
-        ids=["rows_in_reverse", "sums_from_minus_zero"],
+         ("centers[j * d + c] = 0.0;", "centers[j * d + c] = -0.0;"),
+         ("if (d < 8) {", "if (1) {"),
+         ("next - err > lo + err", "next >= lo")],
+        ids=["rows_in_reverse", "sums_from_minus_zero", "seed_sums_in_order",
+             "screen_decides_a_tie"],
     )
     def test_a_kernel_with_other_bits_is_refused_at_load(
         self, tmp_path, monkeypatch, means_kernel, old, new
     ):
         # a sum from -0.0 differs from numpy's sum from +0.0 only on an all
-        # -0.0 column, which the self-check holds
+        # -0.0 column, which the self-check holds; a seeding round summed in
+        # order differs from numpy's pairwise sum from 8 columns on; a screen
+        # that decides a row whose two smallest values are equal decides rows
+        # that numpy leaves to the exact recheck
         code = tokenizer._MEANS_SOURCE.read_text()
         assert code.count(old) == 1
         source = tmp_path / "_kmeans.c"
@@ -597,6 +603,51 @@ class TestMeansKernel:
         monkeypatch.setattr(tokenizer, "_MEANS_SOURCE", source)
         with pytest.warns(RuntimeWarning, match="k-means kernel unavailable, its self-check"):
             assert tokenizer._means_kernel.__wrapped__() is None
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 32, 33, 129, 300])
+    def test_a_seeding_round_has_the_bits_of_numpy(self, means_kernel, d):
+        # numpy sums a row in order below 8 entries, with eight accumulators
+        # up to 128 and by halves above: entries from 1e-8 to 1e8 make any
+        # other order of addition show in the bits
+        rng = np.random.default_rng(d)
+        points = rng.standard_normal((50, d)) * 10.0 ** rng.uniform(-8, 8, (50, d))
+        center = rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 8, d)
+        points[:, 0] = center[0] = -0.0  # an all -0.0 column
+        d2 = np.where(np.arange(50) % 4 == 0, 0.0, np.inf)
+        want = np.minimum(d2, ((points - center) ** 2).sum(axis=1))
+        assert means_kernel.seed_round(points.ctypes.data, 50, d, center.ctypes.data,
+                                       d2.ctypes.data) == 0
+        assert d2.tobytes() == want.tobytes()
+
+    def test_the_screen_decides_the_rows_numpy_decides(self, means_kernel):
+        # on the same products: the nearest-center sweep's ties, offsets,
+        # near ties, overflows and underflows
+        rng = np.random.default_rng(10)
+        decided = 0
+        for case in range(800):
+            pts, ctr = screen_case(rng, TestNearestCenters.KINDS[case % 8])
+            pts = np.ascontiguousarray(pts)
+            with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+                x2, c2 = tokenizer._squared_norms(pts), np.einsum("ij,ij->i", ctr, ctr)
+                c_norm = float(np.sqrt(c2.max()))
+                scale = 2.0 * (pts.shape[1] + 2) * np.finfo(np.float64).eps
+                product = pts @ ctr.T
+                got = np.empty(len(pts), dtype=np.int64)
+                means_kernel.screen(product.ctypes.data, x2.ctypes.data, c2.ctypes.data, len(pts),
+                                    len(ctr), c_norm, scale, tokenizer._SCREEN_MAX,
+                                    got.ctypes.data)
+                want = tokenizer._numpy_screen(product.T.copy(), x2, c2, c_norm, scale)
+            assert np.array_equal(got, want), f"case {case}"
+            decided += (got >= 0).sum()
+        assert decided > 0
+
+    def test_an_overflowing_seeding_round_is_a_degenerate_input(self, means_kernel):
+        # the kernel counts the overflow numpy would raise on, and warns nothing
+        points = np.array([[1e308, 0.0], [-1e308, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError, match="overflow"):
+                tokenizer._kmeans_pp_seed(points, 2, np.random.default_rng(0), means_kernel)
 
     def test_without_a_compiler_the_loader_warns_and_returns_none(self, monkeypatch):
         def no_cc(source):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -648,11 +649,31 @@ class TestKernelBuild:
         _native.library(source)
         assert [p.name for p in lib.parent.iterdir()] == [lib.name]
         assert lib.stat().st_mtime_ns == built
-        # an edited source never loads the old library
+        # an edited source never loads the old library, and its build removes it
         source.write_text(source.read_text() + "/* edited */\n")
         _native.library(source)
-        names = sorted(p.name for p in lib.parent.iterdir())
-        assert len(names) == 2 and lib.name in names
+        names = [p.name for p in lib.parent.iterdir()]
+        assert len(names) == 1 and names[0] != lib.name and names[0].startswith("_sgd-")
+
+    def test_a_build_removes_only_the_other_builds_of_its_source(self, source, monkeypatch):
+        cache = source.parent / "__pycache__"
+        cache.mkdir()
+        kept = ["_floats-0123456789abcdef.so", "._sgd-in-flight.so", "_sgd-notes.txt"]
+        for name in kept + ["_sgd-0123456789abcdef.so", "_sgd-fedcba9876543210.so"]:
+            (cache / name).write_bytes(b"")
+        # a stale file that a concurrent build removes first is skipped
+        listed = Path.glob
+
+        def glob_then_remove(self, pattern):
+            found = list(listed(self, pattern))
+            (cache / "_sgd-fedcba9876543210.so").unlink()
+            return found
+
+        monkeypatch.setattr(Path, "glob", glob_then_remove)
+        assert trainer._matches_python(self.built_epoch(source))
+        built = sorted(p.name for p in cache.iterdir() if p.name not in kept)
+        assert len(built) == 1 and built[0].startswith("_sgd-") and built[0].endswith(".so")
+        assert len(built[0]) == len("_sgd-.so") + 16 and all((cache / n).exists() for n in kept)
 
     def test_unwritable_cache_builds_in_a_temporary_directory(self, source, monkeypatch):
         monkeypatch.setattr(os, "access", lambda *args, **kwargs: False)
