@@ -24,7 +24,7 @@ from .logits import (
     LogitModel,
     LookupCounter,
     ParallelLogitModel,
-    item_logits_all,
+    item_logits,
     load_model,
     model_from_json_dict,
     model_to_json_dict,
@@ -114,7 +114,7 @@ __all__ = [
     "LogitModel",
     "LookupCounter",
     "FormError",
-    "item_logits_all",
+    "item_logits",
     "table_entry_count",
     "model_to_json_dict",
     "model_from_json_dict",

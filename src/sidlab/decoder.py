@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logits import MAX_TABLE_ENTRIES, FormError, LogitModel, _check_context, item_logits_all
+from .logits import MAX_TABLE_ENTRIES, FormError, LogitModel, _check_context, item_logits
 from .vocab import TokenMap, TokenSeq
 
 
@@ -79,7 +79,7 @@ def exact_topk(model: LogitModel, h: int, tmap: TokenMap, top_k: int) -> list[tu
     if not 1 <= top_k <= tmap.n_items:
         raise ValueError(f"top_k must be in [1, {tmap.n_items}], got {top_k}")
     with np.errstate(over="ignore"):  # an overflowing path sum is the caller's to reject
-        scores = item_logits_all(model, h, tmap)
+        scores = item_logits(model, tmap, _check_context(model.C, h))[0]
     order = np.argsort(-scores, kind="stable")
     return [(int(i), float(scores[i])) for i in order[:top_k]]
 
@@ -98,6 +98,7 @@ def mtp_decode(model: LogitModel, h: int, top_k: int) -> list[ScoredSequence]:
     """
     if model.form != "parallel":
         raise FormError("mtp_decode needs a parallel model")
+    _check_context(model.C, h)
     spec = model.spec
     if not 1 <= top_k:
         raise ValueError(f"top_k must be >= 1, got {top_k}")

@@ -14,9 +14,9 @@ Routines read every position through the same (C, nodes, X) row view
 :meth:`LogitModel.node_index`, so each is written once for both forms.
 
 An item's logit is the sum of its token logits along the path given by a
-token map.  Models support an optional lookup counter that tallies how many
-table entries each operation touches, which the benchmark module uses to
-cross-check closed-form operation counts.
+token map.  Models support an optional lookup counter that tallies the
+entries some reads touch (``LookupCounter`` lists which); the benchmark
+module uses it to cross-check closed-form operation counts.
 """
 
 from __future__ import annotations
@@ -35,7 +35,11 @@ class FormError(TypeError):
 
 
 class LookupCounter:
-    """Counts scalar logit-table entries touched by model reads."""
+    """Counts logit-table entries read: X per ``node_logits`` call, k per item
+    and context in ``item_logits``, and X per beam per round in
+    ``beam_search``.  Other reads through ``LogitModel.rows`` are not counted:
+    the sequence routes, ``check_contexts``' visited rows, the chained log
+    probabilities and SGD."""
 
     def __init__(self):
         self.entries = 0
@@ -44,9 +48,16 @@ class LookupCounter:
         self.entries = 0
 
 
-def _check_context(C: int, h: int) -> None:
+def _check_context(C: int, h: int) -> slice:
+    """The one-context slice of context h, which must lie in [0, C)."""
     if not 0 <= h < C:
         raise ValueError(f"context {h} outside [0, {C})")
+    return slice(h, h + 1)
+
+
+def _check_map(model: "LogitModel", tmap: TokenMap) -> None:
+    if tmap.spec != model.spec:
+        raise ValueError(f"token map spec {tmap.spec} does not match model spec {model.spec}")
 
 
 def _table_shape(form: str, spec: CodebookSpec, C: int, m: int) -> tuple[int, ...]:
@@ -142,23 +153,19 @@ FORMS: dict[str, type[LogitModel]] = {
 }
 
 
-def item_logits_all(model: LogitModel, h: int, tmap: TokenMap) -> np.ndarray:
-    """Item logits of every item in the map, shape (n_items,).
-
-    Each item's logit is the sum of its token logits along its path, added
-    left to right from 0.0; counts n_items entry reads per position against
-    the attached lookup counter.
-    """
-    _check_context(model.C, h)
-    spec = model.spec
+def item_logits(model: LogitModel, tmap: TokenMap, contexts: slice) -> np.ndarray:
+    """Logits of every item in the map in the contexts the slice ``contexts``
+    selects, shape (contexts, n_items): each path's token logits added left
+    to right from 0.0."""
+    _check_map(model, tmap)
     mat = tmap.token_matrix
     prefixes = tmap.prefix_indices
-    n = mat.shape[0]
-    scores = np.zeros(n)
-    for m in range(spec.k):
-        scores += model.rows(m)[h, model.node_index(prefixes[m]), mat[:, m]]
+    scores = np.zeros((len(range(model.C)[contexts]), tmap.n_items))
+    for m in range(model.spec.k):
+        slots = model.node_index(prefixes[m]) * model.spec.X + mat[:, m]  # flat row offsets
+        scores += np.take(model.rows(m)[contexts].reshape(len(scores), -1), slots, axis=1)
     if model.counter is not None:
-        model.counter.entries += spec.k * n
+        model.counter.entries += model.spec.k * scores.size
     return scores
 
 

@@ -19,9 +19,9 @@ training losses for a positive item i+ with Phi(i+) = (t_1 .. t_k) are:
 Three routes to a sequence-space partition value are implemented.
 
 * ``full_log_partition``: enumerate items through the map (Z_full above).
-* ``sequence_log_partition``: score all X**k sequences with no map.  Over
-  an identity map it makes the same float additions as the item route, so
-  the two agree bit for bit.
+* ``sequence_log_partition``: score all X**k sequences with no map
+  (``sequence_scores``).  Over an identity map it makes the same float
+  additions as the item route, so the two agree bit for bit.
 * ``sequence_log_partition_levelwise``: the product-form recursion
   log Z(node) = LSE_t(l(node, t) + log Z(child)).  Distributivity makes it
   the same sum; its float operations differ, so it agrees to rounding only.
@@ -38,15 +38,15 @@ softmax define different distributions over the same items.
 ``check_contexts`` reports both gaps so either regime is measured rather
 than assumed.
 
-Most of a report is shared by every item of one context: log Z by the
-sequence route, the item logits, log Z_full and the flat softmax.
-``check_contexts`` computes those once per checked context, for a whole
-batch of contexts of one model in each numpy pass, and then, per item, only
-the k visited nodes' log Z, the item's logit and the k visited rows of both
-analytic gradients.  Every step is row-wise, so it makes the float
-operations of the per-item routines (the losses here, the gradients in
-``tests/reference.py``) in their order, and its reports equal theirs bit for
-bit however the contexts are batched.
+Each per-context quantity is built in one place, for the contexts a slice
+selects: the item logits by ``logits.item_logits``, the sequence scores by
+``sequence_scores``, and each log-sum-exp by ``log_sum_exp_rows``.  The
+one-context routines pass a one-context slice; ``check_contexts`` passes
+all contexts, then, per item, reads only the k visited nodes' log Z, the
+item's logit and the k visited rows of both analytic gradients.  Every step
+is row-wise, so it makes the float operations of the per-item routines (the
+losses here, the gradients in ``tests/reference.py``) in their order, and
+its reports equal theirs bit for bit however the contexts are batched.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logits import FormError, LogitModel, item_logits_all
+from .logits import FormError, LogitModel, _check_context, item_logits
 from .vocab import TokenMap
 
 
@@ -68,14 +68,13 @@ def log_sum_exp(values) -> float:
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptyInputError("log_sum_exp needs at least one value")
-    m = arr.max()
-    return float(m + np.log(np.exp(arr - m).sum()))
+    return float(log_sum_exp_rows(arr))
 
 
 def log_sum_exp_rows(rows: np.ndarray) -> np.ndarray:
-    """:func:`log_sum_exp` of each row of a 2-D array, shape (rows,)."""
-    mx = rows.max(axis=-1)
-    return mx + np.log(np.exp(rows - mx[:, None]).sum(axis=-1))
+    """log(sum(exp(.))) along the last axis of any shape, each row shifted by its maximum."""
+    mx = rows.max(axis=-1, keepdims=True)
+    return mx[..., 0] + np.log(np.exp(rows - mx).sum(axis=-1))
 
 
 def softmax(values) -> np.ndarray:
@@ -105,29 +104,31 @@ def full_log_partition(model: LogitModel, h: int, tmap: TokenMap) -> float:
     Probe maps are enumerated as-is: colliding items contribute one term
     each, so a duplicated sequence is counted once per owning item.
     """
-    return log_sum_exp(item_logits_all(model, h, tmap))
+    return log_sum_exp(item_logits(model, tmap, _check_context(model.C, h)))
 
 
 def fv_mle_loss(model: LogitModel, h: int, tmap: TokenMap, i_plus: int) -> float:
     """Flat-softmax negative log likelihood of ``i_plus`` over the item catalogue."""
     if not 0 <= i_plus < tmap.n_items:
         raise ValueError(f"item {i_plus} outside [0, {tmap.n_items})")
-    logits = item_logits_all(model, h, tmap)
+    logits = item_logits(model, tmap, _check_context(model.C, h))[0]
     return -(float(logits[i_plus]) - log_sum_exp(logits))
 
 
-def sequence_log_partition(model: LogitModel, h: int) -> float:
-    """log of the sum over all X**k sequences of exp(summed conditional logits).
-
-    Scores every sequence as 0.0 plus its k logits in position order, in
-    lexicographic order: the additions :func:`full_log_partition` makes over
-    an identity map.  Needs no token map.
-    """
-    scores = np.zeros(1)
+def sequence_scores(model: LogitModel, contexts: slice) -> np.ndarray:
+    """Summed logits of all X**k sequences in lexicographic order, in the
+    contexts the slice ``contexts`` selects, shape (contexts, X**k): 0.0 plus
+    the k logits in position order, as ``item_logits`` adds an identity map."""
+    scores = np.zeros((len(range(model.C)[contexts]), 1))
     for m in range(model.spec.k):
-        # (nodes, X) rows in base-X prefix order; one shared row broadcasts
-        scores = (scores[:, None] + model.rows(m)[h]).ravel()
-    return log_sum_exp(scores)
+        # (contexts, nodes, X) rows in base-X prefix order; one shared row broadcasts
+        scores = (scores[:, :, None] + model.rows(m)[contexts]).reshape(len(scores), -1)
+    return scores
+
+
+def sequence_log_partition(model: LogitModel, h: int) -> float:
+    """log of the sum over all X**k sequences of exp(summed conditional logits)."""
+    return log_sum_exp(sequence_scores(model, _check_context(model.C, h)))
 
 
 def sequence_log_partition_levelwise(model: LogitModel, h: int) -> float:
@@ -135,6 +136,7 @@ def sequence_log_partition_levelwise(model: LogitModel, h: int) -> float:
     log Z(node) = LSE_t(l(node, t) + log Z(child)), with log Z = 0 for a
     complete sequence.  Its float operations differ from the flat route's.
     """
+    _check_context(model.C, h)
     log_z = np.zeros(model.rows(model.spec.k - 1)[h].size)
     for m in reversed(range(model.spec.k)):
         rows = model.rows(m)[h]
@@ -152,6 +154,7 @@ def sequence_log_partition_factored(model: LogitModel, h: int) -> float:
     """
     if model.form != "parallel":
         raise FormError("factored partition route needs a parallel model")
+    _check_context(model.C, h)
     total = 0.0
     for m in range(model.spec.k):
         total += log_sum_exp(model.tables[m][h])
@@ -195,9 +198,8 @@ def check_contexts(model: LogitModel, tmap: TokenMap, items) -> list[Equivalence
     step works per context or per element, in the order of :func:`ntp_loss`,
     :func:`fv_mle_loss` and the per-item gradient routines of
     ``tests/reference.py``.  So each report equals that file's
-    ``composed_report`` bit for bit, whatever the other contexts.  Adds
-    k * n_items per context to the attached lookup counter, the count of
-    :func:`item_logits_all`.
+    ``composed_report`` bit for bit, whatever the other contexts.  Its one
+    ``item_logits`` call counts k * n_items entries per context.
     """
     spec = model.spec
     items = np.asarray(items, dtype=np.int64)
@@ -209,18 +211,8 @@ def check_contexts(model: LogitModel, tmap: TokenMap, items) -> list[Equivalence
     mat = tmap.token_matrix
     prefixes = tmap.prefix_indices
 
-    # sequence_log_partition per context: 0.0 plus the k logits, lexicographic order
-    scores = np.zeros((C, 1))
-    for m in range(spec.k):
-        scores = (scores[:, :, None] + model.rows(m)).reshape(C, spec.X ** (m + 1))
-    log_zprod = log_sum_exp_rows(scores)
-    # item_logits_all per context; each item reads the flat (node, token) slot of its path
-    slots = [model.node_index(prefixes[m]) * spec.X + mat[:, m] for m in range(spec.k)]
-    logits = np.zeros((C, tmap.n_items))
-    for m in range(spec.k):
-        logits += np.take(model.rows(m).reshape(C, -1), slots[m], axis=1)
-    if model.counter is not None:
-        model.counter.entries += C * spec.k * tmap.n_items
+    log_zprod = log_sum_exp_rows(sequence_scores(model, slice(None)))
+    logits = item_logits(model, tmap, slice(None))
     log_zfull = log_sum_exp_rows(logits)
     p = softmax(logits)
 
@@ -230,8 +222,8 @@ def check_contexts(model: LogitModel, tmap: TokenMap, items) -> list[Equivalence
     grad_gap = np.zeros(C * n_pick)
     for m in range(spec.k):
         node_size = model.rows(m)[0].size
-        # one block of node_size bins per context, so each bin adds only its context's p
-        bins = (slots[m] + h * node_size).ravel()
+        # each item's flat (node, token) slot, in one block of node_size bins per context
+        bins = (model.node_index(prefixes[m]) * spec.X + mat[:, m] + h * node_size).ravel()
         mass = np.bincount(bins, weights=p.ravel(), minlength=C * node_size).reshape(C, -1, spec.X)
         nodes = np.broadcast_to(model.node_index(prefixes[m, items]), items.shape)
         tokens = mat[items, m].ravel()

@@ -6,10 +6,10 @@ teacher-forcing gradient, data reshuffled every epoch from one seed, no
 momentum or decay, so whatever the model converges to is attributable to the
 loss alone.
 
-Two evaluation views are provided.  ``eval_kl`` scores the flat softmax over
-summed item logits (the full-partition view the equivalence checker also
-uses).  ``eval_kl_chain`` scores the chained softmax distribution, which is
-what next-token training actually fits; for parallel models the two coincide,
+Two evaluation views, each one (C, n_items) table, are provided.  ``eval_kl``
+scores the flat softmax over summed item logits (the full-partition view the
+equivalence checker also uses).  ``eval_kl_chain`` scores the chained softmax,
+which is what next-token training fits; for parallel models the two coincide,
 for cascaded models they generally do not (see the losses module docstring).
 
 The per-sample SGD epoch runs in a C kernel, ``_sgd.c``, when one can be
@@ -45,8 +45,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .logits import FORMS, LogitModel, item_logits_all
-from .losses import log_sum_exp, log_sum_exp_rows
+from .logits import FORMS, LogitModel, _check_map, item_logits
+from .losses import log_sum_exp_rows
 from .vocab import CodebookSpec, TokenMap, identity_token_map
 
 
@@ -138,30 +138,37 @@ class EpochRecord:
     kl: float
 
 
-def _model_log_probs_flat(model: LogitModel, tmap: TokenMap, h: int) -> np.ndarray:
-    scores = item_logits_all(model, h, tmap)
-    return scores - log_sum_exp(scores)
+def _flat_log_q(model: LogitModel, tmap: TokenMap) -> np.ndarray:
+    """Flat-softmax log probability of every item in every context."""
+    scores = item_logits(model, tmap, slice(None))
+    return scores - log_sum_exp_rows(scores)[:, None]
 
 
-def _model_log_probs_chain(model: LogitModel, tmap: TokenMap, h: int) -> np.ndarray:
-    """Chained-softmax log probability of every item: the sum over positions of
-    the visited token's logit minus its node's log-partition."""
-    mat = tmap.token_matrix
-    prefixes = tmap.prefix_indices
-    out = np.zeros(mat.shape[0])
+def _chain_log_q(model: LogitModel, tmap: TokenMap) -> np.ndarray:
+    """Chained-softmax log probability of every item in every context: from 0.0,
+    per position, the visited token's logit minus its node's log-partition."""
+    out = np.zeros((model.C, tmap.n_items))
     for m in range(model.spec.k):
-        rows = model.rows(m)[h]
-        node = model.node_index(prefixes[m])
-        out += rows[node, mat[:, m]] - log_sum_exp_rows(rows)[node]
+        log_p = model.rows(m) - log_sum_exp_rows(model.rows(m))[..., None]
+        out += log_p[:, model.node_index(tmap.prefix_indices[m]), tmap.token_matrix[:, m]]
     return out
 
 
-def _forward_kl(world: SyntheticWorld, log_q_rows: list[np.ndarray]) -> float:
+def _check_world(model: LogitModel, tmap: TokenMap, world: SyntheticWorld | None) -> None:
+    _check_map(model, tmap)
+    if world is not None and world.p_star.shape != (model.C, tmap.n_items):
+        raise ValueError(
+            f"world p_star shape {world.p_star.shape} does not match "
+            f"({model.C}, {tmap.n_items})"
+        )
+
+
+def _forward_kl(world: SyntheticWorld, log_q: np.ndarray) -> float:
     total = 0.0
     for h in range(world.C):
         p = world.p_star[h]
         mask = p > 0.0
-        total += float((p[mask] * (np.log(p[mask]) - log_q_rows[h][mask])).sum())
+        total += float((p[mask] * (np.log(p[mask]) - log_q[h][mask])).sum())
     return total / world.C
 
 
@@ -170,7 +177,8 @@ def eval_kl(model: LogitModel, tmap: TokenMap, world: SyntheticWorld) -> float:
 
     Zero target mass contributes zero (0 * log 0 := 0).
     """
-    return _forward_kl(world, [_model_log_probs_flat(model, tmap, h) for h in range(world.C)])
+    _check_world(model, tmap, world)
+    return _forward_kl(world, _flat_log_q(model, tmap))
 
 
 def eval_kl_chain(model: LogitModel, tmap: TokenMap, world: SyntheticWorld) -> float:
@@ -180,7 +188,8 @@ def eval_kl_chain(model: LogitModel, tmap: TokenMap, world: SyntheticWorld) -> f
     equals the flat view exactly when per-node partition values do not depend
     on the prefix.
     """
-    return _forward_kl(world, [_model_log_probs_chain(model, tmap, h) for h in range(world.C)])
+    _check_world(model, tmap, world)
+    return _forward_kl(world, _chain_log_q(model, tmap))
 
 
 def _epoch_metrics(
@@ -189,24 +198,20 @@ def _epoch_metrics(
 ) -> tuple[float, float, float]:
     """Dataset-mean losses at the current parameters, plus eval KL.
 
-    Means are exact: per-(h, i) losses are computed once and weighted by the
-    dataset's (h, i) counts.  Each context's flat log probabilities serve
-    both the flat loss and the KL.
+    Means are exact: per-(h, i) losses are computed once, weighted by the
+    dataset's (h, i) counts and added context by context from 0.0.  The flat
+    log probabilities serve both the flat loss and the KL.
     """
     mean_ntp = 0.0
     mean_fv = 0.0
-    log_q_flat = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is train_sgd's to reject
+        ntp = -_chain_log_q(model, tmap)
+        log_q_flat = _flat_log_q(model, tmap)
         for h in range(model.C):
-            ntp_tab = -_model_log_probs_chain(model, tmap, h)
-            log_q_flat.append(_model_log_probs_flat(model, tmap, h))
-            w = counts[h]
-            mean_ntp += float((w * ntp_tab).sum())
-            mean_fv += float((w * -log_q_flat[h]).sum())
+            mean_ntp += float((counts[h] * ntp[h]).sum())
+            mean_fv += float((counts[h] * -log_q_flat[h]).sum())
         kl = _forward_kl(world, log_q_flat) if world is not None else float("nan")
-    mean_ntp /= n
-    mean_fv /= n
-    return mean_ntp, mean_fv, kl
+    return mean_ntp / n, mean_fv / n, kl
 
 
 def _python_epoch(model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
@@ -447,17 +452,11 @@ def train_sgd(
         raise ValueError("dataset is empty")
     if tmap.mode != "strict":
         raise ValueError("training needs a strict token map")
-    if tmap.spec != model.spec:
-        raise ValueError(f"token map spec {tmap.spec} does not match model spec {model.spec}")
+    _check_world(model, tmap, world)
     if not (0 <= data.contexts.min() and data.contexts.max() < model.C):
         raise ValueError(f"dataset contexts must lie in [0, {model.C})")
     if not (0 <= data.items.min() and data.items.max() < tmap.n_items):
         raise ValueError(f"dataset items must lie in [0, {tmap.n_items})")
-    if world is not None and world.p_star.shape != (model.C, tmap.n_items):
-        raise ValueError(
-            f"world p_star shape {world.p_star.shape} does not match "
-            f"({model.C}, {tmap.n_items})"
-        )
 
     model = model.copy()
     n = len(data)

@@ -19,7 +19,7 @@ from sidlab import (
     FormError,
     full_log_partition,
     fv_mle_loss,
-    item_logits_all,
+    item_logits,
     ntp_loss,
     sequence_log_partition,
     softmax,
@@ -28,7 +28,7 @@ from sidlab import (
 
 def item_logit(model, h, tmap, item):
     """Item logit: the sum of token logits along the item's sequence path,
-    added left to right from 0.0 like :func:`item_logits_all`."""
+    added left to right from 0.0 like :func:`item_logits`."""
     seq = tmap.forward(item)
     total = 0.0
     for m in range(len(seq)):
@@ -67,7 +67,7 @@ def fv_mle_grad(model, h, tmap, i_plus):
     spec = model.spec
     mat = tmap.token_matrix
     prefixes = tmap.prefix_indices
-    p = softmax(item_logits_all(model, h, tmap))
+    p = softmax(item_logits(model, tmap, slice(h, h + 1))[0])
     grads = _zeros_like(model)
     seq = tmap.forward(i_plus)
     for m in range(spec.k):

@@ -22,9 +22,12 @@ from sidlab import (
     ParallelLogitModel,
     TokenMap,
     beam_search,
+    check_contexts,
     decoder,
+    eval_kl,
+    exact_topk,
     identity_token_map,
-    item_logits_all,
+    item_logits,
     load_model,
     logits,
     losses,
@@ -32,10 +35,13 @@ from sidlab import (
     model_to_json_dict,
     mtp_decode,
     prefix_index_arrays,
+    sample_dataset,
     save_model,
+    synth_world,
     table_entry_count,
+    train_sgd,
 )
-from sidlab import artifacts
+from sidlab import artifacts, trainer
 from reference import embed_parallel_as_cascaded, item_logit
 
 SPEC = CodebookSpec(k=3, X=3)
@@ -229,7 +235,7 @@ class TestNoBuiltinSum:
 class TestPathSumsUnderCompensatedSum:
     """The modules' ``sum`` swapped for ``math.fsum``, a compensated sum like
     Python 3.12's: path sums must still match the left-to-right additions of
-    ``item_logits_all`` and ``beam_search`` bit for bit."""
+    ``item_logits`` and ``beam_search`` bit for bit."""
 
     @pytest.fixture(autouse=True)
     def compensated_sum(self, monkeypatch):
@@ -240,11 +246,11 @@ class TestPathSumsUnderCompensatedSum:
     def test_item_logit_equals_item_logits_all(self, cls):
         for seed in range(20):
             spec = CodebookSpec(k=3 + seed % 2, X=2 + seed % 3)
-            model = cls.random(spec, 1, 2.0, seed=seed)
+            model = cls.random(spec, 2, 2.0, seed=seed)
             tmap = identity_token_map(spec)
-            vec = item_logits_all(model, 0, tmap)
-            for i in range(tmap.n_items):
-                assert item_logit(model, 0, tmap, i) == vec[i]
+            table = item_logits(model, tmap, slice(None))
+            for h, i in np.ndindex(table.shape):
+                assert item_logit(model, h, tmap, i) == table[h, i]
 
     def test_mtp_equals_exhaustive_beam(self):
         for seed in range(40):
@@ -310,16 +316,41 @@ class TestItemLogits:
         model = cls.random(SPEC, 2, 0.7, seed=7)
         tmap = identity_token_map(SPEC)
         for h in range(2):
-            vec = item_logits_all(model, h, tmap)
-            scal = np.array([item_logit(model, h, tmap, i) for i in range(tmap.n_items)])
-            assert np.allclose(vec, scal, atol=1e-13, rtol=0.0)
+            vec = item_logits(model, tmap, slice(h, h + 1))
+            scal = np.array([[item_logit(model, h, tmap, i) for i in range(tmap.n_items)]])
+            assert np.array_equal(vec, scal)
+
+    @pytest.mark.parametrize("cls", [CascadedLogitModel, ParallelLogitModel])
+    def test_all_contexts_equal_the_one_context_slices_bitwise(self, cls):
+        model = cls.random(CodebookSpec(k=3, X=4), 5, 3.0, seed=9)
+        identity = identity_token_map(model.spec)
+        probe = TokenMap(model.spec, identity.token_matrix[::-3], "probe")
+        for tmap in (identity, probe):
+            whole = item_logits(model, tmap, slice(None))
+            parts = np.vstack([item_logits(model, tmap, slice(h, h + 1)) for h in range(5)])
+            assert whole.shape == (5, tmap.n_items)
+            assert whole.tobytes() == parts.tobytes()
 
     def test_vectorized_counter_is_k_times_items(self):
-        model = CascadedLogitModel.zeros(SPEC, 1)
+        model = CascadedLogitModel.zeros(SPEC, 3)
         tmap = identity_token_map(SPEC)
         model.counter = LookupCounter()
-        item_logits_all(model, 0, tmap)
+        item_logits(model, tmap, slice(0, 1))
         assert model.counter.entries == SPEC.k * tmap.n_items
+        item_logits(model, tmap, slice(None))
+        assert model.counter.entries == (1 + 3) * SPEC.k * tmap.n_items  # one context, then all three
+
+    @pytest.mark.parametrize("read", [
+        lambda model, tmap: item_logits(model, tmap, slice(None)),
+        lambda model, tmap: exact_topk(model, 1, tmap, 2),
+        lambda model, tmap: check_contexts(model, tmap, [[0], [3]]),
+    ], ids=["item_logits", "exact_topk", "check_contexts"])
+    @pytest.mark.parametrize("cls", [CascadedLogitModel, ParallelLogitModel])
+    def test_a_map_of_another_spec_is_refused(self, cls, read):
+        # a k=2, X=2 map on a k=2, X=4 model used to read a sub-tree of its rows
+        model = cls.random(CodebookSpec(k=2, X=4), 2, 1.0, seed=1)
+        with pytest.raises(ValueError, match="does not match model spec"):
+            read(model, identity_token_map(CodebookSpec(k=2, X=2)))
 
     def test_prefix_index_arrays_match_spec(self):
         tmap = identity_token_map(SPEC)
@@ -331,16 +362,45 @@ class TestItemLogits:
                 assert arr[m, item] == SPEC.prefix_index(seq[:m])
 
 
+class TestOnePathSumSite:
+    """Each routine that needs item path sums takes them for all its
+    contexts in one ``item_logits`` call, so a per-context loop fails here."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counted(model, tmap, contexts):
+            seen.append(contexts)
+            return logits.item_logits(model, tmap, contexts)
+
+        for module in (trainer, losses, decoder):
+            monkeypatch.setattr(module, "item_logits", counted)
+        return seen
+
+    @pytest.mark.parametrize("cls", [CascadedLogitModel, ParallelLogitModel])
+    def test_one_call_per_routine(self, cls, calls):
+        model = cls.random(SPEC, 4, 1.0, seed=2)
+        tmap = identity_token_map(SPEC)
+        world = synth_world(4, tmap.n_items, 0.5, seed=3)
+        eval_kl(model, tmap, world)
+        check_contexts(model, tmap, np.zeros((4, 3), dtype=np.int64))
+        exact_topk(model, 2, tmap, 5)
+        assert calls == [slice(None), slice(None), slice(2, 3)]
+        calls.clear()
+        train_sgd(model, tmap, sample_dataset(world, 300, seed=4), 0.1, 3, seed=5, world=world)
+        assert calls == [slice(None)] * 3  # one per epoch's metrics
+
+
 class TestParallelEmbedding:
     def test_embedding_preserves_all_item_logits(self):
         par = ParallelLogitModel.random(SPEC, 2, 0.6, seed=8)
         casc = embed_parallel_as_cascaded(par)
         tmap = identity_token_map(SPEC)
         assert casc.form == "cascaded"
-        for h in range(2):
-            a = item_logits_all(par, h, tmap)
-            b = item_logits_all(casc, h, tmap)
-            assert np.allclose(a, b, atol=1e-15, rtol=0.0)
+        a = item_logits(par, tmap, slice(None))
+        b = item_logits(casc, tmap, slice(None))
+        assert np.allclose(a, b, atol=1e-15, rtol=0.0)
 
     def test_embedding_rejects_cascaded_input(self):
         with pytest.raises(FormError):

@@ -24,10 +24,12 @@ from sidlab import (
     ParallelLogitModel,
     TokenMap,
     check_contexts,
+    exact_topk,
     full_log_partition,
     fv_mle_loss,
     identity_token_map,
     log_sum_exp,
+    mtp_decode,
     ntp_loss,
     sequence_log_partition,
     sequence_log_partition_factored,
@@ -205,7 +207,7 @@ class TestFlatLoss:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_equals_the_per_item_path_sum_bitwise(self):
-        # one item_logits_all read makes the additions of the per-item path sum
+        # one item_logits read makes the additions of the per-item path sum
         rng = np.random.default_rng(7)
         for cls in (CascadedLogitModel, ParallelLogitModel):
             for k, X in itertools.product((1, 2, 3), (2, 3, 5)):
@@ -326,6 +328,28 @@ class TestPartitionRoutes:
         assert sequence_log_partition(model, 0) == pytest.approx(
             2.8121037714510626, abs=1e-12
         )
+
+
+class TestContextRange:
+    """Every per-context entry point refuses a context outside [0, C), as
+    ``beam_search`` does, instead of reading another context's rows."""
+
+    @pytest.mark.parametrize("route", [
+        lambda model, tmap, h: sequence_log_partition(model, h),
+        lambda model, tmap, h: sequence_log_partition_levelwise(model, h),
+        lambda model, tmap, h: sequence_log_partition_factored(model, h),
+        lambda model, tmap, h: full_log_partition(model, h, tmap),
+        lambda model, tmap, h: fv_mle_loss(model, h, tmap, 0),
+        lambda model, tmap, h: exact_topk(model, h, tmap, 1),
+        lambda model, tmap, h: mtp_decode(model, h, 1),
+    ], ids=["sequence", "levelwise", "factored", "full", "fv_mle_loss", "exact_topk", "mtp_decode"])
+    @pytest.mark.parametrize("h", [-1, 3])
+    def test_context_outside_the_model_is_refused(self, route, h):
+        # h = -1 used to read context C - 1 without a word
+        spec = CodebookSpec(k=2, X=3)
+        model = ParallelLogitModel.random(spec, 3, 1.0, seed=0)
+        with pytest.raises(ValueError, match="context"):
+            route(model, identity_token_map(spec), h)
 
 
 class TestLossIdentityScope:

@@ -269,6 +269,9 @@ class TestTrainSgd:
         for other in [CodebookSpec(k=2, X=3), CodebookSpec(k=3, X=2)]:
             with pytest.raises(ValueError, match="does not match model spec"):
                 train_sgd(model, identity_token_map(other), Dataset([0, 1], [0, 3]), lr=0.1, epochs=1, seed=0)
+            for evaluate in (eval_kl, eval_kl_chain):
+                with pytest.raises(ValueError, match="does not match model spec"):
+                    evaluate(model, identity_token_map(other), world)
 
     @pytest.mark.parametrize(
         "C,N", [(1, 4), (3, 4), (2, 3), (2, 8)],
@@ -281,6 +284,9 @@ class TestTrainSgd:
         world = synth_world(C, N, 0.6, seed=0)
         with pytest.raises(ValueError, match="p_star shape"):
             train_sgd(model, tmap, data, lr=0.1, epochs=1, seed=0, world=world)
+        for evaluate in (eval_kl, eval_kl_chain):
+            with pytest.raises(ValueError, match="p_star shape"):
+                evaluate(model, tmap, world)
 
     def test_kl_is_nan_without_a_world(self):
         spec, tmap, world, data = self.small_setup()
