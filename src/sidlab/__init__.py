@@ -33,7 +33,6 @@ from .logits import (
 )
 from .losses import (
     EmptyInputError,
-    EquivalenceReport,
     check_contexts,
     full_log_partition,
     fv_mle_loss,
@@ -122,7 +121,6 @@ __all__ = [
     "load_model",
     # losses
     "EmptyInputError",
-    "EquivalenceReport",
     "log_sum_exp",
     "softmax",
     "ntp_loss",

@@ -2,8 +2,8 @@
 and every checkpoint and token map it reads.
 
 A JSON artifact is ``json.dump`` with sorted keys, a two-space indent and a
-trailing newline.  A CSV artifact is a header of a dataclass's field names
-and one row per instance, in the ``csv`` module's default dialect, where
+trailing newline.  A CSV artifact is a header of column names and one row
+per index of the columns, in the ``csv`` module's default dialect, where
 ``None`` is an empty cell.  Neither ever holds NaN or an infinity: a
 non-finite float raises :class:`NonFiniteError` and leaves no file behind.
 ``read_json`` reads a JSON artifact's bytes back, handing its arrays of
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import dataclasses
 import functools
 import json
 import json.decoder
@@ -209,17 +208,24 @@ def read_json(data: bytes):
         raise ValueError("the JSON document is nested too deeply") from exc
 
 
-def write_csv(path, row_type, rows) -> None:
-    """One header of ``row_type``'s fields, then one row per dataclass in ``rows``."""
-    names = [field.name for field in dataclasses.fields(row_type)]
+def write_csv(path, columns: dict) -> None:
+    """A header of ``columns``' names, then one row per index of its columns:
+    numpy arrays, as the Python scalars of ``tolist``, or lists of cells.
+    Columns of unequal length are refused (``zip(strict=True)``)."""
     with _new_file(path) as fh:
+        cells = []
+        for name, column in columns.items():
+            if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+                finite = np.isfinite(column).all()  # one call for a numeric array
+                column = column.tolist()
+            else:  # a list, or an array of objects or strings: each float cell
+                finite = all(math.isfinite(v) for v in column if isinstance(v, float))
+            if not finite:
+                raise NonFiniteError(f"{Path(path).name} would hold a non-finite number in {name}")
+            cells.append(column)
         writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in rows:
-            cells = [getattr(row, name) for name in names]
-            if not all(math.isfinite(v) for v in cells if isinstance(v, float)):
-                raise NonFiniteError(f"{Path(path).name} would hold a non-finite number: {row}")
-            writer.writerow(cells)
+        writer.writerow(columns)
+        writer.writerows(zip(*cells, strict=True))
 
 
 # decimal strings that a reader which does not round correctly gets wrong:

@@ -32,6 +32,7 @@ infinity: a run that would write one exits 4 and leaves that file unwritten.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -55,7 +56,7 @@ from .logits import (
     model_to_json_dict,
     table_entry_count,
 )
-from .losses import EquivalenceReport, check_contexts, summarize_reports
+from .losses import REPORT_COLUMNS, check_contexts, summarize_reports
 from .tokenizer import (
     DegenerateInputError,
     FSQModel,
@@ -405,6 +406,12 @@ def _probe_map_with_duplicate(identity: TokenMap, dup_item: int) -> TokenMap:
     return TokenMap(identity.spec, np.vstack([table, table[dup_item]]), "probe")
 
 
+def _columns(row_type, rows) -> dict[str, list]:
+    """Dataclass rows as one list per field of ``row_type``, for ``write_csv``."""
+    return {field.name: [getattr(row, field.name) for row in rows]
+            for field in dataclasses.fields(row_type)}
+
+
 def cmd_verify(cfg: dict, out_dir: Path, chash: str) -> int:
     seed, trials, forms = cfg["seed"], cfg["trials"], cfg["forms"]
     k_values, X_values, C_values = cfg["k_values"], cfg["X_values"], cfg["C_values"]
@@ -446,7 +453,7 @@ def cmd_verify(cfg: dict, out_dir: Path, chash: str) -> int:
         groups.setdefault(key, []).append(t)
 
     identities: dict[CodebookSpec, TokenMap] = {}
-    by_trial: list[list] = [[] for _ in range(trials)]
+    parts = []  # per batch: its columns, with each row's trial and the trial's own context ids
     for (form, spec, own), members in groups.items():
         if spec not in identities:
             identities[spec] = identity_token_map(spec)
@@ -460,21 +467,22 @@ def cmd_verify(cfg: dict, out_dir: Path, chash: str) -> int:
             tables = [np.stack([tabs[m] for _, _, tabs, _ in batch]) for m in range(spec.k)]
             items = np.stack([row_items for *_, row_items in batch])
             got = check_contexts(FORMS[form](spec, len(batch), tables), tmap, items)
-            for r, report in enumerate(got):
-                t, h, _, _ = batch[r // items.shape[1]]
-                report.context = h  # the trial's own context id, not the batch's
-                by_trial[t].append(report)
-    reports = [report for trial in by_trial for report in trial]
-    per_form: dict[str, list] = {form: [] for form in forms}
-    for t, trial in enumerate(by_trial):
-        per_form[forms[t % len(forms)]].extend(trial)
+            ids = np.repeat([(t, h) for t, h, *_ in batch], items.shape[1], axis=0)
+            got["context"] = ids[:, 1]  # the trial's own context id, not the batch's
+            parts.append(dict(got, trial=ids[:, 0]))
+    merged = {name: np.concatenate([part[name] for part in parts] or [np.empty(0, np.int64)])
+              for name in ("trial", *REPORT_COLUMNS)}
+    order = np.argsort(merged["trial"], kind="stable")  # each trial's rows in checking order
+    columns = {name: merged[name][order] for name in REPORT_COLUMNS}
+    form_of = np.asarray(forms)[merged["trial"][order] % len(forms)]
 
-    write_csv(out_dir / "equivalence.csv", EquivalenceReport, reports)
-    summary = summarize_reports(reports)
+    write_csv(out_dir / "equivalence.csv", columns)
+    summary = summarize_reports(columns)
     summary.update({
         "command": "verify", "config_sha256": chash, "seed": seed, "trials": trials,
         "map_mode": map_mode, "tolerance": tolerance,
-        "per_form": {form: summarize_reports(rows) for form, rows in per_form.items()},
+        "per_form": {form: summarize_reports({n: c[form_of == form] for n, c in columns.items()})
+                     for form in forms},
     })
     write_json(out_dir / "summary.json", summary)
 
@@ -534,7 +542,7 @@ def cmd_train(cfg: dict, out_dir: Path, chash: str) -> int:
         print(f"train: {exc}", file=sys.stderr)
         return 1
     checkpoint(trained, out_dir / "checkpoint_final.json")
-    write_csv(out_dir / "trace.csv", EpochRecord, records)
+    write_csv(out_dir / "trace.csv", _columns(EpochRecord, records))
     with np.errstate(over="ignore", invalid="ignore"):
         final_kl_chain = eval_kl_chain(trained, tmap, world)
     last = records[-1]
@@ -598,7 +606,7 @@ def cmd_bench(cfg: dict, out_dir: Path, chash: str) -> int:
     k_values, X_values = cfg["k_values"], cfg["X_values"]
     _sweep_specs(k_values, X_values)
     rows = ops_sweep(k_values, X_values, C=cfg["C"])
-    write_csv(out_dir / "bench_ops.csv", OpsRow, rows)
+    write_csv(out_dir / "bench_ops.csv", _columns(OpsRow, rows))
     headline = count_softmax_ops(CodebookSpec(k=3, X=256))
     write_json(out_dir / "summary.json", {
         "command": "bench", "config_sha256": chash, "seed": cfg["seed"], "n_rows": len(rows),

@@ -51,8 +51,6 @@ its reports equal theirs bit for bit however the contexts are batched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .logits import FormError, LogitModel, _check_context, item_logits
@@ -161,31 +159,19 @@ def sequence_log_partition_factored(model: LogitModel, h: int) -> float:
     return total
 
 
-@dataclass
-class EquivalenceReport:
-    """Measured agreement between the chained and flat formulations.
-
-    ``z_product`` is the sequence-enumeration partition value (the expanded
-    product of per-position sums); ``z_full`` the item-enumeration value.
-    ``max_grad_gap`` is the largest absolute difference between the two
-    analytic gradients over the k visited-node rows.
-    """
-
-    context: int
-    item: int
-    z_product: float
-    z_full: float
-    loss_ntp: float
-    loss_fv_mle: float
-    abs_partition_gap: float
-    abs_loss_gap: float
-    max_grad_gap: float
+# the columns of equivalence.csv, in order: check_contexts returns one array each.
+# z_product is the sequence route's partition value, z_full the item route's;
+# max_grad_gap is the largest absolute difference between the two analytic
+# gradients over the item's k visited-node rows
+REPORT_COLUMNS = ("context", "item", "z_product", "z_full", "loss_ntp", "loss_fv_mle",
+                  "abs_partition_gap", "abs_loss_gap", "max_grad_gap")
 
 
-def check_contexts(model: LogitModel, tmap: TokenMap, items) -> list[EquivalenceReport]:
+def check_contexts(model: LogitModel, tmap: TokenMap, items) -> dict[str, np.ndarray]:
     """Compare both losses, both partition routes and both gradients for each
     context h of ``model`` against the items ``items[h]``, an array of shape
-    (C, n_pick).  The reports come in context order, then item order.
+    (C, n_pick).  Returns one array per name in ``REPORT_COLUMNS``, with one
+    row per item, in context order, then item order.
     Accepts strict or probe maps; on probe maps the partition gap quantifies
     the effect of collisions and missing coverage instead of vanishing.
 
@@ -197,7 +183,7 @@ def check_contexts(model: LogitModel, tmap: TokenMap, items) -> list[Equivalence
     gradient, the mass row minus the one-hot for the flat gradient.  Every
     step works per context or per element, in the order of :func:`ntp_loss`,
     :func:`fv_mle_loss` and the per-item gradient routines of
-    ``tests/reference.py``.  So each report equals that file's
+    ``tests/reference.py``.  So each row equals that file's
     ``composed_report`` bit for bit, whatever the other contexts.  Its one
     ``item_logits`` call counts k * n_items entries per context.
     """
@@ -242,27 +228,21 @@ def check_contexts(model: LogitModel, tmap: TokenMap, items) -> list[Equivalence
         z_product = np.exp(log_zprod)
         z_full = np.exp(log_zfull)
     per_item = np.repeat(np.arange(C), n_pick)
-    return [
-        EquivalenceReport(*fields)
-        for fields in zip(
-            per_item.tolist(),
-            items.ravel().tolist(),
-            z_product[per_item].tolist(),
-            z_full[per_item].tolist(),
-            loss_ntp.tolist(),
-            loss_fv.tolist(),
-            np.abs(log_zprod - log_zfull)[per_item].tolist(),
-            np.abs(loss_ntp - loss_fv).tolist(),
-            grad_gap.tolist(),
-        )
-    ]
+    return dict(zip(REPORT_COLUMNS, (
+        per_item, items.ravel(), z_product[per_item], z_full[per_item], loss_ntp, loss_fv,
+        np.abs(log_zprod - log_zfull)[per_item], np.abs(loss_ntp - loss_fv), grad_gap,
+    )))
 
 
-def summarize_reports(reports: list[EquivalenceReport]) -> dict:
-    """Aggregate maxima across a batch of reports (zeros for an empty batch)."""
+def summarize_reports(columns: dict[str, np.ndarray]) -> dict:
+    """The row count and each gap column's maximum, taken from 0.0 (the gaps
+    are absolute values), so 0.0 with no rows; a NaN anywhere is the maximum."""
+    def top(name):
+        return float(np.max(columns[name], initial=0.0))
+
     return {
-        "n_reports": len(reports),
-        "max_abs_partition_gap": max((r.abs_partition_gap for r in reports), default=0.0),
-        "max_abs_loss_gap": max((r.abs_loss_gap for r in reports), default=0.0),
-        "max_grad_gap": max((r.max_grad_gap for r in reports), default=0.0),
+        "n_reports": len(columns["item"]),
+        "max_abs_partition_gap": top("abs_partition_gap"),
+        "max_abs_loss_gap": top("abs_loss_gap"),
+        "max_grad_gap": top("max_grad_gap"),
     }

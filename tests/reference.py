@@ -15,7 +15,6 @@ import numpy as np
 
 from sidlab import (
     CascadedLogitModel,
-    EquivalenceReport,
     FormError,
     full_log_partition,
     fv_mle_loss,
@@ -87,9 +86,9 @@ def embed_parallel_as_cascaded(model):
 
 
 def composed_report(model, h, tmap, i_plus):
-    """One item's report composed from the public routines and the gradients
-    above, each of which redoes the context-level work: the reference for
-    ``check_contexts``."""
+    """One item's report, its nine scalars by column name, composed from the
+    public routines and the gradients above, each of which redoes the
+    context-level work: the reference for a row of ``check_contexts``."""
     log_zprod = sequence_log_partition(model, h)
     log_zfull = full_log_partition(model, h, tmap)
     loss_n = ntp_loss(model, h, tmap, i_plus)
@@ -102,17 +101,17 @@ def composed_report(model, h, tmap, i_plus):
         node = model.node_index(model.spec.prefix_index(seq[:m]))
         delta = np.abs(g_ntp.rows(m)[h, node] - g_fv.rows(m)[h, node]).max()
         grad_gap = max(grad_gap, float(delta))
-    return EquivalenceReport(
-        context=h,
-        item=i_plus,
-        z_product=float(np.exp(log_zprod)),
-        z_full=float(np.exp(log_zfull)),
-        loss_ntp=loss_n,
-        loss_fv_mle=loss_f,
-        abs_partition_gap=abs(log_zprod - log_zfull),
-        abs_loss_gap=abs(loss_n - loss_f),
-        max_grad_gap=grad_gap,
-    )
+    return {
+        "context": h,
+        "item": i_plus,
+        "z_product": float(np.exp(log_zprod)),
+        "z_full": float(np.exp(log_zfull)),
+        "loss_ntp": loss_n,
+        "loss_fv_mle": loss_f,
+        "abs_partition_gap": abs(log_zprod - log_zfull),
+        "abs_loss_gap": abs(loss_n - loss_f),
+        "max_grad_gap": grad_gap,
+    }
 
 
 def save_embeddings_csv(emb, path):

@@ -321,16 +321,16 @@ class TestCriterion6CollisionProbe:
                 reports = check_contexts(model, probe, [[dup_item]] * 2)
                 for h in range(2):
                     n_trials += 1
-                    rep = reports[h]
+                    partition_gap = float(reports["abs_partition_gap"][h])
                     log_z_seq = sequence_log_partition(model, h)
                     l_dup = item_logit(model, h, probe, probe.n_items - 1)
                     expected = abs(
                         log_z_seq - math.log(math.exp(log_z_seq) + math.exp(l_dup))
                     )
                     worst_closed_form = max(
-                        worst_closed_form, abs(rep.abs_partition_gap - expected)
+                        worst_closed_form, abs(partition_gap - expected)
                     )
-                    smallest_gap = min(smallest_gap, rep.abs_partition_gap)
+                    smallest_gap = min(smallest_gap, partition_gap)
         ok = smallest_gap > 1e-6 and worst_closed_form <= 1e-9
         detail = (
             f"over {n_trials} injected-collision trials: smallest partition gap "

@@ -1,22 +1,17 @@
 """The one artifact writer: its byte layout, and no file for a non-finite value."""
 
+import csv
+import io
 import json
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import numpy as np
 import pytest
 
 from sidlab import NonFiniteError, artifacts, write_csv, write_json
-
-
-@dataclass
-class Row:
-    name: str
-    count: int | None
-    value: float
 
 
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
@@ -30,7 +25,7 @@ def test_json_layout(tmp_path):
 
 def test_csv_layout(tmp_path):
     path = tmp_path / "a.csv"
-    write_csv(path, Row, [Row("x", 3, 0.1), Row("y", None, -2.0)])
+    write_csv(path, {"name": ["x", "y"], "count": [3, None], "value": [0.1, -2.0]})
     assert path.read_bytes() == b"name,count,value\r\nx,3,0.1\r\ny,,-2.0\r\n"
 
 
@@ -102,7 +97,65 @@ def test_json_refuses_non_finite_wherever_it_sits(tmp_path, bad, where):
 @pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
 def test_csv_refuses_non_finite_and_leaves_no_file(tmp_path, bad):
     path = tmp_path / "a.csv"
-    rows = [Row("x", i, 0.5) for i in range(1000)] + [Row("y", 1, bad)]
+    columns = {"name": ["x"] * 1000 + ["y"], "count": list(range(1000)) + [1],
+               "value": [0.5] * 1000 + [bad]}
     with pytest.raises(NonFiniteError):
-        write_csv(path, Row, rows)
+        write_csv(path, columns)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", [
+    lambda bad: np.array([0.5] * 999 + [bad]),
+    lambda bad: [0.5] * 998 + [None, bad],
+    lambda bad: np.array([0.5] * 998 + ["a", bad], dtype=object),
+], ids=["float_array", "list_with_none", "object_array"])
+def test_csv_refuses_non_finite_in_any_kind_of_column(tmp_path, bad, column):
+    path = tmp_path / "a.csv"
+    path.write_text("stale\n")  # a stale artifact is not left behind either
+    with pytest.raises(NonFiniteError, match="value"):
+        write_csv(path, {"count": np.arange(1000), "value": column(bad)})
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (0, 1)])
+def test_csv_refuses_columns_of_unequal_length_and_leaves_no_file(tmp_path, lengths):
+    path = tmp_path / "a.csv"
+    with pytest.raises(ValueError, match="zip"):
+        write_csv(path, {"a": np.arange(lengths[0]), "b": [0.5] * lengths[1]})
+    assert not path.exists()
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+CELLS = st.none() | st.integers(-(2**70), 2**70) | FLOATS | STRINGS
+
+
+def columns_of(n):
+    """One column of ``n`` cells: an int64 or float64 array, or a list of
+    ints, floats, None and strings, one kind or mixed."""
+    def lists(cells):
+        return st.lists(cells, min_size=n, max_size=n)
+
+    return (lists(INT64).map(lambda v: np.array(v, dtype=np.int64))
+            | lists(FLOATS).map(lambda v: np.array(v, dtype=np.float64))
+            | lists(st.integers(-(2**70), 2**70)) | lists(FLOATS) | lists(CELLS))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_csv_bytes_are_csv_writer_rows(data):
+    """The bytes of ``csv.writer`` given the row tuples of Python scalars: an
+    int64 column writes ``3``, not ``3.0``, and a float is its ``repr``."""
+    n = data.draw(st.integers(0, 6))
+    names = data.draw(st.lists(STRINGS, max_size=4, unique=True))
+    columns = {name: data.draw(columns_of(n)) for name in names}
+    want = io.StringIO(newline="")
+    writer = csv.writer(want)
+    writer.writerow(names)
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()]
+    writer.writerows(zip(*cells))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "a.csv"
+        write_csv(path, columns)
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+

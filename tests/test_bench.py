@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from sidlab import cli
 from sidlab import (
     CodebookSpec,
     OpsRow,
@@ -64,7 +65,7 @@ class TestInstrumentedCounts:
     def test_ops_csv_layout(self, tmp_path):
         rows = ops_sweep([4], [2, 64], C=1)
         path = tmp_path / "ops.csv"
-        write_csv(path, OpsRow, rows)
+        write_csv(path, cli._columns(OpsRow, rows))
         with open(path, newline="") as fh:
             parsed = list(csv.reader(fh))
         assert parsed[0][:6] == ["k", "X", "C", "ntp_ops", "full_ops", "ratio"]
@@ -73,3 +74,10 @@ class TestInstrumentedCounts:
         assert parsed[2][6] == "" and parsed[2][7] == ""
         assert parsed[1][6] != ""
 
+    def test_ops_csv_header_without_rows(self, tmp_path):
+        # an empty sweep still names its columns, from OpsRow's fields
+        path = tmp_path / "ops.csv"
+        write_csv(path, cli._columns(OpsRow, ops_sweep([], [2], C=1)))
+        assert path.read_text().splitlines() == [
+            "k,X,C,ntp_ops,full_ops,ratio,ntp_entries_counted,fv_entries_counted,"
+            "ntp_entries_closed,fv_entries_closed"]

@@ -18,8 +18,9 @@ import numpy as np
 import pytest
 
 from sidlab import artifacts, cli
-from sidlab import EquivalenceReport, TokenMap, check_contexts, load_model, synth_embeddings
+from sidlab import TokenMap, check_contexts, load_model, synth_embeddings
 from sidlab import write_csv
+from sidlab.losses import REPORT_COLUMNS
 from sidlab import CodebookSpec, ItemEmbeddings, ParallelLogitModel, identity_token_map, save_model
 from reference import composed_report, save_embeddings_bin, save_embeddings_csv
 from sidlab.cli import (
@@ -1345,9 +1346,11 @@ class TestVerifyWork:
               "items_per_context": 10, "map_mode": "probe_collision"}),
          (8, {"k_values": [1, 2], "X_values": [2, 3], "C_values": [2], "items_per_context": 0}),
          (2**13, {"k_values": [1, 2], "X_values": [2], "C_values": [1, 4],
-                  "items_per_context": 5, "sigma": 0.0})],
+                  "items_per_context": 5, "sigma": 0.0}),
+         (8, {"k_values": [1, 2], "X_values": [2, 3], "C_values": [1, 3], "items_per_context": 2,
+              "forms": ["parallel", "cascaded", "parallel"], "trials": 7})],
         ids=["trial_split_across_batches", "spec_over_the_cap", "probe_maps",
-             "no_items", "items_above_n_items"],
+             "no_items", "items_above_n_items", "repeated_form"],
     )
     def test_reports_equal_the_composed_reference_bit_for_bit(
         self, tmp_path, monkeypatch, budget, sweep
@@ -1357,12 +1360,17 @@ class TestVerifyWork:
                         "sigma": 1.5, "map_mode": "strict"}, **sweep)
         code, out = run(tmp_path, "verify", payload, "bits")
         assert code in (EXIT_OK, EXIT_EQUIVALENCE)
+        trials = replay_verify(payload)
         want = [composed_report(model, h, tmap, int(i))
-                for _, tmap, model, items in replay_verify(payload)
+                for _, tmap, model, items in trials
                 for h in range(model.C) for i in items[h]]
-        write_csv(tmp_path / "want.csv", EquivalenceReport, want)
+        write_csv(tmp_path / "want.csv", {name: [r[name] for r in want] for name in REPORT_COLUMNS})
         # the CSV cells are repr of each float, so equal bytes are equal bits
         assert (out / "equivalence.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        per_form = read_json(out / "summary.json")["per_form"]
+        assert sorted(per_form) == sorted(set(payload["forms"]))
+        assert per_form["parallel"]["n_reports"] == sum(
+            items.size for form, _, _, items in trials if form == "parallel")
 
     def test_no_batch_holds_more_than_the_cap(self, tmp_path, batches):
         payload = {"seed": 6, "trials": 6, "forms": ["parallel", "cascaded"], "k_values": [2],

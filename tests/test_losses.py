@@ -5,7 +5,6 @@ python floats, so agreement is between two genuinely different codepaths.
 """
 
 import csv
-import dataclasses
 import itertools
 import math
 
@@ -18,9 +17,9 @@ from sidlab import (
     CascadedLogitModel,
     CodebookSpec,
     EmptyInputError,
-    EquivalenceReport,
     FormError,
     LookupCounter,
+    NonFiniteError,
     ParallelLogitModel,
     TokenMap,
     check_contexts,
@@ -37,7 +36,9 @@ from sidlab import (
     softmax,
     summarize_reports,
     write_csv,
+    write_json,
 )
+from sidlab.losses import REPORT_COLUMNS
 from reference import composed_report, embed_parallel_as_cascaded, fv_mle_grad, item_logit, ntp_grad
 
 
@@ -488,25 +489,30 @@ class TestProbeMaps:
         assert full_log_partition(model, 0, probe) < sequence_log_partition(model, 0)
 
 
+def row(columns, r):
+    """Row ``r`` of ``check_contexts``' columns, by column name."""
+    return {name: column[r] for name, column in columns.items()}
+
+
 class TestEquivalenceReport:
     def test_fields_on_strict_parallel(self):
         spec = CodebookSpec(k=2, X=3)
         tmap = identity_token_map(spec)
         model = ParallelLogitModel.random(spec, 2, 0.5, seed=16)
-        rep = check_contexts(model, tmap, [[0], [3]])[1]
-        assert rep.context == 1 and rep.item == 3
-        assert rep.abs_partition_gap < 1e-11
-        assert rep.abs_loss_gap < 1e-12
-        assert rep.max_grad_gap < 1e-12
-        assert rep.z_product == pytest.approx(rep.z_full, rel=1e-12)
+        rep = row(check_contexts(model, tmap, [[0], [3]]), 1)
+        assert rep["context"] == 1 and rep["item"] == 3
+        assert rep["abs_partition_gap"] < 1e-11
+        assert rep["abs_loss_gap"] < 1e-12
+        assert rep["max_grad_gap"] < 1e-12
+        assert rep["z_product"] == pytest.approx(rep["z_full"], rel=1e-12)
 
     def test_fields_on_strict_cascaded(self):
         spec = CodebookSpec(k=2, X=3)
         tmap = identity_token_map(spec)
         model = CascadedLogitModel.random(spec, 1, 0.5, seed=0)
-        rep = check_contexts(model, tmap, [[4]])[0]
-        assert rep.abs_partition_gap < 1e-11  # enumeration identity still exact
-        assert rep.abs_loss_gap > 1e-3  # chained vs flat distribution differ
+        rep = row(check_contexts(model, tmap, [[4]]), 0)
+        assert rep["abs_partition_gap"] < 1e-11  # enumeration identity still exact
+        assert rep["abs_loss_gap"] > 1e-3  # chained vs flat distribution differ
 
     def test_csv_roundtrip(self, tmp_path):
         spec = CodebookSpec(k=1, X=2)
@@ -514,33 +520,59 @@ class TestEquivalenceReport:
         model = ParallelLogitModel.random(spec, 1, 0.5, seed=17)
         reports = check_contexts(model, tmap, [[0, 1]])
         path = tmp_path / "eq.csv"
-        write_csv(path, EquivalenceReport, reports)
+        write_csv(path, reports)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["context", "item", "z_product", "z_full", "loss_ntp", "loss_fv_mle",
                            "abs_partition_gap", "abs_loss_gap", "max_grad_gap"]
         assert len(rows) == 3
-        assert float(rows[1][4]) == pytest.approx(reports[0].loss_ntp, abs=1e-15)
+        assert rows[1][:2] == ["0", "0"] and rows[2][:2] == ["0", "1"]  # ints, not 0.0
+        assert float(rows[1][4]) == pytest.approx(reports["loss_ntp"][0], abs=1e-15)
 
     def test_summaries(self):
-        assert summarize_reports([]) == {
+        spec = CodebookSpec(k=2, X=2)
+        tmap = identity_token_map(spec)
+        model = CascadedLogitModel.random(spec, 1, 0.5, seed=18)
+        assert summarize_reports(check_contexts(model, tmap, np.zeros((1, 0)))) == {
             "n_reports": 0,
             "max_abs_partition_gap": 0.0,
             "max_abs_loss_gap": 0.0,
             "max_grad_gap": 0.0,
         }
-        spec = CodebookSpec(k=2, X=2)
-        tmap = identity_token_map(spec)
-        model = CascadedLogitModel.random(spec, 1, 0.5, seed=18)
         reports = check_contexts(model, tmap, [[0, 1, 2, 3]])
         summary = summarize_reports(reports)
         assert summary["n_reports"] == 4
-        assert summary["max_abs_loss_gap"] == max(r.abs_loss_gap for r in reports)
+        assert summary["max_abs_loss_gap"] == max(reports["abs_loss_gap"].tolist())
+
+    @pytest.mark.parametrize("where", [0, 2, 4], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("name,key", [("abs_partition_gap", "max_abs_partition_gap"),
+                                          ("abs_loss_gap", "max_abs_loss_gap"),
+                                          ("max_grad_gap", "max_grad_gap")])
+    def test_a_nan_is_the_maximum_wherever_it_sits(self, tmp_path, name, key, where):
+        spec = CodebookSpec(k=2, X=2)
+        model = CascadedLogitModel.random(spec, 1, 0.5, seed=18)
+        reports = check_contexts(model, identity_token_map(spec), [[0, 1, 2, 3, 1]])
+        reports[name][where] = np.nan
+        summary = summarize_reports(reports)
+        assert math.isnan(summary[key])
+        assert all(math.isfinite(v) for other, v in summary.items() if other != key)
+        path = tmp_path / "summary.json"  # so verify refuses it rather than report a smaller gap
+        with pytest.raises(NonFiniteError):
+            write_json(path, summary)
+        assert not path.exists()
 
 
-def typed_fields(report):
-    """Each field's type and repr: unlike ==, a -0.0 or a NaN must match exactly."""
-    return [(type(v), repr(v)) for v in dataclasses.astuple(report)]
+def typed_rows(columns):
+    """Each row of ``check_contexts``' columns as its cells' (type, repr), in
+    ``REPORT_COLUMNS`` order: unlike ==, a -0.0 or a NaN must match exactly."""
+    assert list(columns) == list(REPORT_COLUMNS)
+    cells = [columns[name].tolist() for name in REPORT_COLUMNS]
+    return [[(type(v), repr(v)) for v in cells_of_row] for cells_of_row in zip(*cells, strict=True)]
+
+
+def typed_reports(reports):
+    """The same for a list of ``composed_report`` dicts."""
+    return [[(type(r[name]), repr(r[name])) for name in REPORT_COLUMNS] for r in reports]
 
 
 def random_probe(identity, rng):
@@ -568,10 +600,10 @@ class TestCheckContext:
                     if tmap is probe:  # both owners of the colliding sequence
                         items = [np.append(row, [dup, tmap.n_items - 1]) for row in items]
                     # every context of the model in one pass
-                    got = check_contexts(model, tmap, items)
+                    got = typed_rows(check_contexts(model, tmap, items))
                     want = [composed_report(model, h, tmap, int(i))
                             for h in range(C) for i in items[h]]
-                    assert [typed_fields(r) for r in got] == [typed_fields(r) for r in want]
+                    assert got == typed_reports(want)
                     checked += len(got)
         assert checked > 500
 
@@ -586,23 +618,24 @@ class TestCheckContext:
         for tmap in (identity, probe):
             items = np.stack([rng.choice(tmap.n_items, 5, replace=False) for _ in range(7)])
             items[0, :2] = dup, tmap.n_items - 1
-            whole = [typed_fields(r) for r in check_contexts(model, tmap, items)]
-            want = [typed_fields(composed_report(model, h, tmap, int(i)))
-                    for h in range(7) for i in items[h]]
+            whole = typed_rows(check_contexts(model, tmap, items))
+            want = typed_reports(composed_report(model, h, tmap, int(i))
+                                 for h in range(7) for i in items[h])
             assert whole == want
             for cut in (1, 3, 6):  # the same contexts checked as two models
                 parts = [cls(spec, hi - lo, [t[lo:hi] for t in model.tables]) for lo, hi in
                          ((0, cut), (cut, 7))]
-                got = check_contexts(parts[0], tmap, items[:cut]) + [
-                    dataclasses.replace(r, context=r.context + cut)
-                    for r in check_contexts(parts[1], tmap, items[cut:])
-                ]
-                assert [typed_fields(r) for r in got] == whole
+                second = check_contexts(parts[1], tmap, items[cut:])
+                second["context"] = second["context"] + cut
+                got = typed_rows(check_contexts(parts[0], tmap, items[:cut])) + typed_rows(second)
+                assert got == whole
 
     def test_no_items(self):
         spec = CodebookSpec(k=2, X=3)
         model = CascadedLogitModel.random(spec, 2, 0.5, seed=21)
-        assert check_contexts(model, identity_token_map(spec), np.zeros((2, 0))) == []
+        got = check_contexts(model, identity_token_map(spec), np.zeros((2, 0)))
+        assert list(got) == list(REPORT_COLUMNS)
+        assert all(column.shape == (0,) for column in got.values())
 
     def test_counts_k_entries_per_item_and_context(self):
         spec = CodebookSpec(k=3, X=2)
@@ -616,9 +649,11 @@ class TestCheckContext:
         spec = CodebookSpec(k=2, X=3)
         tmap = identity_token_map(spec)
         model = CascadedLogitModel.random(spec, 2, 0.5, seed=19)
-        reports = check_contexts(model, tmap, [[1, 1, 1], [4, 0, 4]])[3:]
-        assert [(r.context, r.item) for r in reports] == [(1, 4), (1, 0), (1, 4)]
-        assert reports == [check_contexts(model, tmap, [[1], [i]])[1] for i in (4, 0, 4)]
+        reports = check_contexts(model, tmap, [[1, 1, 1], [4, 0, 4]])
+        assert list(zip(reports["context"][3:].tolist(), reports["item"][3:].tolist())) == [
+            (1, 4), (1, 0), (1, 4)]
+        assert typed_rows(reports)[3:] == [
+            typed_rows(check_contexts(model, tmap, [[1], [i]]))[1] for i in (4, 0, 4)]
 
     @pytest.mark.parametrize("items", [[[-1]], [[0, 9]]])
     def test_rejects_items_outside_the_map(self, items):
@@ -634,3 +669,64 @@ class TestCheckContext:
         model = CascadedLogitModel.random(spec, 1, 0.5, seed=20)
         with pytest.raises(ValueError):
             check_contexts(model, identity_token_map(spec), items)
+
+
+class TestGapIdentity:
+    """Each row's loss gap is a known quantity, not noise: with Z_m the
+    partition of the node the item visits at position m,
+    loss_ntp - loss_fv_mle = sum_m log Z_m - log Z_full.  It vanishes for
+    every item exactly when the visited path sums do not depend on the item,
+    as for parallel models and k = 1, and it is what the red checks measure."""
+
+    def test_loss_gap_is_the_visited_log_partitions_minus_log_z_full(self):
+        # The bound, derived from the operation count before any run.  Write
+        # l_m for the item's logit at its m-th visited node, L_m for that
+        # node's log Z (log_sum_exp of its row) and F for log Z_full
+        # (full_log_partition).  TestCheckContext pins check_contexts' L_m and
+        # F bit for bit to these routines, so both sides see the same floats
+        # and only the additions and subtractions that combine them round.
+        # Each rounds by at most u |result|, u = 2**-53, and passes its
+        # inputs' errors on unamplified.  Every result is at most
+        # A = 2 B + |F| in magnitude, B = sum_m (|l_m| + |L_m|).  The roundings:
+        #   loss_ntp: k subtractions l_m - L_m, k accumulations from 0.0   2k
+        #   the item logit 0.0 + l_1 + ... + l_k (its first sum is exact)  k - 1
+        #   loss_fv_mle = -(item logit - F)                                 1
+        #   the tested difference loss_ntp - loss_fv_mle                    1
+        #   sum_m L_m from 0.0 (its first sum is exact), then minus F       k
+        # N = 4k + 1 roundings of at most u A each; gamma_N = N u / (1 - N u)
+        # bounds them with every higher-order term.
+        u = 2.0**-53
+        rng = np.random.default_rng(2030)
+        checked = gapped = 0
+        for cls in (CascadedLogitModel, ParallelLogitModel):
+            for k, X in itertools.product((1, 2, 3), range(2, 7)):
+                spec = CodebookSpec(k=k, X=X)
+                identity = identity_token_map(spec)
+                probe, dup = random_probe(identity, rng)
+                C = int(rng.integers(1, 4))
+                sigma = (0.0, 0.5, 4.0, 40.0)[(k + X) % 4]
+                model = cls.random(spec, C, sigma, seed=int(rng.integers(2**31)))
+                n = 4 * k + 1
+                gamma = n * u / (1 - n * u)
+                for tmap in (identity, probe):
+                    n_pick = min(5, tmap.n_items)
+                    items = [rng.choice(tmap.n_items, n_pick, replace=False) for _ in range(C)]
+                    if tmap is probe:  # both owners of the colliding sequence
+                        items = [np.append(row, [dup, tmap.n_items - 1]) for row in items]
+                    got = check_contexts(model, tmap, items)
+                    gaps = (got["loss_ntp"] - got["loss_fv_mle"]).tolist()
+                    for h, item, gap in zip(got["context"].tolist(), got["item"].tolist(), gaps):
+                        seq = tmap.forward(item)
+                        nodes = [model.node_logits(h, seq[:m]) for m in range(k)]
+                        logits = [float(node[seq[m]]) for m, node in enumerate(nodes)]
+                        log_zs = [log_sum_exp(node) for node in nodes]
+                        log_z_full = full_log_partition(model, h, tmap)
+                        closed = 0.0
+                        for log_z in log_zs:
+                            closed += log_z
+                        closed -= log_z_full
+                        bound = gamma * (2 * math.fsum(map(abs, logits + log_zs)) + abs(log_z_full))
+                        assert abs(gap - closed) <= bound, (cls.__name__, k, X, h, item)
+                        checked += 1
+                        gapped += abs(gap) > 1e-3
+        assert checked > 500 and gapped > 100  # the identity is tested where the gap is large

@@ -32,7 +32,7 @@ from sidlab import (
     train_sgd,
     write_csv,
 )
-from sidlab import _native, trainer
+from sidlab import _native, cli, trainer
 from sidlab.trainer import _python_epoch
 
 
@@ -299,7 +299,7 @@ class TestTrainSgd:
         model = CascadedLogitModel.zeros(spec, 2)
         _, records = train_sgd(model, tmap, data, lr=0.1, epochs=3, seed=0, world=world)
         path = tmp_path / "trace.csv"
-        write_csv(path, EpochRecord, records)
+        write_csv(path, cli._columns(EpochRecord, records))
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["epoch", "mean_ntp_loss", "mean_fv_mle_loss", "kl"]
