@@ -15,7 +15,8 @@ artifact.  ``main`` reads the whole config through its subcommand's table in
 declare, at any depth (a misspelt ``topk``); a value of the wrong JSON type;
 an integer key given anything but a plain JSON integer (``2.0``, ``true``,
 ``"2"``); a float key given a string or a bool; a value below its bound.  A
-float key takes any JSON number, ``Infinity`` and ``NaN`` included.  The
+float key takes any JSON number, ``Infinity`` included, but a key with a
+lower bound (``lr``, ``sigma``) refuses ``NaN``, which meets no bound.  The
 ``k``, ``X`` and ``C`` headers of a checkpoint or token map follow the same
 integer rule: they are read as they are, never cast.
 
@@ -195,7 +196,7 @@ def _read(key: Key, value, where: str):
             raise ConfigError(f"config key {where!r} is too large for a float") from exc
     elif type(value) is not kind:
         raise ConfigError(f"config key {where!r} must be a JSON {kind.__name__}, got {value!r}")
-    if key.low is not None and value < key.low:
+    if key.low is not None and not value >= key.low:  # NaN too
         raise ConfigError(f"config key {where!r} must be >= {key.low}, got {value!r}")
     if key.choices is not None and value not in key.choices:
         raise ConfigError(f"config key {where!r} must be one of {list(key.choices)}, got {value!r}")

@@ -23,14 +23,14 @@ where ``exp`` returns exactly 1.0: at the row maximum's own entry, when that
 maximum is finite.
 
 Every context owns its own table rows, so an epoch splits into independent
-per-context streams.  The kernel runs one thread per contiguous block of
-contexts, as many as the CPUs the process may use and at most C, each on its
-own copy of its block's rows, all walking the one shuffled order.  Each
-context's samples keep their visiting order and no two threads touch one
-row, so the tables and records have the same bits for any number of
-threads.  While an epoch's threads run, ``train_sgd`` draws the next
-shuffle and then takes the finished epoch's metrics; every thread has ended
-when it returns or raises.
+per-context streams.  The kernel trains one contiguous block of contexts per
+CPU the process may use, at most C blocks, each on its own copy of its
+block's rows, all walking the one shuffled order: the calling thread trains
+the first block and one new thread each other block.  Each context's
+samples keep their visiting order and no two threads touch one row, so the
+tables and records have the same bits for any number of blocks.  An epoch
+is one blocking call, and every thread it started has ended when it returns
+or raises.
 """
 
 from __future__ import annotations
@@ -215,14 +215,13 @@ def _epoch_metrics(
 
 
 def _python_epoch(model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
-    """One SGD epoch on plain Python floats, as ``(start, finish)`` like ``_epoch``.
+    """One SGD epoch on plain Python floats, as ``run(order)`` like ``_epoch``.
 
     The oracle the compiled kernel must match bit for bit, and its fallback.
-    ``start(order)`` only records the order; ``finish()`` runs the epoch,
-    serially, and writes the tables back to the model.  Each visited row is
-    shifted by its first maximum, exponentiated with ``math.exp``, summed
-    left to right from 0.0, scaled by lr / sum, and the visited token gains
-    lr.
+    ``run(order)`` runs the epoch serially and writes the tables back to the
+    model.  Each visited row is shifted by its first maximum, exponentiated
+    with ``math.exp``, summed left to right from 0.0, scaled by lr / sum,
+    and the visited token gains lr.
     """
     positions = list(range(model.spec.k))
     rows = [model.rows(m) for m in positions]
@@ -235,12 +234,9 @@ def _python_epoch(model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
     ctx_list = data.contexts.tolist()
     item_list = data.items.tolist()
     token_range = list(range(model.spec.X))
-    pending = []
 
-    def finish() -> None:
-        if not pending:
-            return
-        for s in pending.pop().tolist():
+    def run(order: np.ndarray) -> None:
+        for s in order.tolist():
             h = ctx_list[s]
             i = item_list[s]
             for m in positions:
@@ -258,7 +254,7 @@ def _python_epoch(model: LogitModel, tmap: TokenMap, data: Dataset, lr: float):
         for m in positions:
             rows[m][...] = np.asarray(tables_py[m])
 
-    return pending.append, finish
+    return run
 
 
 _SGD_SOURCE = Path(__file__).with_name("_sgd.c")
@@ -271,8 +267,9 @@ _LINE = 8  # float64 entries in a 64-byte cache line
 
 
 def _workers(C: int) -> int:
-    """Threads an epoch of C contexts runs on: one per CPU this process may
-    use, and at most one per context."""
+    """Blocks an epoch of C contexts splits into: one per CPU this process
+    may use, and at most one per context.  The calling thread trains one
+    block, so an epoch starts one thread fewer."""
     return min(len(os.sched_getaffinity(0)), C)
 
 
@@ -285,30 +282,30 @@ def _padded(n: int) -> np.ndarray:
 
 
 def _epoch(kernel, model: LogitModel, tmap: TokenMap, data: Dataset, lr: float, n_workers: int):
-    """The Python loop's epoch through the kernel on ``n_workers`` threads, as
-    ``(start, finish)``.
+    """The Python loop's epoch through the kernel in ``n_workers`` blocks, as
+    ``run(order)``.
 
-    ``start(order)`` sets the epoch that visits the samples in ``order``
-    running and returns at once; ``finish()`` waits for it, raises the first
-    error a thread met, and writes the trained rows to ``model.tables``.  In
-    between, ``model.tables`` hold the last finished epoch, so the caller may
-    read them.  ``finish`` does nothing when no epoch is running.
+    ``run(order)`` runs the epoch that visits the samples in ``order``: the
+    calling thread trains block 0 and one ``sidlab-sgd`` thread each other
+    block, so a single block starts no thread.  It joins every thread it
+    started, then raises the caller's error, else the first a thread met,
+    and else writes the trained rows to ``model.tables``.
 
     Every offset and token a sample visits depends only on its (context,
     item) pair, so the index tables hold one row per distinct pair in the
     data, at most min(len(data), C * n_items) rows, sorted by context, and
     each epoch hands the kernel the pair row of each sample in visiting
     order.  The C contexts are split into ``n_workers`` contiguous blocks, so
-    a block's pair rows are one range [lo, hi).  Each thread trains one
-    block, on its own copy of the block's rows of every table and its own
-    ``exp`` scratch, in one buffer that shares no cache line with another
-    thread's; the copies carry the rows from epoch to epoch.  Pair row p
-    visits, at position m, the row at offset
-    ``off[p, m] = ((h - c0) * nodes + node) * X`` of that copy, c0 being its
-    block's first context, so both forms share one offset scheme.  Every
-    thread walks the one shared order and skips the samples of other blocks,
-    so each context's samples keep their visiting order, and no two threads
-    touch one row: the bits are the Python loop's for any ``n_workers``.
+    a block's pair rows are one range [lo, hi).  Each block trains on its
+    own copy of its rows of every table and its own ``exp`` scratch, in one
+    buffer that shares no cache line with another block's; the copies carry
+    the rows from epoch to epoch.  Pair row p visits, at position m, the
+    row at offset ``off[p, m] = ((h - c0) * nodes + node) * X`` of that
+    copy, c0 being its block's first context, so both forms share one offset
+    scheme.  Every block walks the one shared order and skips the samples of
+    other blocks, so each context's samples keep their visiting order, and
+    no two threads touch one row: the bits are the Python loop's for any
+    ``n_workers``.
     """
     C, k, X = model.C, model.spec.k, model.spec.X
     pairs, visit = np.unique(data.contexts * tmap.n_items + data.items, return_inverse=True)
@@ -339,48 +336,45 @@ def _epoch(kernel, model: LogitModel, tmap: TokenMap, data: Dataset, lr: float, 
         # each array goes in as its .ctypes, which keeps the array alive
         jobs.append((tabs, off.ctypes, tok.ctypes, path.ctypes, len(path), k, X, float(lr),
                      buf[cuts[-1] :].ctypes, int(ranges[b]), int(ranges[b + 1])))
-    running, errors = [], []
 
-    def work(job) -> None:
-        try:
-            kernel(*job)
-        except BaseException as exc:  # re-raised by finish in the caller's thread
-            errors.append(exc)
-
-    def start(order: np.ndarray) -> None:
+    def run(order: np.ndarray) -> None:
         np.take(visit, order, out=path)
-        for job in jobs:
-            thread = threading.Thread(target=work, args=(job,), name="sidlab-sgd")
-            thread.start()
-            running.append(thread)
+        errors, threads = [], []
 
-    def finish() -> None:
-        if not running:
-            return
-        while running:
-            running[-1].join()
-            running.pop()
+        def work(job) -> None:
+            try:
+                kernel(*job)
+            except BaseException as exc:  # re-raised below, in the caller's thread
+                errors.append(exc)
+
+        try:
+            for job in jobs[1:]:
+                thread = threading.Thread(target=work, args=(job,), name="sidlab-sgd")
+                thread.start()
+                threads.append(thread)
+            kernel(*jobs[0])
+        finally:
+            for thread in threads:
+                thread.join()
         if errors:
-            exc = errors[0]
-            errors.clear()
-            raise exc
+            raise errors[0]
         for c0, c1, rows in blocks:
             for m in range(k):
                 model.rows(m)[c0:c1] = rows[m]
 
-    return start, finish
+    return run
 
 
 def _matches_python(kernel) -> bool:
     """Two epochs on a small fixed case, both forms, kernel vs Python loop, by bytes.
 
-    The kernel runs as ``train_sgd`` runs it, through ``_epoch`` and its
-    threads, with one worker per context (two) whatever the host's CPU
-    count, so no host trains with a split this check has not seen.  One
-    visited row's only maximum is +inf.  The Python loop turns that row to
-    NaN (its shifted maximum is inf - inf), so a kernel that skips the
-    maximum's ``exp`` without checking that the maximum is finite fails.
-    An error in a kernel thread is raised here.
+    The kernel runs as ``train_sgd`` runs it, through ``_epoch``, with one
+    block per context (two: the caller's and one thread's) whatever the
+    host's CPU count, so no host trains with a split this check has not
+    seen.  One visited row's only maximum is +inf.  The Python loop turns
+    that row to NaN (its shifted maximum is inf - inf), so a kernel that
+    skips the maximum's ``exp`` without checking that the maximum is finite
+    fails.  An error in a kernel call, on either thread, is raised here.
     """
     spec = CodebookSpec(k=2, X=3)
     tmap = identity_token_map(spec)
@@ -391,14 +385,9 @@ def _matches_python(kernel) -> bool:
         base = cls.random(spec, 2, 1.0, seed=1)
         base.rows(1)[1, 0] = (np.inf, 3.1, 4.3)
         py, kern = base.copy(), base.copy()
-        runners = (_python_epoch(py, tmap, data, 0.3), _epoch(kernel, kern, tmap, data, 0.3, 2))
-        for begin, finish in runners:
-            try:
-                for order in orders:
-                    begin(order)
-                    finish()
-            finally:
-                finish()
+        for run in (_python_epoch(py, tmap, data, 0.3), _epoch(kernel, kern, tmap, data, 0.3, 2)):
+            for order in orders:
+                run(order)
         if [t.tobytes() for t in py.tables] != [t.tobytes() for t in kern.tables]:
             return False
     return True
@@ -435,16 +424,16 @@ def train_sgd(
     full-vocabulary losses at end-of-epoch parameters, and eval_kl when a
     world is supplied.  The input model is not modified; lr = 0 is allowed
     and leaves the copy bit-identical.  Epochs run in the compiled kernel
-    when it loads, on its threads, else in the Python loop; both give the
-    same bits.  Epoch e + 1 runs while epoch e's record is taken, so a
-    divergence at epoch e is raised once epoch e + 1 has run too.
+    when it loads, the calling thread training one block of contexts, else
+    in the Python loop; both give the same bits.  A divergence at epoch e is
+    raised before epoch e + 1 runs.
 
     Raises:
         ValueError: bad hyperparameters, or a map, dataset or world that
             does not fit the model.
         DivergenceError: a mean epoch loss went non-finite.
     """
-    if lr < 0:
+    if not lr >= 0:  # NaN too
         raise ValueError(f"lr must be >= 0, got {lr}")
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -463,27 +452,18 @@ def train_sgd(
     rng = np.random.default_rng(seed)
     kernel = _sgd_kernel()
     if kernel is not None:
-        start, finish = _epoch(kernel, model, tmap, data, lr, _workers(model.C))
+        run = _epoch(kernel, model, tmap, data, lr, _workers(model.C))
     else:
-        start, finish = _python_epoch(model, tmap, data, lr)
+        run = _python_epoch(model, tmap, data, lr)
 
     counts = np.zeros((model.C, tmap.n_items))
     np.add.at(counts, (data.contexts, data.items), 1.0)
 
     records = []
-    try:
-        start(rng.permutation(n))
-        for epoch in range(1, epochs + 1):
-            # epoch e runs while the next shuffle is drawn, and epoch e + 1
-            # while epoch e's metrics are taken
-            order = rng.permutation(n) if epoch < epochs else None
-            finish()
-            if order is not None:
-                start(order)
-            mean_ntp, mean_fv, kl = _epoch_metrics(model, tmap, counts, n, world)
-            if not np.isfinite(mean_ntp):
-                raise DivergenceError(f"mean epoch loss became non-finite at epoch {epoch}")
-            records.append(EpochRecord(epoch=epoch, mean_ntp_loss=mean_ntp, mean_fv_mle_loss=mean_fv, kl=kl))
-    finally:
-        finish()  # no epoch, and no kernel thread, outlives the call
+    for epoch in range(1, epochs + 1):
+        run(rng.permutation(n))
+        mean_ntp, mean_fv, kl = _epoch_metrics(model, tmap, counts, n, world)
+        if not np.isfinite(mean_ntp):
+            raise DivergenceError(f"mean epoch loss became non-finite at epoch {epoch}")
+        records.append(EpochRecord(epoch=epoch, mean_ntp_loss=mean_ntp, mean_fv_mle_loss=mean_fv, kl=kl))
     return model, records

@@ -775,9 +775,10 @@ class TestBadConfigValues:
                 "token_map": str(trained / "token_map.json"), "context": 0, "method": "beam"}
 
     def assert_config_error(self, tmp_path, capsys, command, payload):
-        code, _ = run(tmp_path, command, payload, "bad_value")
+        code, out = run(tmp_path, command, payload, "bad_value")
         assert code == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+        return out
 
     @pytest.mark.parametrize(
         "over",
@@ -841,12 +842,14 @@ class TestBadConfigValues:
         "over",
         [{"lr": "fast"}, {"epochs": None}, {"world": {"C": "two", "N": 4}},
          {"init": {"sigma": "wide"}}, {"n_samples": 0},
-         {"lr": -1}, {"epochs": 0}, {"init": {"sigma": -1}}],
+         {"lr": -1}, {"epochs": 0}, {"init": {"sigma": -1}}, {"lr": float("nan")},
+         {"init": {"sigma": float("nan")}}],
         ids=["lr", "epochs", "world_C", "init_sigma", "n_samples_0", "lr_negative",
-             "epochs_0", "init_sigma_negative"],
+             "epochs_0", "init_sigma_negative", "lr_nan", "init_sigma_nan"],
     )
     def test_train(self, tmp_path, capsys, over):
-        self.assert_config_error(tmp_path, capsys, "train", dict(TRAIN_CFG, **over))
+        out = self.assert_config_error(tmp_path, capsys, "train", dict(TRAIN_CFG, **over))
+        assert not out.exists() or list(out.iterdir()) == []
 
     def test_train_init_that_overflows_writes_nothing(self, tmp_path, capsys):
         payload = dict(TRAIN_CFG, init={"sigma": 1e308})

@@ -134,11 +134,12 @@ for cap, want in ((6, 6), (5, -1)):
     out = np.empty(cap, dtype=np.int64)
     assert kernel.read_rows(rows, 1, out.ctypes.data, cap, width, end) == want
 
-trainer._workers = lambda C: 2
 spec = CodebookSpec(k=2, X=3)
 world = synth_world(3, 9, 0.5, seed=1)
-train_sgd(CascadedLogitModel.zeros(spec, 3), identity_token_map(spec),
-          sample_dataset(world, 300, seed=2), lr=0.1, epochs=2, seed=0)
+for W in (1, 2):  # the caller's block alone, then beside one kernel thread
+    trainer._workers = lambda C: W
+    train_sgd(CascadedLogitModel.zeros(spec, 3), identity_token_map(spec),
+              sample_dataset(world, 300, seed=2), lr=0.1, epochs=2, seed=0)
 fit_kmeans(np.random.default_rng(0).standard_normal((200, 4)), 8, 10, np.random.default_rng(1))
 
 # k-means kernels on arrays of exactly the sizes they are given: a seeding

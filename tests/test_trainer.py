@@ -161,6 +161,8 @@ class TestTrainSgd:
         model = CascadedLogitModel.zeros(spec, 2)
         with pytest.raises(ValueError):
             train_sgd(model, tmap, data, lr=-0.1, epochs=1, seed=0)
+        with pytest.raises(ValueError, match="lr must be >= 0, got nan"):
+            train_sgd(model, tmap, data, lr=math.nan, epochs=1, seed=0)
         with pytest.raises(ValueError):
             train_sgd(model, tmap, data, lr=0.1, epochs=0, seed=0)
         probe = TokenMap(spec, [(0, 0), (0, 1), (1, 0), (1, 1)], "probe")
@@ -345,13 +347,6 @@ def assert_same_training(a, b):
     assert records_a == records_b
 
 
-def run_epoch(runner, order):
-    """One epoch of an ``(start, finish)`` pair, finished."""
-    start, finish = runner
-    start(order)
-    finish()
-
-
 def splits(C):
     """The worker counts every split is tested at: 1, 2, 3 and one per context."""
     return sorted({1, 2, 3, C})
@@ -488,10 +483,10 @@ class TestCompiledEpoch:
         data = Dataset(contexts=pairs // tmap.n_items, items=pairs % tmap.n_items)
         order = rng.permutation(len(data))
         py = start.copy()
-        run_epoch(_python_epoch(py, tmap, data, lr), order)
+        _python_epoch(py, tmap, data, lr)(order)
         for W in splits(C):
             kern = start.copy()
-            run_epoch(trainer._epoch(kernel, kern, tmap, data, lr, W), order)
+            trainer._epoch(kernel, kern, tmap, data, lr, W)(order)
             assert [t.tobytes() for t in kern.tables] == [t.tobytes() for t in py.tables]
         m, h, node = slots[edge_rows.index((inf, 3.1, 4.3, 4.8))]
         assert np.isnan(py.rows(m)[h, node]).all()
@@ -512,8 +507,7 @@ class TestCompiledEpoch:
         def recorder(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
             calls.append((lo, hi, n))
 
-        runner = trainer._epoch(recorder, model, identity_token_map(spec), data, 0.1, 3)
-        run_epoch(runner, np.arange(len(data)))
+        trainer._epoch(recorder, model, identity_token_map(spec), data, 0.1, 3)(np.arange(len(data)))
         pairs = set(zip(data.contexts.tolist(), data.items.tolist()))
         per_context = [sum(h == c for h, _ in pairs) for c in range(3)]
         assert sorted(calls) == [
@@ -580,7 +574,7 @@ class TestEpochThreads:
         assert threading.active_count() == before
 
     def test_no_thread_outlives_a_divergence(self, monkeypatch, kernel):
-        # epoch 2 is running when epoch 1's loss is found non-finite
+        # epoch 1's loss is non-finite, so its threads have ended and epoch 2 never starts
         monkeypatch.setattr(trainer, "_sgd_kernel", lambda: kernel)
         before = threading.active_count()
         with pytest.raises(DivergenceError, match="epoch 1"):
@@ -588,7 +582,7 @@ class TestEpochThreads:
         assert threading.active_count() == before
 
     def test_a_kernel_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch, kernel):
-        # one block's thread raises; the others run the real kernel to the end
+        # block 0 raises on the calling thread; the threads run the real kernel to the end
         def failing(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
             if lo == 0:
                 raise ZeroDivisionError("block 0")
@@ -600,8 +594,21 @@ class TestEpochThreads:
             train_sgd(*self.case(), lr=0.1, epochs=3, seed=0)
         assert threading.active_count() == before
 
+    def test_a_thread_error_reaches_the_caller_after_every_thread_ends(self, monkeypatch, kernel):
+        # the threads' blocks raise; the caller's block 0 runs the real kernel to the end
+        def failing(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
+            if lo != 0:
+                raise ZeroDivisionError("thread block")
+            kernel(tabs, off, tok, order, n, k, X, lr, es, lo, hi)
+
+        monkeypatch.setattr(trainer, "_sgd_kernel", lambda: failing)
+        before = threading.active_count()
+        with pytest.raises(ZeroDivisionError, match="thread block"):
+            train_sgd(*self.case(), lr=0.1, epochs=3, seed=0)
+        assert threading.active_count() == before
+
     def test_a_raising_kernel_is_refused_at_load_with_its_own_error(self, monkeypatch, kernel):
-        # a kernel of the old signature fails in its threads with a TypeError,
+        # a kernel of the old signature fails in every block with a TypeError,
         # which the warning names, not as a self-check difference
         def old_signature(tabs, off, tok, order, n, k, X, lr, es):
             kernel(tabs, off, tok, order, n, k, X, lr, es, 0, 0)
@@ -612,6 +619,70 @@ class TestEpochThreads:
             assert trainer._sgd_kernel.__wrapped__() is None
         assert "self-check" not in str(caught[0].message)
         assert threading.active_count() == before
+
+    def test_the_caller_trains_block_0_and_threads_the_others(self, monkeypatch, kernel):
+        calls = []
+
+        def recording(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
+            calls.append((lo, threading.current_thread()))
+            kernel(tabs, off, tok, order, n, k, X, lr, es, lo, hi)
+
+        monkeypatch.setattr(trainer, "_sgd_kernel", lambda: recording)
+        train_sgd(*self.case(), lr=0.1, epochs=2, seed=0)
+        caller = threading.current_thread()
+        assert len(calls) == 6
+        for lo, thread in calls:
+            if lo == 0:
+                assert thread is caller
+            else:
+                assert thread.name == "sidlab-sgd" and thread is not caller
+
+    def test_one_block_starts_no_thread(self, monkeypatch, kernel):
+        monkeypatch.setattr(trainer, "_workers", lambda C: 1)
+        before = threading.active_count()
+        seen = []
+
+        def recording(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
+            seen.append(threading.active_count())
+            kernel(tabs, off, tok, order, n, k, X, lr, es, lo, hi)
+
+        monkeypatch.setattr(trainer, "_sgd_kernel", lambda: recording)
+        train_sgd(*self.case(), lr=0.1, epochs=2, seed=0)
+        assert seen == [before, before]
+
+    @pytest.mark.parametrize("W", [1, 2])
+    def test_a_divergence_stops_at_its_own_epoch(self, monkeypatch, kernel, W):
+        # W kernel calls per epoch: epoch 1 diverges, and no call of epoch 2 is made
+        monkeypatch.setattr(trainer, "_workers", lambda C: W)
+        calls = []
+
+        def counting(tabs, off, tok, order, n, k, X, lr, es, lo, hi):
+            calls.append(lo)
+            kernel(tabs, off, tok, order, n, k, X, lr, es, lo, hi)
+
+        monkeypatch.setattr(trainer, "_sgd_kernel", lambda: counting)
+        with pytest.raises(DivergenceError, match="at epoch 1$"):
+            train_sgd(*self.case(), lr=math.inf, epochs=3, seed=0)
+        assert len(calls) == W
+
+    def test_the_python_loop_stops_at_the_diverging_epoch(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_sgd_kernel", lambda: None)
+        epochs = []
+        python_epoch = trainer._python_epoch
+
+        def counting(*args):
+            run = python_epoch(*args)
+
+            def counted(order):
+                epochs.append(order)
+                run(order)
+
+            return counted
+
+        monkeypatch.setattr(trainer, "_python_epoch", counting)
+        with pytest.raises(DivergenceError, match="at epoch 1$"):
+            train_sgd(*self.case(), lr=math.inf, epochs=3, seed=0)
+        assert len(epochs) == 1
 
     def test_the_self_check_runs_two_workers_on_any_host(self, monkeypatch, kernel):
         # one CPU would make train_sgd's split one block; the check still splits in two
