@@ -10,15 +10,17 @@ as: --out-dir flag, then the config's "out_dir", then $SIDLAB_OUT, then
 Exit codes: 0 success; 1 training divergence (the mean epoch loss went
 non-finite); 2 bijection failure (the audit is still written); 3 equivalence
 tolerance exceeded; 4 config or artifact-parse error; 5 missing input
-artifact.  ``main`` reads the whole config through its subcommand's table in
-``TABLES`` before any work.  So these exit 4 too: a key the table does not
-declare, at any depth (a misspelt ``topk``); a value of the wrong JSON type;
-an integer key given anything but a plain JSON integer (``2.0``, ``true``,
-``"2"``); a float key given a string or a bool; a value below its bound.  A
-float key takes any JSON number, ``Infinity`` included, but a key with a
-lower bound (``lr``, ``sigma``) refuses ``NaN``, which meets no bound.  The
-``k``, ``X`` and ``C`` headers of a checkpoint or token map follow the same
-integer rule: they are read as they are, never cast.
+artifact.  An output directory that cannot be made (the path is a file, or
+lies below one) exits 4.  ``main`` reads the whole config through its
+subcommand's table in ``TABLES`` before any work.  So these exit 4 too: a
+key the table does not declare, at any depth (a misspelt ``topk``); a value
+of the wrong JSON type; an integer key given anything but a plain JSON
+integer (``2.0``, ``true``, ``"2"``); a float key given a string or a bool; a
+value below its bound.  A float key takes any JSON number, ``Infinity``
+included, but a key with a lower bound (``lr``, ``sigma``) refuses ``NaN``,
+which meets no bound.  The ``k``, ``X`` and ``C`` headers of a checkpoint or
+token map follow the same integer rule: they are read as they are, never
+cast.
 
 Exit 1 means a non-finite mean loss and nothing else: a run whose loss stays
 finite exits 0 however poor the model, as ``train`` with ``lr: 1e6`` does
@@ -47,7 +49,6 @@ import numpy as np
 
 from . import __version__
 from .artifacts import NonFiniteError, read_json, write_csv, write_json
-from .bench import OpsRow, count_softmax_ops, ops_sweep
 from .decoder import beam_search, exact_topk, mtp_decode
 from .logits import (
     FORMS,
@@ -58,30 +59,6 @@ from .logits import (
     table_entry_count,
 )
 from .losses import REPORT_COLUMNS, check_contexts, summarize_reports
-from .tokenizer import (
-    DegenerateInputError,
-    FSQModel,
-    ItemEmbeddings,
-    SubspaceSplitError,
-    encode_fsq,
-    encode_pq,
-    encode_rq,
-    fit_pq,
-    fit_rq_kmeans,
-    load_embeddings_bin,
-    load_embeddings_csv,
-    save_tokenizer,
-    synth_embeddings,
-)
-from .trainer import (
-    DivergenceError,
-    EpochRecord,
-    eval_kl,
-    eval_kl_chain,
-    sample_dataset,
-    synth_world,
-    train_sgd,
-)
 from .vocab import (
     CodebookSpec,
     CollisionError,
@@ -229,17 +206,20 @@ def _random_model(form: str, spec: CodebookSpec, C: int, sigma: float, seed: int
     return model
 
 
-def _load_embeddings(emb: dict | None, seed: int) -> ItemEmbeddings:
+def _load_embeddings(emb: dict | None, seed: int):
+    """The ``tokenizer.ItemEmbeddings`` that ``tokenize.embeddings`` names."""
+    from . import tokenizer
+
     if emb is None:
         raise _missing("tokenize.embeddings")
     if emb["kind"] == "synth":
         if emb["n_items"] is None or emb["dim"] is None:
             raise ConfigError("synth embeddings need 'tokenize.embeddings.n_items' and '.dim'")
-        return synth_embeddings(emb["n_items"], emb["dim"], seed)
+        return tokenizer.synth_embeddings(emb["n_items"], emb["dim"], seed)
     path = emb["path"]
     if path is None:
         raise _missing("tokenize.embeddings.path")
-    loaders = {"csv": load_embeddings_csv, "bin": load_embeddings_bin}
+    loaders = {"csv": tokenizer.load_embeddings_csv, "bin": tokenizer.load_embeddings_bin}
     if not Path(path).is_file():
         raise FileNotFoundError(f"embeddings file not found: {path}")
     try:
@@ -322,6 +302,8 @@ TABLES = {
 
 
 def cmd_tokenize(cfg: dict, out_dir: Path, chash: str) -> int:
+    from . import tokenizer
+
     seed, scheme, mode = cfg["seed"], cfg["scheme"], cfg["mode"]
     spec = _spec(cfg["k"], cfg["X"])
     threshold = cfg["collapse_threshold"]
@@ -342,11 +324,12 @@ def cmd_tokenize(cfg: dict, out_dir: Path, chash: str) -> int:
         sequences = identity_token_map(spec).token_matrix
     elif scheme in ("rq_kmeans", "pq"):
         emb = _load_embeddings(cfg["embeddings"], seed)
-        fit, encode = (fit_rq_kmeans, encode_rq) if scheme == "rq_kmeans" else (fit_pq, encode_pq)
+        fit, encode = ((tokenizer.fit_rq_kmeans, tokenizer.encode_rq) if scheme == "rq_kmeans"
+                       else (tokenizer.fit_pq, tokenizer.encode_pq))
         try:
             fitted = fit(emb, spec, max_iters=cfg["kmeans"]["max_iters"], seed=seed)
             sequences = encode(fitted, emb)
-        except (DegenerateInputError, SubspaceSplitError) as exc:
+        except (tokenizer.DegenerateInputError, tokenizer.SubspaceSplitError) as exc:
             raise ConfigError(f"cannot fit {scheme} to these embeddings: {exc}") from exc
     else:  # fsq
         emb = _load_embeddings(cfg["embeddings"], seed)
@@ -354,8 +337,8 @@ def cmd_tokenize(cfg: dict, out_dir: Path, chash: str) -> int:
             raise ConfigError(f"embeddings have {emb.dim} dims, fsq levels need {len(levels)}")
         bounds = [[-1.0, 1.0]] * spec.k if fsq["bounds"] is None else fsq["bounds"]
         try:
-            fitted = FSQModel(levels=levels, per_dim_bounds=bounds)
-            sequences = encode_fsq(fitted, emb)
+            fitted = tokenizer.FSQModel(levels=levels, per_dim_bounds=bounds)
+            sequences = tokenizer.encode_fsq(fitted, emb)
         except ValueError as exc:  # DegenerateInputError: bounds too narrow for the values
             raise ConfigError(f"bad fsq config: {exc}") from exc
 
@@ -375,7 +358,7 @@ def cmd_tokenize(cfg: dict, out_dir: Path, chash: str) -> int:
     if code == EXIT_OK:
         tmap.save(out_dir / "token_map.json")
     if fitted is not None:
-        save_tokenizer(fitted, out_dir / "tokenizer.json")
+        tokenizer.save_tokenizer(fitted, out_dir / "tokenizer.json")
     write_json(out_dir / "summary.json", {
         "command": "tokenize", "config_sha256": chash, "seed": seed, "scheme": scheme,
         "mode": mode, "n_items": tmap.n_items,
@@ -502,6 +485,8 @@ def cmd_verify(cfg: dict, out_dir: Path, chash: str) -> int:
 
 
 def cmd_train(cfg: dict, out_dir: Path, chash: str) -> int:
+    from . import trainer
+
     seed, form, init = cfg["seed"], cfg["form"], cfg["init"]
     lr, epochs, n_samples = cfg["lr"], cfg["epochs"], cfg["n_samples"]
     world_cfg = cfg["world"]
@@ -516,10 +501,11 @@ def cmd_train(cfg: dict, out_dir: Path, chash: str) -> int:
         int(v) for v in rng.integers(0, 2**31, size=4)
     )
     try:
-        world = synth_world(C, N, world_cfg["alpha"], world_seed, uniform=world_cfg["uniform"])
+        world = trainer.synth_world(C, N, world_cfg["alpha"], world_seed,
+                                    uniform=world_cfg["uniform"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    data = sample_dataset(world, n_samples, data_seed)
+    data = trainer.sample_dataset(world, n_samples, data_seed)
 
     if init == "zeros":
         model = FORMS[form].zeros(spec, C)
@@ -535,17 +521,18 @@ def cmd_train(cfg: dict, out_dir: Path, chash: str) -> int:
 
     checkpoint(model, out_dir / "checkpoint_init.json")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite KL is write_json's to reject
-        initial_kl = eval_kl(model, tmap, world)
-        initial_kl_chain = eval_kl_chain(model, tmap, world)
+        initial_kl = trainer.eval_kl(model, tmap, world)
+        initial_kl_chain = trainer.eval_kl_chain(model, tmap, world)
     try:
-        trained, records = train_sgd(model, tmap, data, lr, epochs, shuffle_seed, world=world)
-    except DivergenceError as exc:
+        trained, records = trainer.train_sgd(model, tmap, data, lr, epochs, shuffle_seed,
+                                             world=world)
+    except trainer.DivergenceError as exc:
         print(f"train: {exc}", file=sys.stderr)
         return 1
     checkpoint(trained, out_dir / "checkpoint_final.json")
-    write_csv(out_dir / "trace.csv", _columns(EpochRecord, records))
+    write_csv(out_dir / "trace.csv", _columns(trainer.EpochRecord, records))
     with np.errstate(over="ignore", invalid="ignore"):
-        final_kl_chain = eval_kl_chain(trained, tmap, world)
+        final_kl_chain = trainer.eval_kl_chain(trained, tmap, world)
     last = records[-1]
     write_json(out_dir / "summary.json", {
         "command": "train", "config_sha256": chash, "seed": seed, "form": form,
@@ -604,11 +591,13 @@ def cmd_decode(cfg: dict, out_dir: Path, chash: str) -> int:
 
 
 def cmd_bench(cfg: dict, out_dir: Path, chash: str) -> int:
+    from . import bench
+
     k_values, X_values = cfg["k_values"], cfg["X_values"]
     _sweep_specs(k_values, X_values)
-    rows = ops_sweep(k_values, X_values, C=cfg["C"])
-    write_csv(out_dir / "bench_ops.csv", _columns(OpsRow, rows))
-    headline = count_softmax_ops(CodebookSpec(k=3, X=256))
+    rows = bench.ops_sweep(k_values, X_values, C=cfg["C"])
+    write_csv(out_dir / "bench_ops.csv", _columns(bench.OpsRow, rows))
+    headline = bench.count_softmax_ops(CodebookSpec(k=3, X=256))
     write_json(out_dir / "summary.json", {
         "command": "bench", "config_sha256": chash, "seed": cfg["seed"], "n_rows": len(rows),
         "reference_k3_X256": {"ntp_ops": headline.ntp_ops, "full_ops": headline.full_ops,
@@ -655,7 +644,10 @@ def main(argv=None) -> int:
             or os.environ.get(OUT_ENV_VAR)
             or "sidlab_out"
         )
-        out_dir.mkdir(parents=True, exist_ok=True)  # so a config error leaves it empty
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)  # so a config error leaves it empty
+        except OSError as exc:  # a file, or a path below one
+            raise ConfigError(f"output directory {str(out_dir)!r} is unusable: {exc}") from exc
         cfg = _read(Key(TABLES[args.command]), raw, args.command)
         return _COMMANDS[args.command](cfg, out_dir, _config_hash(raw))
     except (ConfigError, NonFiniteError) as exc:

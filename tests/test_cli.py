@@ -905,6 +905,23 @@ class TestBadConfigValues:
         assert main(["verify", "--config", cfg]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_unusable_out_dir(self, tmp_path, capsys, via, below):
+        # mkdir raises FileExistsError on a file and NotADirectoryError below
+        # one; either is one config error line naming the directory
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        out = str(blocker / "sub" if below else blocker)
+        payload = {"trials": 1, **({"out_dir": out} if via == "config" else {})}
+        cfg = write_config(tmp_path, "verify.json", payload)
+        argv = ["verify", "--config", cfg, *(["--out-dir", out] if via == "flag" else [])]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: output directory ")
+        assert repr(out) in err[0]
+        assert blocker.read_text() == "a file, not a directory"
+
     @pytest.mark.parametrize(
         "command,over,key",
         [("verify", {"trials": "2"}, "verify.trials"),
@@ -1432,6 +1449,40 @@ class TestDeterminism:
 
 
 class TestEntryPoints:
+    # the sidlab modules each subcommand must leave unimported
+    UNLOADED = {
+        "decode": ("tokenizer", "trainer", "bench"),
+        "verify": ("tokenizer", "trainer", "bench"),
+        "train": ("tokenizer", "bench"),
+        "tokenize": ("trainer", "bench"),
+    }
+
+    @pytest.mark.parametrize("command", UNLOADED)
+    def test_a_subcommand_imports_only_its_own_modules(self, tmp_path, command):
+        spec = CodebookSpec(k=2, X=3)
+        save_model(ParallelLogitModel.random(spec, 1, 1.0, seed=0), tmp_path / "ckpt.json")
+        identity_token_map(spec).save(tmp_path / "map.json")
+        payload = {
+            "decode": {"checkpoint": str(tmp_path / "ckpt.json"),
+                       "token_map": str(tmp_path / "map.json"), "context": 0,
+                       "method": "exact", "top_k": 2},
+            "verify": {"trials": 2, "forms": ["parallel"]},
+            "train": dict(TRAIN_CFG, epochs=1),
+            "tokenize": {"scheme": "rq_kmeans", "k": 2, "X": 2, "mode": "probe",
+                         "embeddings": {"kind": "synth", "n_items": 4, "dim": 2}},
+        }[command]
+        argv = [command, "--config", write_config(tmp_path, "c.json", payload),
+                "--out-dir", str(tmp_path / "out")]
+        code = ("import sys\nfrom sidlab import cli\n"
+                f"print(cli.main({argv!r}),"
+                " *sorted(m for m in sys.modules if m.startswith('sidlab.')))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True)
+        status, *loaded = result.stdout.split()
+        assert status == str(EXIT_OK), result.stderr
+        assert "sidlab.cli" in loaded
+        assert not {f"sidlab.{name}" for name in self.UNLOADED[command]} & set(loaded), loaded
+
     def test_module_and_script_entry(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "sidlab", "--version"],

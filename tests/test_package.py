@@ -1,6 +1,7 @@
 """The package's export list and its data files."""
 
 import fnmatch
+import importlib
 import os
 import shutil
 import subprocess
@@ -17,14 +18,43 @@ from sidlab import _native, artifacts, tokenizer, trainer
 
 
 def test_all_lists_every_public_name_once():
-    # __all__ repeats the imports of __init__.py; a name added to or removed
-    # from only one of the two lists fails here
-    public = {
-        name for name, value in vars(sidlab).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert set(sidlab.__all__) == public | {"__version__"}
+    # __all__ is read from the one name table: a name listed under two
+    # modules appears twice here
+    listed = [name for names in sidlab._EXPORTS.values() for name in names]
+    assert sidlab.__all__ == ["__version__", *listed]
     assert len(sidlab.__all__) == len(set(sidlab.__all__))
+    assert set(sidlab.__all__) <= set(dir(sidlab))
+
+
+@pytest.mark.parametrize("module", sidlab._EXPORTS)
+def test_each_name_is_its_defining_modules_object(module):
+    defining = importlib.import_module(f"sidlab.{module}")
+    for name in sidlab._EXPORTS[module]:
+        assert getattr(sidlab, name) is vars(defining)[name]
+        # resolved afresh each time: the package keeps no copy a monkeypatch
+        # or a tracer could leave stale
+        assert name not in vars(sidlab)
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'sidlab' has no attribute 'EquivalenceReport'"):
+        sidlab.EquivalenceReport  # removed from losses, and so from the table
+    assert not hasattr(sidlab, "_VERIFY_BATCH_SEQUENCES")  # a cli name the table does not list
+    with pytest.raises(ImportError):
+        from sidlab import no_such_name  # noqa: F401
+
+
+def test_import_sidlab_loads_no_submodule_and_from_import_still_gives_them():
+    code = ("import sys, sidlab\n"
+            "print(sorted(m for m in sys.modules if m.startswith('sidlab.') or m == 'numpy'))\n"
+            "from sidlab import tokenizer, trainer, artifacts\n"
+            "print([m.__name__ for m in (tokenizer, trainer, artifacts)])\n"
+            "print(sidlab.train_sgd is trainer.train_sgd)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True)
+    assert result.stdout.splitlines() == [
+        "[]", "['sidlab.tokenizer', 'sidlab.trainer', 'sidlab.artifacts']", "True",
+    ]
 
 
 def test_every_c_source_is_package_data():

@@ -359,10 +359,12 @@ class TestCompiledEpoch:
         assert trainer._sgd_kernel() is kernel
 
     def test_importing_sidlab_leaves_the_kernel_module_unloaded(self):
-        # nor does it start a thread, import a pool, or build or load any of the
-        # three kernels, which commands that never train, fit or read a
-        # checkpoint would pay for in start-up time and memory
-        code = ("import sys, threading, sidlab.cli; print('sidlab._native' in sys.modules,"
+        # importing the cli and the three kernels' modules starts no thread,
+        # imports no pool, and builds or loads none of the three kernels,
+        # which commands that never train, fit or read a checkpoint would pay
+        # for in start-up time and memory
+        code = ("import sys, threading, sidlab.cli, sidlab.trainer, sidlab.tokenizer,"
+                " sidlab.artifacts; print('sidlab._native' in sys.modules,"
                 " 'subprocess' in sys.modules, threading.active_count(),"
                 " 'concurrent.futures' in sys.modules,"
                 " sidlab.trainer._sgd_kernel.cache_info().currsize,"
