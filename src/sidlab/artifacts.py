@@ -1,5 +1,5 @@
 """The artifact format: every JSON and CSV file the lab writes goes through here,
-and every checkpoint and token map it reads.
+and every checkpoint, token map and tokenizer it reads.
 
 A JSON artifact is ``json.dump`` with sorted keys, a two-space indent and a
 trailing newline.  A CSV artifact is a header of column names and one row
@@ -7,7 +7,9 @@ per index of the columns, in the ``csv`` module's default dialect, where
 ``None`` is an empty cell.  Neither ever holds NaN or an infinity: a
 non-finite float raises :class:`NonFiniteError` and leaves no file behind.
 ``read_json`` reads a JSON artifact's bytes back, handing its arrays of
-floats and its tables of integers to the C kernel ``_floats.c``.
+floats and its tables of integers to the C kernel ``_floats.c``; its readers
+take each header integer through ``json_int`` or ``json_ints`` and each
+number table through ``json_numbers``, which refuse what a cast would take.
 """
 
 from __future__ import annotations
@@ -206,6 +208,40 @@ def read_json(data: bytes):
             data = floats = cells = None
     except RecursionError as exc:
         raise ValueError("the JSON document is nested too deeply") from exc
+
+
+def json_int(payload: dict, key: str) -> int:
+    """``payload[key]`` read as a JSON integer: a bool, float or string is refused, not cast."""
+    value = payload[key]
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def json_ints(payload: dict, key: str) -> list[int]:
+    """``payload[key]`` read as an array of JSON integers, each one as ``json_int`` reads it."""
+    values = payload[key]
+    if type(values) is not list or any(type(v) is not int for v in values):
+        raise ValueError(f"{key!r} must be an array of JSON integers, got {values!r}")
+    return values
+
+
+def holds_bool(cells: list) -> bool:
+    """Whether a JSON array, read as lists, holds a boolean at any depth."""
+    return any(type(v) is bool or (type(v) is list and holds_bool(v)) for v in cells)
+
+
+def json_numbers(cells, what: str) -> np.ndarray:
+    """The JSON number array ``cells``, as lists or as ``read_json``'s arrays, as
+    one float64 array, with no copy of a float64 one.  A boolean, a string or
+    an integer past float64 is refused, not cast."""
+    # np.asarray casts a boolean among numbers to 1.0 or 0.0
+    if isinstance(cells, list) and holds_bool(cells):
+        raise ValueError(f"{what} must be numbers, but holds a boolean")
+    values = np.asarray(cells)
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be numbers, but is {values.dtype}")
+    return values.astype(np.float64, copy=False)
 
 
 def write_csv(path, columns: dict) -> None:

@@ -333,13 +333,11 @@ def cmd_tokenize(cfg: dict, out_dir: Path, chash: str) -> int:
             raise ConfigError(f"cannot fit {scheme} to these embeddings: {exc}") from exc
     else:  # fsq
         emb = _load_embeddings(cfg["embeddings"], seed)
-        if emb.dim < len(levels):
-            raise ConfigError(f"embeddings have {emb.dim} dims, fsq levels need {len(levels)}")
         bounds = [[-1.0, 1.0]] * spec.k if fsq["bounds"] is None else fsq["bounds"]
         try:
             fitted = tokenizer.FSQModel(levels=levels, per_dim_bounds=bounds)
             sequences = tokenizer.encode_fsq(fitted, emb)
-        except ValueError as exc:  # DegenerateInputError: bounds too narrow for the values
+        except ValueError as exc:  # too few columns, or bounds too narrow for the values
             raise ConfigError(f"bad fsq config: {exc}") from exc
 
     code = EXIT_OK

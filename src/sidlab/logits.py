@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import read_json, write_json
-from .vocab import CodebookSpec, TokenMap, TokenSeq, _holds_bool, _json_int
+from .artifacts import json_int, json_numbers, read_json, write_json
+from .vocab import CodebookSpec, TokenMap, TokenSeq
 
 
 class FormError(TypeError):
@@ -195,23 +195,17 @@ def model_from_json_dict(payload: dict) -> LogitModel:
     """The model of a checkpoint payload.  Tables may arrive as lists or, from
     ``artifacts.read_json``, as float64 arrays, which are used without a copy
     (integer tables of one length arrive as the rows of one int64 array)."""
-    spec = CodebookSpec(k=_json_int(payload, "k"), X=_json_int(payload, "X"))
-    C = _json_int(payload, "C")
+    spec = CodebookSpec(k=json_int(payload, "k"), X=json_int(payload, "X"))
+    C = json_int(payload, "C")
     form = str(payload["form"])
     params = payload["params"]
     if len(params) != spec.k:
         raise ValueError(f"checkpoint holds {len(params)} tables, expected k={spec.k}")
     tables = []
     for m in range(spec.k):
-        # a float64 cast would take "0.5", a table of booleans or 10**400 without a word;
-        # np.asarray casts a boolean among numbers to 1.0 or 0.0
-        if isinstance(params[m], list) and _holds_bool(params[m]):
-            raise ValueError(f"checkpoint params must be numbers, table {m + 1} holds a boolean")
-        values = np.asarray(params[m])
-        if values.dtype.kind not in "iuf":
-            raise ValueError(f"checkpoint params must be numbers, table {m + 1} is {values.dtype}")
-        shape = _table_shape(form, spec, C, m)
-        tables.append(values.astype(np.float64, copy=False).reshape(shape))
+        # a float64 cast would take "0.5", a table of booleans or 10**400 without a word
+        values = json_numbers(params[m], f"checkpoint params table {m + 1}")
+        tables.append(values.reshape(_table_shape(form, spec, C, m)))
     if not all(np.isfinite(t).all() for t in tables):
         raise ValueError("checkpoint params must all be finite")
     return FORMS[form](spec, C, tables)

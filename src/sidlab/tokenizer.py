@@ -11,11 +11,12 @@ order, numpy's order for a masked mean.  Each k-means++ round, each Lloyd
 screen and each Lloyd iteration's means take one pass of the C kernel
 ``_kmeans.c``, built by ``_native`` on the first fit or encode of a process
 (never at import) and used only if it matches numpy's bits and decisions;
-on one column (numpy sums a mean's column pairwise), or without the kernel,
-a fit runs on numpy.  Float overflow in a fit or an encode raises
-``DegenerateInputError``, so no inf or nan reaches an artifact.  Inputs are
-copied to C order first: numpy sums the rows of a Fortran-ordered array in
-another order, to other bits.
+a fit on one column leaves only its means to numpy, which sums one column
+pairwise, and without the kernel a fit runs wholly on numpy.  The encoders
+return their (n_items, k) int64 token table.  Float overflow in a fit or an
+encode raises ``DegenerateInputError``, so no inf or nan reaches an
+artifact.  Inputs are copied to C order first: numpy sums the rows of a
+Fortran-ordered array in another order, to other bits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from __future__ import annotations
 import csv
 import ctypes
 import functools
-import json
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json
-from .vocab import CodebookSpec, TokenSeq
+from .artifacts import json_int, json_ints, json_numbers, read_json, write_json
+from .vocab import CodebookSpec
 
 _MEANS_SOURCE = Path(__file__).with_name("_kmeans.c")
 _P, _I64, _F64 = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
@@ -230,11 +230,9 @@ def _kmeans_pp_seed(points: np.ndarray, X: int, rng: np.random.Generator,
                     kernel=None) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((X, points.shape[1]))
-    # numpy's every round's (points - center) ** 2, in one buffer
-    scratch = np.empty_like(points) if kernel is None else None
     d2 = np.full(n, np.inf)
     centers[0] = points[int(rng.integers(n))]
-    _seed_round(kernel, points, centers[0], d2, scratch)
+    _seed_round(kernel, points, centers[0], d2)
     for j in range(1, X):
         total = d2.sum()
         if total > 0.0:
@@ -243,18 +241,16 @@ def _kmeans_pp_seed(points: np.ndarray, X: int, rng: np.random.Generator,
             # all points coincide with some chosen center; any pick works
             idx = int(rng.integers(n))
         centers[j] = points[idx]
-        _seed_round(kernel, points, centers[j], d2, scratch)
+        _seed_round(kernel, points, centers[j], d2)
     return centers
 
 
-def _seed_round(kernel, points, center, d2, scratch) -> None:
+def _seed_round(kernel, points, center, d2) -> None:
     """``d2 = minimum(d2, ((points - center) ** 2).sum(axis=1))`` in place,
     with numpy's bits: through ``kernel``, the compiled ``_kmeans.c``, or
-    numpy in ``scratch``, a buffer shaped as the points, when it is None.
-    C-contiguous float64 arrays."""
+    numpy when it is None.  C-contiguous float64 arrays."""
     if kernel is None:
-        np.subtract(points, center, out=scratch)
-        np.minimum(d2, np.multiply(scratch, scratch, out=scratch).sum(axis=1), out=d2)
+        np.minimum(d2, ((points - center) ** 2).sum(axis=1), out=d2)
     # the points are finite, so only an overflow leaves a distance not finite
     elif kernel.seed_round(points.ctypes.data, *points.shape, center.ctypes.data, d2.ctypes.data):
         raise DegenerateInputError("float64 overflow encountered in a k-means++ distance")
@@ -288,8 +284,9 @@ def _kernel_matches_numpy(kernel) -> bool:
       any other order of addition gives other bits, an empty cluster, and an
       all -0.0 column, whose mean numpy's sum from +0.0 makes +0.0 and a sum
       from the first row would leave -0.0;
-    * ``seed_round``, by bytes, on such entries in 3, 9 and 130 columns, one
-      of each of numpy's three ways to sum a row, and its overflow count;
+    * ``seed_round``, by bytes, on such entries in 1 column, and in 3, 9 and
+      130, one of each of numpy's three ways to sum a row, and its overflow
+      count;
     * ``screen``, by decisions on the same products: integer points and a
       duplicated center, so exact ties that must go to the recheck, a point
       holding a NaN and one too large to bound.
@@ -306,12 +303,12 @@ def _kernel_matches_numpy(kernel) -> bool:
         _cluster_means(None, points, assign, counts, want)
         if got.tobytes() != want.tobytes():
             return False
-    for d in (3, 9, 130):
+    for d in (1, 3, 9, 130):
         points = rng.standard_normal((20, d)) * 10.0 ** rng.uniform(-8, 8, (20, d))
         center = rng.standard_normal(d) * 10.0 ** rng.uniform(-8, 8, d)
         got = np.where(np.arange(20) % 3 == 0, 0.0, np.inf)  # rows a round must keep
         want = got.copy()
-        _seed_round(None, points, center, want, np.empty_like(points))
+        _seed_round(None, points, center, want)
         if kernel.seed_round(points.ctypes.data, 20, d, center.ctypes.data, got.ctypes.data) != 0:
             return False
         if got.tobytes() != want.tobytes():
@@ -357,9 +354,9 @@ def fit_kmeans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd k-means; returns (centers (X, d), assignments (n,))."""
     points = np.ascontiguousarray(points, dtype=np.float64)
-    # on one column numpy sums the means pairwise, not row after row as the
-    # kernel does, so a fit there runs wholly on numpy
-    kernel = _means_kernel() if points.shape[1] >= 2 else None
+    kernel = _means_kernel()
+    # on one column numpy sums a mean pairwise, not row after row as the kernel does
+    means_kernel = kernel if points.shape[1] > 1 else None
     x2 = _squared_norms(points)
     centers = _kmeans_pp_seed(points, X, rng, kernel)
     assign = None
@@ -382,7 +379,7 @@ def fit_kmeans(
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        _cluster_means(kernel, points, assign, counts, centers)
+        _cluster_means(means_kernel, points, assign, counts, centers)
     return centers, assign
 
 
@@ -399,8 +396,8 @@ class RQKmeansModel:
         if len(self.codebooks) != self.spec.k:
             raise ValueError(f"expected {self.spec.k} codebooks, got {len(self.codebooks)}")
         for cb in self.codebooks:
-            if cb.shape[0] != self.spec.X:
-                raise ValueError(f"codebook has {cb.shape[0]} rows, expected {self.spec.X}")
+            if cb.ndim != 2 or cb.shape[0] != self.spec.X:
+                raise ValueError(f"codebook shape {cb.shape} is not ({self.spec.X}, dim)")
 
 
 @_finite()
@@ -438,7 +435,7 @@ def fit_rq_kmeans(
 
 
 @_finite()
-def encode_rq(model: RQKmeansModel, emb: ItemEmbeddings) -> list[TokenSeq]:
+def encode_rq(model: RQKmeansModel, emb: ItemEmbeddings) -> np.ndarray:
     """Greedy nearest-centroid walk down the levels, quantizing the running residual."""
     residual = emb.values.copy()
     tokens = []
@@ -446,7 +443,7 @@ def encode_rq(model: RQKmeansModel, emb: ItemEmbeddings) -> list[TokenSeq]:
         t = nearest_centers(residual, cb)
         tokens.append(t)
         residual -= cb[t]
-    return [tuple(seq) for seq in np.stack(tokens, axis=1).tolist()]
+    return np.stack(tokens, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +465,6 @@ class PQModel:
             if cb.shape != (self.spec.X, dims):
                 raise ValueError(f"codebook shape {cb.shape} does not match width {dims}")
 
-    @property
-    def offsets(self) -> list[int]:
-        out, acc = [], 0
-        for d in self.subspace_dims:
-            out.append(acc)
-            acc += d
-        return out
-
 
 def split_subspace_dims(dim: int, k: int) -> list[int]:
     """Contiguous near-equal split; the first dim % k subspaces get the extra column.
@@ -489,33 +478,31 @@ def split_subspace_dims(dim: int, k: int) -> list[int]:
     return [base + 1 if m < rem else base for m in range(k)]
 
 
+def _subspaces(values: np.ndarray, dims: list[int]) -> list[np.ndarray]:
+    """The contiguous column blocks of ``values``, ``dims[m]`` wide in turn."""
+    return np.split(values, np.cumsum(dims)[:-1], axis=1)
+
+
 def fit_pq(
     emb: ItemEmbeddings, spec: CodebookSpec, max_iters: int = 50, seed: int = 0
 ) -> PQModel:
     """Independent k-means per contiguous subspace."""
     dims = split_subspace_dims(emb.dim, spec.k)
     rng = np.random.default_rng(seed)
-    codebooks = []
-    offset = 0
-    for width in dims:
-        block = emb.values[:, offset : offset + width]
-        centers, _ = fit_kmeans(block, spec.X, max_iters, rng)
-        codebooks.append(centers)
-        offset += width
+    codebooks = [fit_kmeans(block, spec.X, max_iters, rng)[0]
+                 for block in _subspaces(emb.values, dims)]
     return PQModel(spec=spec, subspace_dims=dims, codebooks=codebooks)
 
 
 @_finite()
-def encode_pq(model: PQModel, emb: ItemEmbeddings) -> list[TokenSeq]:
+def encode_pq(model: PQModel, emb: ItemEmbeddings) -> np.ndarray:
     if emb.dim != sum(model.subspace_dims):
         raise ValueError(
             f"embeddings have {emb.dim} dims, model expects {sum(model.subspace_dims)}"
         )
-    tokens = [
-        nearest_centers(emb.values[:, offset : offset + width], cb)
-        for offset, width, cb in zip(model.offsets, model.subspace_dims, model.codebooks)
-    ]
-    return [tuple(seq) for seq in np.stack(tokens, axis=1).tolist()]
+    blocks = _subspaces(emb.values, model.subspace_dims)
+    return np.stack([nearest_centers(block, cb) for block, cb in zip(blocks, model.codebooks)],
+                    axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -551,15 +538,14 @@ class FSQModel:
 
 
 @_finite()
-def encode_fsq(model: FSQModel, emb: ItemEmbeddings) -> list[TokenSeq]:
+def encode_fsq(model: FSQModel, emb: ItemEmbeddings) -> np.ndarray:
     """Quantize the first k embedding dimensions; round half up, then clamp."""
     if emb.dim < model.k:
         raise ValueError(f"embeddings have {emb.dim} dims, FSQ needs {model.k}")
     lo, hi = np.array(model.per_dim_bounds, dtype=np.float64).T
     top = np.array(model.levels) - 1
     scaled = (emb.values[:, : model.k] - lo) / (hi - lo) * top
-    tokens = np.clip(np.floor(scaled + 0.5), 0, top).astype(np.int64)
-    return [tuple(seq) for seq in tokens.tolist()]
+    return np.clip(np.floor(scaled + 0.5), 0, top).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -584,19 +570,23 @@ def tokenizer_to_json_dict(model) -> dict:
 
 
 def tokenizer_from_json_dict(payload: dict):
+    """The model of a tokenizer payload, read as ``artifacts`` reads every
+    header and table: its sizes, widths and levels as JSON integers, its
+    codebooks and bounds as numbers."""
     scheme = payload.get("scheme")
     if scheme in ("rq_kmeans", "pq"):
-        spec = CodebookSpec(k=int(payload["k"]), X=int(payload["X"]))
-        codebooks = [np.asarray(cb, dtype=np.float64) for cb in payload["codebooks"]]
+        spec = CodebookSpec(k=json_int(payload, "k"), X=json_int(payload, "X"))
+        codebooks = [json_numbers(cb, "codebooks") for cb in payload["codebooks"]]
         if scheme == "rq_kmeans":
             return RQKmeansModel(spec=spec, codebooks=codebooks)
-        dims = [int(d) for d in payload["subspace_dims"]]
-        return PQModel(spec=spec, subspace_dims=dims, codebooks=codebooks)
+        return PQModel(spec=spec, subspace_dims=json_ints(payload, "subspace_dims"),
+                       codebooks=codebooks)
     if scheme == "fsq":
-        return FSQModel(
-            levels=[int(v) for v in payload["levels"]],
-            per_dim_bounds=[(float(lo), float(hi)) for lo, hi in payload["per_dim_bounds"]],
-        )
+        levels = json_ints(payload, "levels")
+        bounds = json_numbers(payload["per_dim_bounds"], "per_dim_bounds")
+        if bounds.shape != (len(levels), 2):
+            raise ValueError("need one (lo, hi) pair per quantized dimension")
+        return FSQModel(levels=levels, per_dim_bounds=[tuple(b) for b in bounds.tolist()])
     raise ValueError(f"unknown tokenizer scheme {scheme!r}")
 
 
@@ -605,5 +595,4 @@ def save_tokenizer(model, path) -> None:
 
 
 def load_tokenizer(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return tokenizer_from_json_dict(json.load(fh))
+    return tokenizer_from_json_dict(read_json(Path(path).read_bytes()))

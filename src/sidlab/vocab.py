@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import holds_bool, json_int, read_json, write_json
 
 TokenSeq = tuple[int, ...]
 
@@ -98,19 +98,6 @@ class CodebookSpec:
         for t in prefix:
             idx = idx * self.X + t
         return idx
-
-
-def _json_int(payload: dict, key: str) -> int:
-    """``payload[key]`` read as a JSON integer: a bool, float or string is refused, not cast."""
-    value = payload[key]
-    if type(value) is not int:
-        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _holds_bool(cells: list) -> bool:
-    """Whether a JSON array, read as lists, holds a boolean at any depth."""
-    return any(type(v) is bool or (type(v) is list and _holds_bool(v)) for v in cells)
 
 
 def prefix_index_arrays(spec: CodebookSpec, token_matrix: np.ndarray) -> np.ndarray:
@@ -215,10 +202,10 @@ class TokenMap:
     def from_json_dict(cls, payload: dict) -> "TokenMap":
         """The map of a token-map payload.  Its rows may arrive as lists or,
         from ``artifacts.read_json``, as one int64 table."""
-        spec = CodebookSpec(k=_json_int(payload, "k"), X=_json_int(payload, "X"))
+        spec = CodebookSpec(k=json_int(payload, "k"), X=json_int(payload, "X"))
         forward = payload["forward"]
         # np.array casts a boolean among integers to 1 or 0
-        if isinstance(forward, list) and _holds_bool(forward):
+        if isinstance(forward, list) and holds_bool(forward):
             raise MalformedSequenceError("token map rows must hold integers, not a boolean")
         return cls(spec, forward, str(payload["mode"]))
 

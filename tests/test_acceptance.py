@@ -13,6 +13,7 @@ it honestly rather than papering over it.  The partition identity itself
 unconditionally true and stays green in the same sweeps.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -36,6 +37,7 @@ from sidlab import (
     full_log_partition,
     fv_mle_loss,
     identity_token_map,
+    item_logits,
     measure_lookup_counts,
     mtp_decode,
     ntp_loss,
@@ -47,6 +49,7 @@ from sidlab import (
     train_sgd,
 )
 from sidlab.cli import main as cli_main
+from sidlab.losses import log_sum_exp_rows
 
 from reference import item_logit, ntp_grad
 
@@ -352,10 +355,11 @@ def desk_scale_run():
     data = sample_dataset(world, 100_000, data_seed)
     model = CascadedLogitModel.zeros(spec, 4)
     initial_kl = eval_kl(model, tmap, world)
+    # train(epochs=e) repeats the first e epochs of the run bit for bit
+    train = functools.partial(train_sgd, model, tmap, data, lr=0.1, seed=shuffle_seed,
+                              world=world)
     t0 = time.perf_counter()
-    trained, records = train_sgd(
-        model, tmap, data, lr=0.1, epochs=30, seed=shuffle_seed, world=world
-    )
+    trained, records = train(epochs=30)
     runtime = time.perf_counter() - t0
     return {
         "initial_kl": initial_kl,
@@ -363,6 +367,11 @@ def desk_scale_run():
         "chain_kl": eval_kl_chain(trained, tmap, world),
         "records": records,
         "runtime": runtime,
+        "trained": trained,
+        "train": train,
+        "tmap": tmap,
+        "world": world,
+        "data": data,
     }
 
 
@@ -417,6 +426,100 @@ class TestCriterion7DeskScaleConsistency:
         assert r["initial_kl"] == 0.9669657177122299
         assert r["final_kl"] == 0.4494582405128461
         assert r["chain_kl"] == 0.04061639985945633
+
+
+def gap_tables(model, tmap):
+    """(gap, size), each (C, n_items).  gap(h, i) = sum_m log Z_m - log Z_full(h),
+    Z_m the partition of the node item i visits at position m, added from
+    0.0 in position order: the loss gap of ``TestGapIdentity``.  size(h, i) =
+    sum_m (|l_m| + |log Z_m|) + |log Z_full(h)|, l_m the item's logit at that
+    node, bounds every per-item value and partial sum of the losses, the
+    log-probabilities and the gap.  Each log Z is the float the trainer's
+    evaluations use (``log_sum_exp_rows`` of the same rows)."""
+    log_z_full = log_sum_exp_rows(item_logits(model, tmap, slice(None)))[:, None]
+    gap = np.zeros((model.C, tmap.n_items))
+    size = np.abs(log_z_full) + gap
+    for m in range(model.spec.k):
+        node = model.node_index(tmap.prefix_indices[m])
+        log_z = log_sum_exp_rows(model.rows(m))[:, node]
+        gap += log_z
+        size += np.abs(log_z) + np.abs(model.rows(m)[:, node, tmap.token_matrix[:, m]])
+    return gap - log_z_full, size
+
+
+def weighted_mean(weights, values, divisor) -> float:
+    """sum_h sum_i weights[h, i] values[h, i] / divisor, in the trainer's
+    order: one numpy sum per context, added from 0.0, then one division."""
+    total = 0.0
+    for h in range(len(weights)):
+        total += float((weights[h] * values[h]).sum())
+    return total / divisor
+
+
+class TestCriterion7RedValuesAccounted:
+    """The desk run's red values are the loss-gap identity of
+    ``TestGapIdentity`` averaged two ways, to within a bound derived from the
+    operation count.  Both hold with the red checks left as they are.
+
+    The bound.  The floats l_m and log Z of both sides are the same; only
+    the additions, subtractions, products and divisions that combine them
+    round, each by at most u |result|, u = 2**-53, passing its inputs'
+    errors on unamplified (a weight is a count or a probability, a divisor
+    at least 1).  A value added into a sum of M terms in any order meets at
+    most M - 1 roundings, and the sum's error is at most gamma_D sum |term|
+    when each term meets at most D roundings, gamma_D = D u / (1 - D u)."""
+
+    def test_7c_epoch_gap_is_the_count_weighted_mean_gap(self, desk_scale_run):
+        # mean_ntp - mean_fv = (1/n) sum_(h,i) count(h, i) gap(h, i).  A term
+        # meets: the ntp loss's k subtractions l_m - log Z_m and k additions
+        # (fv's k - 1 path additions and one subtraction are fewer), its
+        # count product (1), the sum over the N items (N - 1), the C context
+        # sums from 0.0 (C - 1), the division by n (1) and the difference of
+        # the two means (1): D = 2k + N + C + 1.  The three sides, ntp, fv
+        # and the gap, each have |value| <= size, so the bound is
+        # gamma_D (1/n) sum count * 3 size.
+        r = desk_scale_run
+        worst = max(range(len(r["records"])), key=lambda e: abs(
+            r["records"][e].mean_ntp_loss - r["records"][e].mean_fv_mle_loss))
+        model, records = r["train"](epochs=worst + 1)
+        assert records == r["records"][: worst + 1]  # the same epochs, bit for bit
+        record = records[-1]
+        lhs = record.mean_ntp_loss - record.mean_fv_mle_loss
+        assert round(abs(lhs), 4) == 0.6178  # the red value of criterion 7c
+
+        data, tmap = r["data"], r["tmap"]
+        counts = np.zeros((model.C, tmap.n_items))
+        np.add.at(counts, (data.contexts, data.items), 1.0)
+        gap, size = gap_tables(model, tmap)
+        rhs = weighted_mean(counts, gap, len(data))
+        D = 2 * model.spec.k + tmap.n_items + model.C + 1
+        u = 2.0**-53
+        bound = D * u / (1 - D * u) * weighted_mean(counts, 3 * size, len(data))
+        assert abs(lhs - rhs) <= bound, (lhs, rhs, bound)
+
+    def test_7ab_kl_gap_is_minus_the_target_weighted_mean_gap(self, desk_scale_run):
+        # eval_kl - eval_kl_chain = (1/C) sum_h sum_i p*(i|h) (log q_chain -
+        # log q_flat) = -(1/C) sum_h sum_i p*(i|h) gap(h, i): the log p* terms
+        # are the same floats in both KLs and cancel.  A term meets: the
+        # chained log q's 2k roundings (the flat one's k are fewer), log p* -
+        # log q (1), the product with p* (1), the N item sums (N - 1), the C
+        # context sums from 0.0 (C - 1), the division by C (1) and the
+        # difference of the KLs (1): D = 2k + N + C + 2.  The two KL terms
+        # are at most |log p*| + size, the gap's size, so the bound is
+        # gamma_D (1/C) sum p* (2 |log p*| + 3 size) over the mass the KLs sum.
+        r = desk_scale_run
+        model, tmap, p_star = r["trained"], r["tmap"], r["world"].p_star
+        assert eval_kl(model, tmap, r["world"]) == r["final_kl"]
+        lhs = r["final_kl"] - r["chain_kl"]
+        assert (round(r["final_kl"], 4), round(r["chain_kl"], 4)) == (0.4495, 0.0406)
+
+        gap, size = gap_tables(model, tmap)
+        rhs = -weighted_mean(p_star, gap, model.C)
+        log_p = np.log(np.where(p_star > 0.0, p_star, 1.0))
+        D = 2 * model.spec.k + tmap.n_items + model.C + 2
+        u = 2.0**-53
+        bound = D * u / (1 - D * u) * weighted_mean(p_star, 2 * np.abs(log_p) + 3 * size, model.C)
+        assert abs(lhs - rhs) <= bound, (lhs, rhs, bound)
 
 
 class TestCriterion8Complexity:

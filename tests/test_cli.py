@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sidlab import artifacts, cli
+from sidlab import artifacts, cli, tokenizer, trainer
 from sidlab import TokenMap, check_contexts, load_model, synth_embeddings
+from sidlab import encode_fsq, encode_pq, encode_rq, load_tokenizer
 from sidlab import write_csv
 from sidlab.losses import REPORT_COLUMNS
 from sidlab import CodebookSpec, ItemEmbeddings, ParallelLogitModel, identity_token_map, save_model
@@ -222,6 +223,29 @@ class TestTokenizeCommand:
         assert code == EXIT_OK
         tok = read_json(out / "tokenizer.json")
         assert tok["scheme"] == "fsq"
+
+    @pytest.mark.parametrize("scheme", ["rq_kmeans", "pq", "fsq"])
+    def test_tokenizer_json_loads_to_the_arrays_it_holds(self, tmp_path, scheme):
+        payload = {"seed": 1, "scheme": scheme, "k": 3, "X": 4, "mode": "probe",
+                   "embeddings": {"kind": "synth", "n_items": 64, "dim": 5}}
+        if scheme == "fsq":  # integer bounds among float ones
+            payload["fsq"] = {"levels": [4, 3, 2], "bounds": [[-2.0, 2.0], [-1, 1], [0.0, 0.5]]}
+        code, out = run(tmp_path, "tokenize", payload, scheme)
+        assert code == EXIT_OK
+        model = load_tokenizer(out / "tokenizer.json")
+        text = read_json(out / "tokenizer.json")
+        if scheme == "fsq":
+            assert model.levels == text["levels"]
+            want = np.array(text["per_dim_bounds"], dtype=np.float64)
+            assert np.array(model.per_dim_bounds).tobytes() == want.tobytes()
+        else:
+            assert (model.spec.k, model.spec.X) == (3, 4)
+            assert [cb.tobytes() for cb in model.codebooks] == [
+                np.array(cb, dtype=np.float64).tobytes() for cb in text["codebooks"]]
+        # the loaded model re-encodes the embeddings to the map that was written
+        encode = {"rq_kmeans": encode_rq, "pq": encode_pq, "fsq": encode_fsq}[scheme]
+        tokens = encode(model, synth_embeddings(64, 5, seed=1))
+        assert np.array_equal(tokens, TokenMap.load(out / "token_map.json").token_matrix)
 
     def test_fsq_level_count_must_match_k(self, tmp_path):
         payload = {
@@ -1281,6 +1305,56 @@ class TestArtifactBytes:
         assert code == exit_code
         assert self.sha256(out / "equivalence.csv") == csv_sha
         assert self.sha256(out / "summary.json") == summary_sha
+
+
+class TestPythonPathsWriteTheKernelsBytes:
+    """Every subcommand writes the same bytes with the three C kernels as on
+    the Python paths that stand in for them without a compiler."""
+
+    DECODE = {"checkpoint": "train/checkpoint_final.json", "token_map": "train/token_map.json",
+              "context": 1, "top_k": 3}
+    RUNS = [
+        ("tokenize", "rq", {"seed": 0, "scheme": "rq_kmeans", "k": 3, "X": 8, "mode": "probe",
+                            "embeddings": {"kind": "synth", "n_items": 512, "dim": 16}}),
+        # every subspace is one column wide: seeding and screens run on the
+        # kernel, the means on numpy
+        ("tokenize", "pq", {"seed": 0, "scheme": "pq", "k": 3, "X": 16, "mode": "probe",
+                            "embeddings": {"kind": "synth", "n_items": 512, "dim": 3}}),
+        ("tokenize", "fsq", {"seed": 0, "scheme": "fsq", "k": 3, "X": 8, "mode": "probe",
+                             "embeddings": {"kind": "synth", "n_items": 512, "dim": 16},
+                             "fsq": {"levels": [8, 5, 2]}}),
+        ("train", "train", TRAIN_CFG),
+        ("verify", "verify", {"seed": 5, "trials": 6, "k_values": [1, 2, 3],
+                              "X_values": [2, 3], "C_values": [1, 2]}),
+        ("decode", "exact", dict(DECODE, method="exact")),
+        ("decode", "beam", dict(DECODE, method="beam", beam_width=3)),
+    ]
+
+    def run_all(self, root, monkeypatch):
+        """The exit code and the bytes of every file each run leaves under ``root``."""
+        root.mkdir()
+        monkeypatch.chdir(root)  # relative paths: the same config hashes on both sides
+        codes = []
+        for command, name, payload in self.RUNS:
+            Path(f"{name}.json").write_text(json.dumps(payload))
+            codes.append(main([command, "--config", f"{name}.json", "--out-dir", name]))
+        files = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        return codes, files
+
+    def test_every_artifact_is_byte_identical(self, tmp_path, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        loaders = [(tokenizer, "_means_kernel"), (trainer, "_sgd_kernel"),
+                   (artifacts, "_floats_kernel")]
+        assert all(getattr(module, name)() is not None for module, name in loaders)
+        codes, with_kernels = self.run_all(tmp_path / "kernels", monkeypatch)
+        assert codes == [EXIT_OK] * 4 + [EXIT_EQUIVALENCE] + [EXIT_OK] * 2
+        for module, name in loaders:
+            monkeypatch.setattr(module, name, lambda: None)
+        python_codes, python_files = self.run_all(tmp_path / "python", monkeypatch)
+        assert python_codes == codes
+        assert sorted(python_files) == sorted(with_kernels) and len(with_kernels) > 20
+        assert [name for name in with_kernels if python_files[name] != with_kernels[name]] == []
 
 
 def replay_verify(payload):

@@ -1,6 +1,7 @@
 """Embedding tokenizers: k-means core, RQ, PQ, FSQ, and file formats."""
 
 import itertools
+import json
 import shutil
 import warnings
 from collections import Counter
@@ -249,7 +250,8 @@ class TestResidualKmeans:
         want = sorted(tuple(r) for r in np.eye(4))
         assert got == want
         seqs = encode_rq(model, emb)
-        assert len(set(seqs)) == 4
+        assert seqs.dtype == np.int64 and seqs.shape == (4, 1)
+        assert len(np.unique(seqs)) == 4
         for x, (t,) in zip(emb.values, seqs):
             assert np.allclose(model.codebooks[0][t], x)
 
@@ -345,11 +347,14 @@ class TestProductQuantization:
         with pytest.raises(ValueError):
             encode_pq(model, synth_embeddings(4, 5, seed=0))
 
-    def test_offsets_are_cumulative(self):
+    def test_subspaces_are_contiguous_column_blocks(self):
         emb = synth_embeddings(20, 7, seed=1)
         model = fit_pq(emb, CodebookSpec(k=3, X=2), seed=1)
         assert model.subspace_dims == [3, 2, 2]
-        assert model.offsets == [0, 3, 5]
+        blocks = [emb.values[:, 0:3], emb.values[:, 3:5], emb.values[:, 5:7]]
+        want = np.stack([nearest_centers(b, cb) for b, cb in zip(blocks, model.codebooks)], axis=1)
+        got = encode_pq(model, emb)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 class TestMemoryLayout:
@@ -368,7 +373,7 @@ class TestMemoryLayout:
             c_model, f_model = fit(c_emb, spec, seed=0), fit(f_emb, spec, seed=0)
             for c_cb, f_cb in zip(c_model.codebooks, f_model.codebooks):
                 assert c_cb.tobytes() == f_cb.tobytes()  # np.array_equal takes -0.0 for +0.0
-            assert encode(c_model, c_emb) == encode(f_model, f_emb)
+            assert np.array_equal(encode(c_model, c_emb), encode(f_model, f_emb))
 
     def test_fit_kmeans_ignores_layout(self):
         values = tie_rows()
@@ -394,17 +399,17 @@ class TestFSQ:
         cases = {-1.0: 0, -0.5: 1, 0.0: 2, 0.5: 2, 0.6: 2, 0.7: 3, 1.0: 3}
         for value, token in cases.items():
             emb = ItemEmbeddings(np.array([[value]]))
-            assert encode_fsq(model, emb) == [(token,)], value
+            assert np.array_equal(encode_fsq(model, emb), [[token]]), value
 
     def test_clamps_out_of_bounds(self):
         model = FSQModel(levels=[4], per_dim_bounds=[(-1.0, 1.0)])
         emb = ItemEmbeddings(np.array([[-5.0], [5.0]]))
-        assert encode_fsq(model, emb) == [(0,), (3,)]
+        assert np.array_equal(encode_fsq(model, emb), [[0], [3]])
 
     def test_uses_first_k_dimensions_only(self):
         model = FSQModel(levels=[2, 2], per_dim_bounds=[(0.0, 1.0), (0.0, 1.0)])
         emb = ItemEmbeddings(np.array([[0.0, 1.0, 99.0]]))
-        assert encode_fsq(model, emb) == [(0, 1)]
+        assert np.array_equal(encode_fsq(model, emb), [[0, 1]])
         with pytest.raises(ValueError):
             encode_fsq(model, ItemEmbeddings(np.array([[0.5]])))
 
@@ -421,7 +426,7 @@ class TestTokenizerSerialization:
         back = load_tokenizer(path)
         for a, b in zip(model.codebooks, back.codebooks):
             assert np.array_equal(a, b)
-        assert encode_rq(back, emb) == encode_rq(model, emb)
+        assert np.array_equal(encode_rq(back, emb), encode_rq(model, emb))
 
     def test_pq_roundtrip(self, tmp_path):
         emb = synth_embeddings(16, 5, seed=6)
@@ -430,7 +435,7 @@ class TestTokenizerSerialization:
         save_tokenizer(model, path)
         back = load_tokenizer(path)
         assert back.subspace_dims == model.subspace_dims
-        assert encode_pq(back, emb) == encode_pq(model, emb)
+        assert np.array_equal(encode_pq(back, emb), encode_pq(model, emb))
 
     def test_fsq_roundtrip(self, tmp_path):
         model = FSQModel(levels=[4, 3], per_dim_bounds=[(-1.0, 1.0), (0.0, 2.0)])
@@ -439,6 +444,38 @@ class TestTokenizerSerialization:
         back = load_tokenizer(path)
         assert back.levels == model.levels
         assert back.per_dim_bounds == model.per_dim_bounds
+
+    VALID = {
+        "rq_kmeans": {"scheme": "rq_kmeans", "k": 1, "X": 2, "codebooks": [[[0.0], [1.0]]]},
+        "pq": {"scheme": "pq", "k": 1, "X": 2, "subspace_dims": [1],
+               "codebooks": [[[0.0], [1.0]]]},
+        "fsq": {"scheme": "fsq", "levels": [2, 3], "per_dim_bounds": [[-1.0, 1.0], [0.0, 2.0]]},
+    }
+
+    @pytest.mark.parametrize(
+        "scheme,key,value",
+        [("rq_kmeans", "k", True), ("rq_kmeans", "X", "2"), ("pq", "k", True), ("pq", "X", "2"),
+         ("pq", "subspace_dims", [1.9]), ("pq", "subspace_dims", [True]),
+         ("fsq", "levels", [True, 2.7]), ("fsq", "levels", "23"),
+         ("fsq", "per_dim_bounds", [["-1", "1"], [0.0, 2.0]]),
+         ("fsq", "per_dim_bounds", [[-1.0, 1.0], [0.0, "2"]]),
+         ("fsq", "per_dim_bounds", [[True, 2.0], [0.0, 2.0]]),
+         ("rq_kmeans", "codebooks", [[[True], [1.0]]]),
+         ("pq", "codebooks", [[["0.5"], ["1.0"]]])],
+        ids=["rq_k_bool", "rq_X_string", "pq_k_bool", "pq_X_string", "width_float",
+             "width_bool", "levels_bool_and_float", "levels_string", "bounds_strings",
+             "bound_string", "bound_bool", "codebook_bool", "codebook_strings"],
+    )
+    def test_bad_header_or_cell_is_refused(self, tmp_path, scheme, key, value):
+        # a cast would take each of these: true as 1, "2" as 2, 2.7 as 2, "-1" as -1.0
+        path = tmp_path / "tokenizer.json"
+        payload = dict(self.VALID[scheme])
+        path.write_text(json.dumps(payload))
+        load_tokenizer(path)  # the valid payload loads
+        payload[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"{key}|must be numbers"):
+            load_tokenizer(path)
 
     def test_unknown_scheme_rejected(self):
         from sidlab.tokenizer import tokenizer_from_json_dict
@@ -657,13 +694,32 @@ class TestMeansKernel:
         with pytest.warns(RuntimeWarning, match="k-means kernel unavailable, FileNotFoundError"):
             assert tokenizer._means_kernel.__wrapped__() is None
 
-    def test_not_loaded_for_one_column(self, monkeypatch):
-        # numpy sums one column pairwise, not row after row
-        def unloadable():
-            raise AssertionError("the kernel was asked for on one column")
+    def test_one_column_leaves_only_its_means_to_numpy(self, means_kernel, monkeypatch):
+        # numpy sums one column's mean pairwise, not row after row as the
+        # kernel does; its seeding rounds and screens are the kernel's bits
+        calls = Counter()
 
-        monkeypatch.setattr(tokenizer, "_means_kernel", unloadable)
-        fit_kmeans(kmeans_case(0, 4, 1), 4, max_iters=5, rng=np.random.default_rng(0))
+        class Counted:
+            def __getattr__(self, name):
+                fn = getattr(means_kernel, name)
+
+                def counted(*args):
+                    calls[name] += 1
+                    return fn(*args)
+
+                return counted
+
+        for d in (1, 2):
+            pts = kmeans_case(0, 4, d)
+            monkeypatch.setattr(tokenizer, "_means_kernel", lambda: None)
+            want = fit_kmeans(pts, 4, max_iters=5, rng=np.random.default_rng(0))
+            monkeypatch.setattr(tokenizer, "_means_kernel", Counted)
+            calls.clear()
+            got = fit_kmeans(pts, 4, max_iters=5, rng=np.random.default_rng(0))
+            assert got[0].tobytes() == want[0].tobytes() and np.array_equal(got[1], want[1])
+            assert calls["seed_round"] == 4 and calls["screen"] > 0
+            # the counter does see the means where the kernel takes them
+            assert (calls["cluster_means"] > 0) == (d > 1), d
 
 
 def per_center_recheck(points, centers):
@@ -736,8 +792,8 @@ class TestFSQColumns:
             values[::2, :k] = half[::2]
             emb = ItemEmbeddings(values)
             got = encode_fsq(model, emb)
-            assert got == encode_fsq_per_item(model, emb), case
-            assert all(type(t) is int for seq in got for t in seq)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, encode_fsq_per_item(model, emb)), case
 
     @pytest.mark.parametrize(
         "bounds", [(-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0), (-1e308, 1e308),
